@@ -146,6 +146,108 @@ let mask_at { sorted_arrivals; prefix_masks } threshold =
     prefix_masks.(!hi)
   end
 
+(* ---------- exact CDF ranks (model C's fault path) ---------- *)
+
+(* Model C draws, per live endpoint and ALU cycle, a Bernoulli with
+   [p = Cdf.prob_greater cdf threshold]: the rank of the threshold among
+   the endpoint's sorted settle samples. Per class, a guide built once
+   per model replaces that binary search: a monotone bucket function [k]
+   over the class's sample range, and a bucket-major table whose entry
+   [first.(b * n_endpoints + e)] is the index of endpoint [e]'s first
+   sample with [k >= b]. A rank is then two table reads plus a look at
+   the samples in the threshold's own bucket: a short scan, after
+   bisection while that bucket still holds many samples.
+
+   Exactness. [k] is monotone: subtracting a constant and multiplying by
+   a non-negative one round monotonically, truncation is monotone, and
+   the clamps are taken in floating point (NaN, like everything below
+   the range, lands in bucket 0). So a sample in a lower bucket than [x]
+   cannot exceed [x], and a sample in a higher bucket cannot be [<= x]:
+   the rank equals [Cdf.count_leq] and [p] is bit-identical.
+
+   The guide lives in the model closure only (samples are shared, not
+   copied) and never reaches fingerprints or caches. Its lookups are
+   [@inline] and stay in this module: dune's dev profile compiles with
+   [-opaque], and a cross-module call would box the float threshold. *)
+module Rank = struct
+  type t = {
+    lo : float;
+    inv_width : float;
+    n_endpoints : int;
+    first : int array;
+    samples : float array array;
+  }
+
+  let buckets = 512
+
+  (* Bisect the threshold's bucket down to at most this many samples
+     before scanning it. *)
+  let scan_max = 8
+
+  let[@inline] bucket g x =
+    let y = (x -. g.lo) *. g.inv_width in
+    if y >= 0. then if y < float_of_int buckets then int_of_float y else buckets - 1
+    else 0
+
+  (* The table row of [x]'s bucket, shared by all endpoints. *)
+  let[@inline] row g x = bucket g x * g.n_endpoints
+
+  let build cdfs =
+    let lo = Array.fold_left (fun m c -> Float.min m (Cdf.min_value c)) infinity cdfs in
+    let hi =
+      Array.fold_left (fun m c -> Float.max m (Cdf.max_value c)) neg_infinity cdfs
+    in
+    let lo, inv_width =
+      if hi > lo then (lo, float_of_int buckets /. (hi -. lo)) else (0., 0.)
+    in
+    let n_endpoints = Array.length cdfs in
+    let samples = Array.map Cdf.samples cdfs in
+    let first = Array.make ((buckets + 1) * n_endpoints) 0 in
+    let g = { lo; inv_width; n_endpoints; first; samples } in
+    Array.iteri
+      (fun e t ->
+        let i = ref 0 in
+        for b = 0 to buckets do
+          while !i < Array.length t && bucket g t.(!i) < b do
+            incr i
+          done;
+          first.((b * n_endpoints) + e) <- !i
+        done)
+      samples;
+    g
+
+  (* Samples of endpoint [e] that are [<= x]; [row] is [row g x]. *)
+  let[@inline] count_in g ~row e x =
+    let t = Array.unsafe_get g.samples e in
+    (* Invariant: samples below [lo] are [<= x]; samples from [hi] on
+       are not. *)
+    let lo = ref (Array.unsafe_get g.first (row + e))
+    and hi = ref (Array.unsafe_get g.first (row + g.n_endpoints + e)) in
+    while !hi - !lo > scan_max do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get t mid <= x then lo := mid + 1 else hi := mid
+    done;
+    while !lo < !hi && Array.unsafe_get t !lo <= x do
+      incr lo
+    done;
+    !lo
+
+  let[@inline] prob_in g ~row e x =
+    let n = Array.length (Array.unsafe_get g.samples e) in
+    float_of_int (n - count_in g ~row e x) /. float_of_int n
+
+  let check g endpoint =
+    if endpoint < 0 || endpoint >= g.n_endpoints then invalid_arg "Model.Rank: endpoint"
+
+  let count_leq g ~endpoint x =
+    check g endpoint;
+    count_in g ~row:(row g x) endpoint x
+
+  let prob_greater g ~endpoint x =
+    check g endpoint;
+    prob_in g ~row:(row g x) endpoint x
+end
+
 (* ---------- fingerprint helpers ---------- *)
 
 let fp_noise fp noise =
@@ -375,6 +477,14 @@ let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
         Array.map Cdf.max_value c.Characterize.endpoint_cdfs)
       classes
   in
+  let guides =
+    match sampling with
+    | Independent ->
+      Array.map
+        (fun (c : Characterize.class_db) -> Rank.build c.Characterize.endpoint_cdfs)
+        classes
+    | Vector_correlated -> [||]
+  in
   let has_noise = Noise.sigma noise > 0. in
   {
     key;
@@ -467,22 +577,19 @@ let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
                         let k = Rng.int rng db.Characterize.cycles in
                         let row = cdb.Characterize.cycle_arrivals.(k) in
                         let mask = ref 0 in
-                        Array.iteri
-                          (fun e s ->
-                            if s > threshold then mask := !mask lor (1 lsl e))
-                          row;
+                        for e = 0 to Array.length row - 1 do
+                          if Array.unsafe_get row e > threshold then
+                            mask := !mask lor (1 lsl e)
+                        done;
                         !mask
                       | Independent ->
-                        let caps = class_caps.(ci) in
+                        let caps = class_caps.(ci) and g = guides.(ci) in
+                        let row = Rank.row g threshold in
                         let mask = ref 0 in
                         for e = 0 to Array.length caps - 1 do
-                          if caps.(e) > threshold then begin
-                            let p =
-                              Cdf.prob_greater cdb.Characterize.endpoint_cdfs.(e)
-                                threshold
-                            in
-                            if Rng.bernoulli rng p then mask := !mask lor (1 lsl e)
-                          end
+                          if caps.(e) > threshold
+                             && Rng.bernoulli rng (Rank.prob_in g ~row e threshold)
+                          then mask := !mask lor (1 lsl e)
                         done;
                         !mask
                     end

@@ -181,6 +181,31 @@ val of_key :
 val of_string : resources:resources -> string -> (t, string) result
 (** Parses {!to_string}'s form: a bare key, or [key{json object}]. *)
 
+(** Exact CDF ranks for model C's fault path.
+
+    Per operation class, model ["C"] builds one guide over the class's
+    endpoint distributions when the model is made: a monotone bucket
+    function over the class's sample range and a table of each
+    endpoint's first sample per bucket. A rank lookup is then a table
+    read and a short in-bucket scan instead of a binary search, and it
+    is exact: {!count_leq} equals [Cdf.count_leq] and {!prob_greater}
+    is bit-identical to [Cdf.prob_greater] for every threshold,
+    including infinities and NaN. Exposed for tests. *)
+module Rank : sig
+  type t
+
+  val build : Cdf.t array -> t
+  (** [build cdfs]: one guide over the endpoint distributions [cdfs]
+      (shared, not copied). *)
+
+  val count_leq : t -> endpoint:int -> float -> int
+  (** The number of [endpoint]'s samples [<= x]. Raises
+      [Invalid_argument] on an out-of-range endpoint. *)
+
+  val prob_greater : t -> endpoint:int -> float -> float
+  (** The fraction of [endpoint]'s samples strictly greater than [x]. *)
+end
+
 val feature_rows : unit -> (string * features) list
 (** The four rows of the paper's Table 2 (static metadata, independent
     of any instantiation). For the full registry use

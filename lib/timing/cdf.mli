@@ -21,6 +21,10 @@ val n : t -> int
 val min_value : t -> float
 val max_value : t -> float
 
+val count_leq : t -> float -> int
+(** [count_leq t x] is the number of samples [<= x] (binary search; [0]
+    for a NaN [x]). *)
+
 val prob_greater : t -> float -> float
 (** [prob_greater t x] is the fraction of samples strictly greater
     than [x]. *)

@@ -59,6 +59,60 @@ let test_model_feature_rows () =
   let a = List.assoc "A" rows in
   Alcotest.(check bool) "A not instruction-aware" false a.Model.instruction_aware
 
+(* The production C/C-corr hook against the binary-search sampler it
+   replaced (Model_c_oracle), on the Fig. 5 grid (0.80-1.45 x f_STA in
+   0.025 steps) at sigma 0 and 10 mV under both samplings: 20 seeds per
+   point, 540 per configuration, 200 random-class calls each. Every
+   mask must match, both RNGs must end at the same position, and every
+   configuration must fault somewhere, so the fault path is exercised. *)
+let test_model_c_lockstep () =
+  let db = Lazy.force char_db in
+  let fsta =
+    1e6 /. (Array.fold_left Float.max 0. (Lazy.force sta_arrivals) +. Sta.default_setup_ps)
+  in
+  let classes = Array.of_list Op_class.all in
+  List.iter
+    (fun sampling ->
+      List.iter
+        (fun sigma ->
+          let model = model_c ~sampling sigma in
+          let faulty = ref 0 in
+          for point = 0 to 26 do
+            let rel = 0.80 +. (0.025 *. float_of_int point) in
+            let freq_mhz = fsta *. rel in
+            for s = 0 to 19 do
+              let seed = (point * 20) + s in
+              let rng = Rng.of_int seed and oracle_rng = Rng.of_int seed in
+              let inst = Model.instantiate model ~count_obs:false ~freq_mhz ~rng in
+              let oracle =
+                Model_c_oracle.sampler ~db ~vdd:0.7 ~noise:(Noise.create ~sigma ())
+                  ~vdd_model:Vdd_model.default ~sampling ~freq_mhz ~rng:oracle_rng
+              in
+              let pick = Rng.of_int (seed + 0x10000) in
+              let where () =
+                Printf.sprintf "%s sigma=%g f=%.3f x f_STA seed=%d" (Model.key model) sigma
+                  rel seed
+              in
+              for call = 0 to 199 do
+                let cls = classes.(Rng.int pick (Array.length classes)) in
+                let got = inst.Model.sample ~cycle:call ~cls ~a:0 ~b:0 ~result:0 in
+                let want = oracle cls in
+                if got <> want then
+                  Alcotest.failf "%s call %d (%s): mask %08x, oracle %08x" (where ()) call
+                    (Op_class.name cls) got want;
+                if got <> 0 then incr faulty
+              done;
+              if Rng.gaussian rng <> Rng.gaussian oracle_rng
+                 || Rng.int64 rng <> Rng.int64 oracle_rng
+              then Alcotest.failf "%s: RNG position differs after 200 calls" (where ())
+            done
+          done;
+          if !faulty = 0 then
+            Alcotest.failf "%s sigma=%g: no faulty call on the grid" (Model.key model)
+              sigma)
+        [ 0.; 0.010 ])
+    [ Model.Independent; Model.Vector_correlated ]
+
 (* ---------- Injector ---------- *)
 
 let hook_call injector =
@@ -386,6 +440,8 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_model_names;
           Alcotest.test_case "feature rows" `Quick test_model_feature_rows;
+          Alcotest.test_case "C lockstep with binary-search oracle" `Quick
+            test_model_c_lockstep;
         ] );
       ( "injector",
         [

@@ -100,6 +100,71 @@ let prop_cdf_bounds =
       let q0 = Sfi_timing.Cdf.quantile t 0. and q1 = Sfi_timing.Cdf.quantile t 1. in
       Sfi_timing.Cdf.min_value t <= q0 && q1 <= Sfi_timing.Cdf.max_value t)
 
+(* ---------- Model.Rank: guided ranks vs Cdf's binary search ---------- *)
+
+(* One class of endpoint sample arrays in adversarial shapes: spread,
+   heavy duplicates, ulp-scale clusters with far outliers (dense
+   buckets), a single value, signed zeros and subnormals, infinities,
+   and a range whose width overflows. Lengths are 1, 63, 2000, 8000 or
+   random. Shapes are drawn per endpoint, so one class mixes them. *)
+let rank_class rng =
+  let atoms = Array.init (1 + Rng.int rng 4) (fun _ -> Prop.float ~lo:0. ~hi:400. rng) in
+  let atom rng = atoms.(Rng.int rng (Array.length atoms)) in
+  let endpoint rng =
+    let value =
+      match Rng.int rng 7 with
+      | 0 -> Prop.float ~lo:0. ~hi:400.
+      | 1 -> atom
+      | 2 ->
+        fun rng ->
+          if Rng.int rng 64 = 0 then Prop.float ~lo:0. ~hi:4000. rng
+          else atom rng +. (float_of_int (Rng.int rng 16) *. 1e-12)
+      | 3 -> Prop.const atoms.(0)
+      | 4 -> Prop.one_of [ -0.; 0.; 0.; 5e-324; -5e-324; 1. ]
+      | 5 ->
+        fun rng ->
+          if Rng.int rng 8 = 0 then Prop.one_of [ infinity; neg_infinity ] rng
+          else Prop.float ~lo:0. ~hi:400. rng
+      | _ -> Prop.one_of [ -1e308; 1e308; 0.; 1. ]
+    in
+    let n = Prop.one_of [ 1; 63; 2000; 8000; 2 + Rng.int rng 200 ] rng in
+    Array.init n (fun _ -> value rng)
+  in
+  Array.init (1 + Rng.int rng 3) (fun _ -> endpoint rng)
+
+(* Every sample of the class and its neighbours one ulp away, points
+   well below the minimum and above the maximum, and the non-finite
+   values. *)
+let rank_thresholds cls =
+  let all = Array.concat (Array.to_list cls) in
+  let mn = Array.fold_left Float.min infinity all in
+  let mx = Array.fold_left Float.max neg_infinity all in
+  let near x = [ x; Float.pred x; Float.succ x ] in
+  Array.of_list
+    ([ neg_infinity; infinity; nan; -0.; 0.; mn -. 1000.; mx +. 1000. ]
+    @ List.concat_map near (Array.to_list all))
+
+let prop_rank_exact =
+  Prop.test ~cases:60 "Model.Rank count and p bit-equal to Cdf" rank_class
+    ~show:(fun cls ->
+      let lengths = Array.map (fun s -> string_of_int (Array.length s)) cls in
+      "lengths " ^ String.concat "," (Array.to_list lengths))
+    (fun cls ->
+      let cdfs = Array.map Sfi_timing.Cdf.of_samples cls in
+      let g = Sfi_fi.Model.Rank.build cdfs in
+      let xs = rank_thresholds cls in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun endpoint ->
+          let cdf = cdfs.(endpoint) in
+          Array.for_all
+            (fun x ->
+              Sfi_fi.Model.Rank.count_leq g ~endpoint x = Sfi_timing.Cdf.count_leq cdf x
+              && bits (Sfi_fi.Model.Rank.prob_greater g ~endpoint x)
+                 = bits (Sfi_timing.Cdf.prob_greater cdf x))
+            xs)
+        (List.init (Array.length cdfs) Fun.id))
+
 (* ---------- Interp: monotone curves invert exactly ---------- *)
 
 (* Strictly increasing anchors with slopes bounded away from zero, so the
@@ -438,7 +503,7 @@ let () =
       ( "cdf",
         [
           prop_cdf_monotone; prop_cdf_quantile_roundtrip; prop_cdf_quantile_monotone;
-          prop_cdf_bounds;
+          prop_cdf_bounds; prop_rank_exact;
         ] );
       ( "interp",
         [ prop_interp_monotone; prop_interp_inverse_roundtrip; prop_interp_anchors_exact ]
