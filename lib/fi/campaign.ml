@@ -55,15 +55,6 @@ type point = {
   any_fault_possible : bool;
 }
 
-(* Fault-free cycle counts, cached per benchmark so watchdog budgets do
-   not require a reference run per trial. Trials of one point run on
-   several domains, so the cache is mutex-guarded — but with a
-   per-benchmark once-cell, not one global lock held across the whole
-   fault-free run: the short table lock only allocates the benchmark's
-   cell, and the reference run itself is computed under that benchmark's
-   own lock, so concurrent first uses of *distinct* benchmarks proceed in
-   parallel while concurrent callers for the *same* benchmark still block
-   until the first one has filled the cell. *)
 (* Disk key for a benchmark's fault-free cycle count: the loaded image,
    memory geometry and the pipeline's penalty constants fully determine
    it. The benchmark name is deliberately not part of the key — two
@@ -87,49 +78,124 @@ let reference_fingerprint (bench : Bench.t) =
   add_bench_inputs fp bench;
   Sfi_cache.Fingerprint.hex fp
 
+(* Programs by physical identity: [reference_cycles] runs on every
+   trial and its content key hashes the whole image, so the key is
+   computed once per [Program.t]. Ephemeron-keyed, so a program's entry
+   goes when the program does. *)
+module Program_memo = Ephemeron.K1.Make (struct
+  type t = Sfi_isa.Program.t
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+(* Fault-free cycle counts, cached per benchmark image so watchdog
+   budgets do not require a reference run per trial. The memo is keyed
+   by the image's content (the disk key), not by the benchmark's name:
+   [Registry.by_name ~seed] and the kernels' [create ~n] build
+   same-named benchmarks with different images. Trials of one point run
+   on several domains, so the cache is mutex-guarded — but with a
+   per-image once-cell, not one global lock held across the whole
+   fault-free run: the short table lock only finds or allocates the
+   image's cell, and the reference run itself is computed under that
+   cell's own lock, so concurrent first uses of *distinct* images
+   proceed in parallel while concurrent callers for the *same* image
+   still block until the first one has filled the cell. *)
+type ref_cell = { key : string; lock : Mutex.t; mutable cycles : int option }
+
 let reference_cycles =
-  let cells : (string, Mutex.t * int option ref) Hashtbl.t = Hashtbl.create 8 in
+  let cells : (string, ref_cell) Hashtbl.t = Hashtbl.create 8 in
+  let by_program : (int * ref_cell) Program_memo.t = Program_memo.create 8 in
   let table_lock = Mutex.create () in
+  let cell_of (bench : Bench.t) =
+    let program = bench.Bench.program in
+    match Program_memo.find_opt by_program program with
+    | Some (mem_size, c) when mem_size = bench.Bench.mem_size -> c
+    | _ ->
+      let key = reference_fingerprint bench in
+      let c =
+        match Hashtbl.find_opt cells key with
+        | Some c -> c
+        | None ->
+          let c = { key; lock = Mutex.create (); cycles = None } in
+          Hashtbl.replace cells key c;
+          c
+      in
+      Program_memo.replace by_program program (bench.Bench.mem_size, c);
+      c
+  in
   fun (bench : Bench.t) ->
-    let lock, cell =
-      Mutex.protect table_lock (fun () ->
-          match Hashtbl.find_opt cells bench.Bench.name with
-          | Some c -> c
-          | None ->
-            let c = (Mutex.create (), ref None) in
-            Hashtbl.replace cells bench.Bench.name c;
-            c)
-    in
-    Mutex.protect lock (fun () ->
-        match !cell with
+    let cell = Mutex.protect table_lock (fun () -> cell_of bench) in
+    Mutex.protect cell.lock (fun () ->
+        match cell.cycles with
         | Some cycles ->
           Sfi_obs.Counter.incr obs_ref_hits;
           cycles
         | None ->
           Sfi_obs.Counter.incr obs_ref_misses;
-          let key =
-            if Sfi_cache.enabled () then Some (reference_fingerprint bench) else None
-          in
           let cached =
-            match key with
-            | None -> None
-            | Some key -> (
-                match (Sfi_cache.load ~namespace:"refcycles" ~key : int option) with
-                | Some cycles when cycles > 0 -> Some cycles
-                | _ -> None)
+            if Sfi_cache.enabled () then
+              match (Sfi_cache.load ~namespace:"refcycles" ~key:cell.key : int option) with
+              | Some cycles when cycles > 0 -> Some cycles
+              | _ -> None
+            else None
           in
           let cycles =
             match cached with
             | Some cycles -> cycles
             | None ->
               let stats, _ = Bench.run_fault_free bench in
-              (match key with
-              | Some key -> Sfi_cache.store ~namespace:"refcycles" ~key stats.Cpu.cycles
-              | None -> ());
+              if Sfi_cache.enabled () then
+                Sfi_cache.store ~namespace:"refcycles" ~key:cell.key stats.Cpu.cycles;
               stats.Cpu.cycles
           in
-          cell := Some cycles;
+          cell.cycles <- Some cycles;
           cycles)
+
+(* Per-domain trial memory: the pristine image of the program this
+   domain last ran trials of, built once, and a work buffer each trial
+   resets from it with one blit instead of allocating and loading a
+   fresh image. [busy] catches a trial started from inside another
+   trial on the same domain, which gets a memory of its own. *)
+type trial_memory = {
+  program : Sfi_isa.Program.t;
+  pristine : Memory.t;
+  work : Memory.t;
+  mutable busy : bool;
+}
+
+let trial_memory : trial_memory option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let with_trial_memory (bench : Bench.t) f =
+  let slot = Domain.DLS.get trial_memory in
+  let tm =
+    match !slot with
+    | Some tm
+      when tm.program == bench.Bench.program
+           && Memory.size tm.pristine = bench.Bench.mem_size ->
+      tm
+    | _ ->
+      let pristine = Bench.fresh_memory bench in
+      let tm =
+        { program = bench.Bench.program; pristine; work = Memory.copy pristine; busy = false }
+      in
+      slot := Some tm;
+      tm
+  in
+  if tm.busy then f (Bench.fresh_memory bench)
+  else begin
+    tm.busy <- true;
+    Memory.blit ~src:tm.pristine ~dst:tm.work;
+    match f tm.work with
+    | r ->
+      tm.busy <- false;
+      r
+    | exception e ->
+      tm.busy <- false;
+      raise e
+  end
 
 let run_trial_with ~bench ~model ~freq_mhz ~rng =
   let injector = Injector.create ~model ~freq_mhz ~rng () in
@@ -141,9 +207,9 @@ let run_trial_with ~bench ~model ~freq_mhz ~rng =
       Cpu.fault_hook = Some (Injector.hook injector);
     }
   in
-  let mem = Bench.fresh_memory bench in
+  with_trial_memory bench @@ fun mem ->
   (* Per-trial state hook: architectural-state attack models flip bits
-     in the freshly loaded image here; every built-in is a no-op that
+     in the freshly reset image here; every built-in is a no-op that
      draws nothing, so the RNG stream (and thus every historic result)
      is unchanged. *)
   let (_ : int) = Injector.trial_start injector mem in

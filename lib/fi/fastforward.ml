@@ -185,49 +185,47 @@ let plausible t =
   && Array.length t.sched_cycle = Array.length t.sched_cls
   && t.ref_stats.Cpu.outcome = Cpu.Exited
 
-(* Per-(benchmark, stride) in-process memo, mutex-guarded like
-   [Campaign.reference_cycles]: concurrent first uses of distinct
-   benchmarks record in parallel, same-benchmark callers block until
-   the first recording lands. *)
+(* Per-(image, stride) in-process memo, mutex-guarded like
+   [Campaign.reference_cycles]: concurrent first uses of distinct images
+   record in parallel, same-image callers block until the first
+   recording lands. Keyed by the trace's content key, like the disk
+   entry, never by the benchmark's name: same-named benchmarks built
+   from other seeds or sizes must not replay each other's snapshots.
+   The key is recomputed per call, which is once per campaign point. *)
 let trace_for =
-  let cells : (string * int, Mutex.t * trace option option ref) Hashtbl.t =
+  let cells : (string, Mutex.t * trace option option ref) Hashtbl.t =
     Hashtbl.create 8
   in
   let table_lock = Mutex.create () in
   fun ~(bench : Bench.t) ~stride ->
-    let id = (bench.Bench.name, stride) in
+    let key = trace_fingerprint bench ~stride in
     let lock, cell =
       Mutex.protect table_lock (fun () ->
-          match Hashtbl.find_opt cells id with
+          match Hashtbl.find_opt cells key with
           | Some c -> c
           | None ->
             let c = (Mutex.create (), ref None) in
-            Hashtbl.replace cells id c;
+            Hashtbl.replace cells key c;
             c)
     in
     Mutex.protect lock (fun () ->
         match !cell with
         | Some t -> t
         | None ->
-          let key =
-            if Sfi_cache.enabled () then Some (trace_fingerprint bench ~stride)
-            else None
-          in
           let cached =
-            match key with
-            | None -> None
-            | Some key -> (
+            if Sfi_cache.enabled () then
               match (Sfi_cache.load ~namespace:"snap" ~key : trace option) with
               | Some t when plausible t -> Some t
-              | _ -> None)
+              | _ -> None
+            else None
           in
           let t =
             match cached with
             | Some t -> Some t
             | None ->
               let t = record ~bench ~stride in
-              (match (key, t) with
-              | Some key, Some t -> Sfi_cache.store ~namespace:"snap" ~key t
+              (match t with
+              | Some t when Sfi_cache.enabled () -> Sfi_cache.store ~namespace:"snap" ~key t
               | _ -> ());
               t
           in

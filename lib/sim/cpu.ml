@@ -88,10 +88,41 @@ let flag_of_cmp cmp a b diff =
   | Insn.Gtu -> (not ltu) && not eq
   | Insn.Leu -> ltu || eq
 
+(* One ISS state serves many runs: [start] resets the architectural
+   fields and the run configuration, while the decode table and the
+   compiled blocks survive, validated against each new memory by
+   content (see [validate]).
+
+   Field order is deliberate: the fields written on every instruction
+   or block sit between two runs of at least eight fields that a run
+   writes rarely or never, so no hot field shares a cache line with
+   whatever the allocator placed next to the record. A state lives as
+   long as its domain: a neighbour that another domain reads often (a
+   model table every hook call consults, say) would otherwise cost
+   that domain a miss on every write here for the rest of the
+   process. *)
 type state = {
-  mem : Memory.t;
+  (* cold: fixed per state, or set once per run by [start] *)
+  mutable mem : Memory.t;
   addr_mask : int; (* Memory.size - 1: SRAM decoder mask for pc and stores *)
   regs : int array;
+  (* load-use interlock: cycle at which each register's value can be
+     consumed by EX (only loads set values in the future) *)
+  ready : int array;
+  class_counts : int array;
+  (* the run's configuration, set by [start]: compiled closures read
+     these fields instead of capturing the values, so a block outlives
+     the run that compiled it *)
+  mutable max_cycles : int;
+  mutable fault_hook : fault_hook option;
+  mutable fi_always_on : bool;
+  (* fixed for the state's lifetime: the per-domain cached states are
+     untraced, a traced run gets a private state *)
+  trace : (pc:int -> Insn.t -> unit) option;
+  (* unboxed decode cache: one Uop quad per instruction word, slot 0
+     u_unfilled until first fetched and re-u_unfilled by stores *)
+  utab : int array;
+  (* hot: architectural state and counters *)
   mutable pc : int;
   mutable flag : bool;
   mutable cycle : int;
@@ -100,25 +131,9 @@ type state = {
   mutable kernel_cycles : int;
   mutable kernel_instret : int;
   mutable alu_retired : int;
-  class_counts : int array;
   mutable control_retired : int;
   mutable memory_retired : int;
   mutable taken_branches : int;
-  (* load-use interlock: cycle at which each register's value can be
-     consumed by EX (only loads set values in the future) *)
-  ready : int array;
-  (* unboxed decode cache: one Uop quad per instruction word, slot 0
-     u_unfilled until first fetched and re-u_unfilled by stores *)
-  utab : int array;
-  (* compiled-engine block cache; [||] when interpreting *)
-  compiled : bool;
-  covered : int array; (* per word: number of cached blocks containing it *)
-  block_of : int array; (* entry word index -> block id, -1 for none *)
-  mutable blocks : int array array;
-  (* threaded code: blocks.(bid) describes the block, threads.(bid) is
-     the head closure of its compiled closure chain *)
-  mutable threads : (int -> unit) array;
-  mutable n_blocks : int;
   mutable aborted : bool; (* a store flushed the cache mid-block *)
   (* context of the block currently executing, for the exact trap/exit
      patch-up and the per-block specialization (fields, not locals: the
@@ -128,7 +143,9 @@ type state = {
   mutable blk_before : int;
   mutable blk_fi0 : bool; (* st.fi_on at block entry *)
   mutable blk_c0 : int; (* st.cycle at block entry *)
-  mutable blk_code : int array; (* descriptor of the block executing *)
+  (* id of the block executing: an int, so updating it on every chained
+     block costs no write barrier on the long-lived state *)
+  mutable blk_bid : int;
   (* obs accumulators, flushed once per run *)
   mutable n_blocks_compiled : int;
   mutable n_block_hits : int;
@@ -136,7 +153,34 @@ type state = {
   mutable n_invalidations : int;
   mutable n_compiled_insns : int;
   mutable n_fallbacks : int;
+  (* cold: caches, written when a word is decoded or a block compiled *)
+  (* per word: the raw word its quad was decoded from, or -1 when the
+     word is not listed in [decoded]; [decoded.(0 .. n_decoded-1)]
+     lists every word with a filled quad (plus, until the next
+     [validate], words a store has reset since) *)
+  raw : int array;
+  mutable decoded : int array;
+  mutable n_decoded : int;
+  (* compiled-engine block cache; [||] when interpreting *)
+  compiled : bool;
+  covered : int array; (* per word: number of cached blocks containing it *)
+  block_of : int array; (* entry word index -> block id, -1 for none *)
+  mutable blocks : int array array;
+  (* threaded code: blocks.(bid) describes the block, threads.(bid) is
+     the head closure of its compiled closure chain *)
+  mutable threads : (int -> unit) array;
+  mutable n_blocks : int;
+  mutable blocks_hooked : bool; (* fault-hook presence the cached blocks were built for *)
+  mutable in_use : bool; (* a run is executing on this state *)
 }
+
+(* [regs], [ready] and [class_counts] are written on every instruction
+   or block and outlive every run like the record itself, so they keep
+   [pad] cold slots at both ends for the same reason: element [i] lives
+   in slot [pad + i]. *)
+let pad = 8
+
+let padded n = Array.make (n + (2 * pad)) 0
 
 let finish st outcome =
   if Sfi_obs.enabled () then begin
@@ -154,7 +198,8 @@ let finish st outcome =
     kernel_cycles = st.kernel_cycles;
     kernel_instret = st.kernel_instret;
     alu_retired = st.alu_retired;
-    class_counts = st.class_counts;
+    (* copied: the state, and its counters, serve the next run too *)
+    class_counts = Array.sub st.class_counts pad Op_class.count;
     control_retired = st.control_retired;
     memory_retired = st.memory_retired;
     taken_branches = st.taken_branches;
@@ -166,13 +211,13 @@ exception Exit_sim of outcome
    indices from Uop's dense tables, so the unsafe accesses below are
    bounds-checked by construction. *)
 
-let[@inline] reg st r = if r = 0 then 0 else Array.unsafe_get st.regs r
+let[@inline] reg st r = if r = 0 then 0 else Array.unsafe_get st.regs (pad + r)
 
-let[@inline] set_reg st r v = if r <> 0 then Array.unsafe_set st.regs r v
+let[@inline] set_reg st r v = if r <> 0 then Array.unsafe_set st.regs (pad + r) v
 
 let[@inline] wait st r =
-  if r <> 0 && Array.unsafe_get st.ready r > st.cycle then
-    st.cycle <- Array.unsafe_get st.ready r
+  if r <> 0 && Array.unsafe_get st.ready (pad + r) > st.cycle then
+    st.cycle <- Array.unsafe_get st.ready (pad + r)
 
 let[@inline] count_control st =
   if st.fi_on then st.control_retired <- st.control_retired + 1
@@ -202,11 +247,11 @@ let () =
     && Op_class.index Op_class.Or_ = 7
     && Op_class.index Op_class.Xor_ = 8)
 
-let alu_result st config cls a b =
+let alu_result st cls a b =
   let clean = Op_class.apply cls a b in
   let faulted =
     if st.fi_on then
-      match config.fault_hook with
+      match st.fault_hook with
       | Some hook ->
         let mask = hook ~cycle:st.cycle ~cls ~a ~b ~result:clean in
         if mask = 0 then clean else clean lxor mask
@@ -216,7 +261,7 @@ let alu_result st config cls a b =
   if st.fi_on then begin
     st.alu_retired <- st.alu_retired + 1;
     let i = Op_class.index cls in
-    st.class_counts.(i) <- st.class_counts.(i) + 1
+    st.class_counts.(pad + i) <- st.class_counts.(pad + i) + 1
   end;
   faulted
 
@@ -224,6 +269,35 @@ let[@inline] jump_to st target =
   st.taken_branches <- st.taken_branches + 1;
   st.cycle <- st.cycle + branch_penalty;
   st.pc <- target
+
+(* Fetch-side decode of word [idx] from current memory, recording the
+   raw word so a later run can tell whether the quad still holds. *)
+let decode st idx =
+  let w = Memory.read_u32 st.mem (idx lsl 2) in
+  if Array.unsafe_get st.raw idx < 0 then begin
+    if st.n_decoded = Array.length st.decoded then begin
+      let bigger = Array.make (2 * st.n_decoded) 0 in
+      Array.blit st.decoded 0 bigger 0 st.n_decoded;
+      st.decoded <- bigger
+    end;
+    Array.unsafe_set st.decoded st.n_decoded idx;
+    st.n_decoded <- st.n_decoded + 1
+  end;
+  Array.unsafe_set st.raw idx w;
+  Uop.decode_into st.utab ~idx ~addr_mask:st.addr_mask w
+
+(* Drops every compiled block. Only the words the blocks cover are
+   touched, so a flush costs the size of the cached code, not of
+   memory. *)
+let flush_blocks st =
+  for bid = 0 to st.n_blocks - 1 do
+    let code = Array.unsafe_get st.blocks bid in
+    let entry = Array.unsafe_get code 1 lsr 2 in
+    Array.unsafe_set st.block_of entry (-1);
+    Array.fill st.covered entry (Array.unsafe_get code 0) 0
+  done;
+  st.n_blocks <- 0;
+  st.n_block_flushes <- st.n_block_flushes + 1
 
 let invalidate st addr =
   (* Wrap with the SRAM decoder mask exactly like the data path: a
@@ -237,25 +311,54 @@ let invalidate st addr =
     (* The store rewrote a word some cached block decoded. Drop the
        whole cache and abort the block being executed; the dispatcher
        resumes at the next pc and recompiles from current memory. *)
-    Array.fill st.block_of 0 (Array.length st.block_of) (-1);
-    Array.fill st.covered 0 (Array.length st.covered) 0;
-    st.n_blocks <- 0;
-    st.aborted <- true;
-    st.n_block_flushes <- st.n_block_flushes + 1
+    flush_blocks st;
+    st.aborted <- true
   end
+
+(* Run-entry validation of the caches against the run's memory, by
+   content: every listed word is compared with the raw word its quad
+   was decoded from. A changed word loses its quad; if a compiled block
+   covers it, every block goes. Words a store reset during an earlier
+   run leave the list (their slot is already u_unfilled). Whatever put
+   the memory in its current state — a different program, trial-start
+   flips, a fast-forward restore, a faulted store of an earlier run —
+   the surviving quads and blocks are exactly those a fresh state would
+   build from this memory. *)
+let validate st =
+  let stale_block = ref false in
+  let kept = ref 0 in
+  for i = 0 to st.n_decoded - 1 do
+    let idx = Array.unsafe_get st.decoded i in
+    if
+      Memory.read_u32 st.mem (idx lsl 2) = Array.unsafe_get st.raw idx
+      && Array.unsafe_get st.utab (idx lsl 2) <> Uop.u_unfilled
+    then begin
+      Array.unsafe_set st.decoded !kept idx;
+      incr kept
+    end
+    else begin
+      (* a covered word always holds a filled quad: a store into it
+         flushed the blocks, so only a changed word lands here *)
+      if st.compiled && Array.unsafe_get st.covered idx > 0 then stale_block := true;
+      Array.unsafe_set st.utab (idx lsl 2) Uop.u_unfilled;
+      Array.unsafe_set st.raw idx (-1)
+    end
+  done;
+  st.n_decoded <- !kept;
+  if !stale_block then flush_blocks st
 
 (* One instruction in interpreter semantics: operands from the Uop
    quad, pc updated in place. Every arm mirrors the historic Insn.t
    interpreter line for line (same wait/count/hook order, so fault-hook
    streams and cycle counts are bit-identical). *)
-let exec_uop st config op x y z =
+let exec_uop st op x y z =
   if op < Uop.u_sf then begin
     (if op < Uop.u_alu_ri then begin
        (* ALU reg-reg: x=rD y=rA z=rB *)
        wait st y;
        wait st z;
        set_reg st x
-         (alu_result st config
+         (alu_result st
             (Array.unsafe_get Uop.cls_table (op - Uop.u_alu_rr))
             (reg st y) (reg st z))
      end
@@ -263,7 +366,7 @@ let exec_uop st config op x y z =
        (* ALU reg-imm: x=rD y=rA z=imm32 *)
        wait st y;
        set_reg st x
-         (alu_result st config
+         (alu_result st
             (Array.unsafe_get Uop.cls_table (op - Uop.u_alu_ri))
             (reg st y) z)
      end);
@@ -325,7 +428,7 @@ let exec_uop st config op x y z =
       else Memory.read_u8 st.mem addr
     in
     set_reg st x v;
-    if x <> 0 then Array.unsafe_set st.ready x (st.cycle + 1 + load_use_penalty);
+    if x <> 0 then Array.unsafe_set st.ready (pad + x) (st.cycle + 1 + load_use_penalty);
     st.pc <- st.pc + 4
   end
   else if op <= Uop.u_sb then begin
@@ -343,8 +446,7 @@ let exec_uop st config op x y z =
     (* nops *)
     if op = Uop.u_nop_exit then raise (Exit_sim Exited)
     else if op = Uop.u_nop_kernel_begin then st.fi_on <- true
-    else if op = Uop.u_nop_kernel_end then
-      st.fi_on <- (if config.fi_always_on then true else false);
+    else if op = Uop.u_nop_kernel_end then st.fi_on <- st.fi_always_on;
     st.pc <- st.pc + 4
   end;
   st.cycle <- st.cycle + 1;
@@ -353,8 +455,8 @@ let exec_uop st config op x y z =
 (* One full fetch-decode-execute step with every architectural check.
    This IS the interpreter engine; the compiled engine drops to it near
    the watchdog, where per-instruction budget checks matter. *)
-let step st config =
-  if st.cycle >= config.max_cycles then raise (Exit_sim Watchdog);
+let step st =
+  if st.cycle >= st.max_cycles then raise (Exit_sim Watchdog);
   if st.pc land 3 <> 0 then
     raise (Exit_sim (Trapped (Printf.sprintf "misaligned pc 0x%x" st.pc)));
   (* The fetch address wraps with the SRAM decoder, like data
@@ -364,12 +466,11 @@ let step st config =
   let u = st.utab in
   let idx = st.pc lsr 2 in
   let base = idx lsl 2 in
-  if Array.unsafe_get u base = Uop.u_unfilled then
-    Uop.decode_into u ~idx ~addr_mask:st.addr_mask (Memory.read_u32 st.mem st.pc);
+  if Array.unsafe_get u base = Uop.u_unfilled then decode st idx;
   let op = Array.unsafe_get u base in
   if op = Uop.u_illegal then
     raise (Exit_sim (Trapped (Printf.sprintf "illegal instruction at 0x%x" st.pc)));
-  (match config.trace with
+  (match st.trace with
   | Some f -> (
     (* the boxed form is materialized on demand; tracing is a
        debugging aid and stays off the hot path *)
@@ -379,7 +480,7 @@ let step st config =
   | None -> ());
   let was_on = st.fi_on in
   let before = st.cycle in
-  exec_uop st config op
+  exec_uop st op
     (Array.unsafe_get u (base + 1))
     (Array.unsafe_get u (base + 2))
     (Array.unsafe_get u (base + 3));
@@ -388,9 +489,9 @@ let step st config =
     st.kernel_instret <- st.kernel_instret + 1
   end
 
-let run_interp st config =
+let run_interp st =
   while true do
-    step st config
+    step st
   done
 
 (* ---------- compiled basic-block engine ---------- *)
@@ -435,8 +536,8 @@ let book_block_counters st code len =
   let n = Array.unsafe_get code (cb + 3) in
   for k = 0 to n - 1 do
     let idx = Array.unsafe_get code (cb + 4 + (k lsl 1)) in
-    st.class_counts.(idx) <-
-      st.class_counts.(idx) + Array.unsafe_get code (cb + 5 + (k lsl 1))
+    st.class_counts.(pad + idx) <-
+      st.class_counts.(pad + idx) + Array.unsafe_get code (cb + 5 + (k lsl 1))
   done
 
 (* Exact counters for the first [retired] quads of a partially executed
@@ -448,7 +549,7 @@ let book_partial_counters st code retired =
     if op >= Uop.u_alu_rr && op <= Uop.u_alu_ri + 8 then begin
       st.alu_retired <- st.alu_retired + 1;
       let k = if op < Uop.u_alu_ri then op - Uop.u_alu_rr else op - Uop.u_alu_ri in
-      st.class_counts.(k) <- st.class_counts.(k) + 1
+      st.class_counts.(pad + k) <- st.class_counts.(pad + k) + 1
     end
     else if op >= Uop.u_j && op <= Uop.u_bnf then
       st.control_retired <- st.control_retired + 1
@@ -459,7 +560,7 @@ let book_partial_counters st code retired =
 (* Interlock check against a live cycle value: returns the (possibly
    stalled) cycle instead of mutating st.cycle. *)
 let[@inline] waitc st r cyc =
-  if r <> 0 && Array.unsafe_get st.ready r > cyc then Array.unsafe_get st.ready r
+  if r <> 0 && Array.unsafe_get st.ready (pad + r) > cyc then Array.unsafe_get st.ready (pad + r)
   else cyc
 
 exception Block_aborted
@@ -490,9 +591,12 @@ let abort_block st code entry_pc cyc_done i =
    (st.cycle is stale inside a block). The retired-class counters are
    NOT bumped here — they are booked per block from the static
    totals. *)
-let hooked h cls a b clean cyc =
-  let mask = h ~cycle:cyc ~cls ~a ~b ~result:clean in
-  if mask = 0 then clean else clean lxor mask
+let[@inline] hooked st cls a b clean cyc =
+  match st.fault_hook with
+  | Some h ->
+    let mask = h ~cycle:cyc ~cls ~a ~b ~result:clean in
+    if mask = 0 then clean else clean lxor mask
+  | None -> clean
 
 (* Compiles a block descriptor into threaded code: one closure per
    instruction, each ending with a tail call to its successor's
@@ -505,17 +609,22 @@ let hooked h cls a b clean cyc =
    ever-observed target, which predicts perfectly after the first
    iteration.
 
-   The builder also specializes on everything fixed for the lifetime of
-   the block cache (one [Cpu.run]):
+   A block lives as long as the words it covers are unchanged, across
+   runs (see [validate]), so the closures capture only the block's own
+   code and the state; per-run values — the hook, the watchdog budget,
+   [fi_always_on] — are read from state fields. The builder specializes
+   on what stays fixed for the lifetime of a block:
 
-   - [config.fault_hook]: absent, and the ALU closures are the bare
-     operation; present, and the hook call gates on [st.blk_fi0], the
-     fi-window flag at block entry (constant across a block because
-     kernel markers terminate blocks);
-   - [config.trace]: absent, no per-instruction check at all; present,
-     the decoded [Insn.t] is captured at build time (sound because any
-     store into a covered word flushes the whole cache, so a live
-     block's words cannot have changed since compile);
+   - the presence of a fault hook ([start] flushes the blocks when it
+     flips): absent, and the ALU closures are the bare operation;
+     present, and the hook call gates on [st.blk_fi0], the fi-window
+     flag at block entry (constant across a block because kernel
+     markers terminate blocks);
+   - [st.trace] (fixed per state): absent, no per-instruction check at
+     all; present, the decoded [Insn.t] is captured at build time
+     (sound because any store into a covered word flushes the whole
+     cache, so a live block's words cannot have changed since
+     compile);
    - the static interlock verdict (bit [wait_flag], see
      [compile_block]) becomes a captured boolean, so non-stalling
      instructions skip the ready-table probes;
@@ -531,12 +640,11 @@ let hooked h cls a b clean cyc =
    dispatchers, whose indirect jumps would reintroduce the
    misprediction this design removes. The chain allocates once at
    compile time; executing it allocates nothing. *)
-let thread_of_block st config code =
+let thread_of_block st code =
   let len = Array.unsafe_get code 0 in
   let entry_pc = Array.unsafe_get code 1 in
   let terminated = Array.unsafe_get code 2 = 1 in
   let fall_pc = entry_pc + (len lsl 2) in
-  let max_cycles = config.max_cycles in
   (* All [len] instructions completed: batched bookkeeping, then
      chaining — if the successor address already has a compiled block
      and that block provably fits under the watchdog budget, enter its
@@ -567,13 +675,13 @@ let thread_of_block st config code =
       let bid = Array.unsafe_get st.block_of idx in
       if bid >= 0 then begin
         let ncode = Array.unsafe_get st.blocks bid in
-        if cyc + (max_cycles_per_insn * Array.unsafe_get ncode 0) < max_cycles
+        if cyc + (max_cycles_per_insn * Array.unsafe_get ncode 0) < st.max_cycles
         then begin
           st.pc <- pc land st.addr_mask;
           st.n_block_hits <- st.n_block_hits + 1;
           st.blk_fi0 <- st.fi_on;
           st.blk_c0 <- cyc;
-          st.blk_code <- ncode;
+          st.blk_bid <- bid;
           (Array.unsafe_get st.threads bid) cyc
         end
       end
@@ -596,257 +704,257 @@ let thread_of_block st config code =
       match op with
       (* --- ALU register-register: x=rD y=rA z=rB --- *)
       | 2 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.add (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.add a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Add a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a b r cyc else r);
             k (cyc + 1))
       | 3 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.sub (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.sub a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sub a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a b r cyc else r);
             k (cyc + 1))
       | 4 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.mul (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.mul a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Mul a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a b r cyc else r);
             k (cyc + 1))
       | 5 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.shift_left (reg st y) (reg st z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.shift_left a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sll a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a b r cyc else r);
             k (cyc + 1))
       | 6 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.shift_right_logical (reg st y) (reg st z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.shift_right_logical a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Srl a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a b r cyc else r);
             k (cyc + 1))
       | 7 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.shift_right_arith (reg st y) (reg st z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.shift_right_arith a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sra a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a b r cyc else r);
             k (cyc + 1))
       | 8 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.logand (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.logand a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.And_ a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a b r cyc else r);
             k (cyc + 1))
       | 9 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.logor (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.logor a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Or_ a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a b r cyc else r);
             k (cyc + 1))
       | 10 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             set_reg st x (U32.logxor (reg st y) (reg st z));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
             let a = reg st y and b = reg st z in
             let r = U32.logxor a b in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Xor_ a b r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a b r cyc else r);
             k (cyc + 1))
       (* --- ALU register-immediate: x=rD y=rA z=imm32 --- *)
       | 11 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.add (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.add a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Add a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a z r cyc else r);
             k (cyc + 1))
       | 12 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.sub (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.sub a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sub a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a z r cyc else r);
             k (cyc + 1))
       | 13 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.mul (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.mul a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Mul a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a z r cyc else r);
             k (cyc + 1))
       | 14 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.shift_left (reg st y) (z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.shift_left a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sll a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a z r cyc else r);
             k (cyc + 1))
       | 15 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.shift_right_logical (reg st y) (z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.shift_right_logical a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Srl a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a z r cyc else r);
             k (cyc + 1))
       | 16 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.shift_right_arith (reg st y) (z land 31));
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.shift_right_arith a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Sra a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a z r cyc else r);
             k (cyc + 1))
       | 17 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.logand (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.logand a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.And_ a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a z r cyc else r);
             k (cyc + 1))
       | 18 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.logor (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.logor a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Or_ a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a z r cyc else r);
             k (cyc + 1))
       | 19 -> (
-        match config.fault_hook with
+        match st.fault_hook with
         | None ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             set_reg st x (U32.logxor (reg st y) z);
             k (cyc + 1)
-        | Some h ->
+        | Some _ ->
           fun cyc ->
             let cyc = if wf then waitc st y cyc else cyc in
             let a = reg st y in
             let r = U32.logxor a z in
-            set_reg st x (if st.blk_fi0 then hooked h Op_class.Xor_ a z r cyc else r);
+            set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a z r cyc else r);
             k (cyc + 1))
       (* --- compares (not ALU endpoints: no fault injection) --- *)
       | 20 ->
@@ -930,7 +1038,7 @@ let thread_of_block st config code =
           let cyc = if wf then waitc st z cyc else cyc in
           st.cycle <- cyc;
           set_reg st x (Memory.read_u32 st.mem (U32.add (reg st z) y));
-          if x <> 0 then Array.unsafe_set st.ready x (cyc + 1 + load_use_penalty);
+          if x <> 0 then Array.unsafe_set st.ready (pad + x) (cyc + 1 + load_use_penalty);
           k (cyc + 1)
       | 30 ->
         fun cyc ->
@@ -939,7 +1047,7 @@ let thread_of_block st config code =
           let cyc = if wf then waitc st z cyc else cyc in
           st.cycle <- cyc;
           set_reg st x (Memory.read_u16 st.mem (U32.add (reg st z) y));
-          if x <> 0 then Array.unsafe_set st.ready x (cyc + 1 + load_use_penalty);
+          if x <> 0 then Array.unsafe_set st.ready (pad + x) (cyc + 1 + load_use_penalty);
           k (cyc + 1)
       | 31 ->
         fun cyc ->
@@ -948,7 +1056,7 @@ let thread_of_block st config code =
           let cyc = if wf then waitc st z cyc else cyc in
           st.cycle <- cyc;
           set_reg st x (Memory.read_u8 st.mem (U32.add (reg st z) y));
-          if x <> 0 then Array.unsafe_set st.ready x (cyc + 1 + load_use_penalty);
+          if x <> 0 then Array.unsafe_set st.ready (pad + x) (cyc + 1 + load_use_penalty);
           k (cyc + 1)
       (* --- stores: x=imm32 y=rA z=rB --- *)
       | 32 ->
@@ -998,9 +1106,8 @@ let thread_of_block st config code =
           st.pc <- fall_pc;
           k (cyc + 1)
       | 38 ->
-        let fa = config.fi_always_on in
         fun cyc ->
-          st.fi_on <- fa;
+          st.fi_on <- st.fi_always_on;
           st.pc <- fall_pc;
           k (cyc + 1)
       | _ ->
@@ -1014,7 +1121,7 @@ let thread_of_block st config code =
           raise (Exit_sim (Trapped msg))
     in
     let body =
-      match config.trace with
+      match st.trace with
       | None -> body
       | Some f ->
         if op = Uop.u_illegal then body
@@ -1030,7 +1137,7 @@ let thread_of_block st config code =
   done;
   !next
 
-let compile_block st config entry_idx =
+let compile_block st entry_idx =
   let u = st.utab in
   let n_words = Array.length st.block_of in
   let len = ref 0 in
@@ -1040,8 +1147,7 @@ let compile_block st config entry_idx =
     let w = entry_idx + !len in
     if w >= n_words || !len >= max_block_insns then stop := true
     else begin
-      if Array.unsafe_get u (w lsl 2) = Uop.u_unfilled then
-        Uop.decode_into u ~idx:w ~addr_mask:st.addr_mask (Memory.read_u32 st.mem (w lsl 2));
+      if Array.unsafe_get u (w lsl 2) = Uop.u_unfilled then decode st w;
       incr len;
       if is_terminator (Array.unsafe_get u (w lsl 2)) then begin
         stop := true;
@@ -1151,7 +1257,7 @@ let compile_block st config entry_idx =
   end;
   let bid = st.n_blocks in
   st.blocks.(bid) <- code;
-  st.threads.(bid) <- thread_of_block st config code;
+  st.threads.(bid) <- thread_of_block st code;
   st.block_of.(entry_idx) <- bid;
   st.n_blocks <- bid + 1;
   st.n_blocks_compiled <- st.n_blocks_compiled + 1;
@@ -1167,17 +1273,19 @@ let compile_block st config entry_idx =
    [st.blk_before] — the cycle at its fetch — because a trapping
    load/store may have stalled on the interlock first, and those cycles
    count toward [cycles] but not toward the kernel window. *)
-let exec_block st code head =
+let exec_block st bid =
   st.blk_fi0 <- st.fi_on;
   st.blk_c0 <- st.cycle;
-  st.blk_code <- code;
+  st.blk_bid <- bid;
   st.aborted <- false;
-  try head st.cycle with
+  try (Array.unsafe_get st.threads bid) st.cycle with
   | Block_aborted -> ()
   | (Exit_sim _ | Memory.Trap _) as e ->
-    (* [st.blk_code] rather than [code]: the chain may have crossed
-       into other blocks since this dispatch. *)
-    let code = st.blk_code in
+    (* [st.blk_bid] rather than [bid]: the chain may have crossed into
+       other blocks since this dispatch. No flush can have intervened
+       (a flushing store aborts its block with [Block_aborted]), so the
+       id still names the raising block. *)
+    let code = Array.unsafe_get st.blocks st.blk_bid in
     let retired = st.blk_i in
     st.instret <- st.instret + retired;
     if st.blk_fi0 then begin
@@ -1197,8 +1305,8 @@ let exec_block st code head =
     st.n_compiled_insns <- st.n_compiled_insns + retired;
     raise e
 
-let run_compiled st config =
-  let max_cycles = config.max_cycles in
+let run_compiled st =
+  let max_cycles = st.max_cycles in
   while true do
     if st.cycle >= max_cycles then raise (Exit_sim Watchdog);
     if st.pc land 3 <> 0 then
@@ -1211,7 +1319,7 @@ let run_compiled st config =
         st.n_block_hits <- st.n_block_hits + 1;
         bid
       end
-      else compile_block st config idx
+      else compile_block st idx
     in
     let code = Array.unsafe_get st.blocks bid in
     if st.cycle + (max_cycles_per_insn * Array.unsafe_get code 0) >= max_cycles
@@ -1219,9 +1327,9 @@ let run_compiled st config =
       (* close enough to the watchdog that an instruction inside the
          block could cross the budget: take the exact per-insn path *)
       st.n_fallbacks <- st.n_fallbacks + 1;
-      step st config
+      step st
     end
-    else exec_block st code (Array.unsafe_get st.threads bid)
+    else exec_block st bid
   done
 
 (* ---------- snapshot / restore ---------- *)
@@ -1230,8 +1338,8 @@ let run_compiled st config =
    caller restores memory separately — it dwarfs the rest and diffs
    well) and the decode/block caches, which are derived state rebuilt
    lazily from memory on the first fetch of each word. Arrays are
-   copied on capture AND on restore: [finish] returns [st.class_counts]
-   aliased, and callers keep snapshots across many runs. *)
+   copied on capture AND on restore: a state's arrays serve every later
+   run on it, and callers keep snapshots across many runs. *)
 type snapshot = {
   snap_pc : int;
   snap_flag : bool;
@@ -1259,12 +1367,12 @@ let capture st =
     snap_kernel_cycles = st.kernel_cycles;
     snap_kernel_instret = st.kernel_instret;
     snap_alu_retired = st.alu_retired;
-    snap_class_counts = Array.copy st.class_counts;
+    snap_class_counts = Array.sub st.class_counts pad Op_class.count;
     snap_control_retired = st.control_retired;
     snap_memory_retired = st.memory_retired;
     snap_taken_branches = st.taken_branches;
-    snap_regs = Array.copy st.regs;
-    snap_ready = Array.copy st.ready;
+    snap_regs = Array.sub st.regs pad 32;
+    snap_ready = Array.sub st.ready pad 32;
   }
 
 let restore st (s : snapshot) =
@@ -1276,71 +1384,166 @@ let restore st (s : snapshot) =
   st.kernel_cycles <- s.snap_kernel_cycles;
   st.kernel_instret <- s.snap_kernel_instret;
   st.alu_retired <- s.snap_alu_retired;
-  Array.blit s.snap_class_counts 0 st.class_counts 0 (Array.length st.class_counts);
+  Array.blit s.snap_class_counts 0 st.class_counts pad Op_class.count;
   st.control_retired <- s.snap_control_retired;
   st.memory_retired <- s.snap_memory_retired;
   st.taken_branches <- s.snap_taken_branches;
-  Array.blit s.snap_regs 0 st.regs 0 32;
-  Array.blit s.snap_ready 0 st.ready 0 32
+  Array.blit s.snap_regs 0 st.regs pad 32;
+  Array.blit s.snap_ready 0 st.ready pad 32
 
 let snapshot_cycle (s : snapshot) = s.snap_cycle
 
-let run ?(config = default_config) ?engine ?resume mem ~entry =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  let compiled = match engine with Interp -> false | Auto | Compiled -> true in
-  let size = Memory.size mem in
+(* ---------- states: construction, per-run reset, per-domain cache ---------- *)
+
+let check_size fn size =
   (* Memory.create already rejects these; re-checked here because the
      fetch wrap and invalidate mask silently alias wrong addresses on a
      non-power-of-two size. *)
   if size <= 0 || size land (size - 1) <> 0 then
-    invalid_arg "Cpu.run: memory size must be a positive power of two";
+    invalid_arg (fn ^ ": memory size must be a positive power of two")
+
+(* A cold state for memories the size of [mem]. Everything run-specific
+   is (re)set by [start]. *)
+let make_state ~compiled ~trace mem =
+  let size = Memory.size mem in
   let n_words = size / 4 in
-  let st =
-    {
-      mem;
-      addr_mask = size - 1;
-      regs = Array.make 32 0;
-      pc = entry;
-      flag = false;
-      cycle = 0;
-      instret = 0;
-      fi_on = config.fi_always_on;
-      kernel_cycles = 0;
-      kernel_instret = 0;
-      alu_retired = 0;
-      class_counts = Array.make Op_class.count 0;
-      control_retired = 0;
-      memory_retired = 0;
-      taken_branches = 0;
-      ready = Array.make 32 0;
-      utab = Array.make (n_words * 4) Uop.u_unfilled;
-      compiled;
-      covered = (if compiled then Array.make n_words 0 else [||]);
-      block_of = (if compiled then Array.make n_words (-1) else [||]);
-      blocks = (if compiled then Array.make 64 [||] else [||]);
-      threads = (if compiled then Array.make 64 (fun (_ : int) -> ()) else [||]);
-      n_blocks = 0;
-      aborted = false;
-      blk_i = 0;
-      blk_before = 0;
-      blk_fi0 = false;
-      blk_c0 = 0;
-      blk_code = [||];
-      n_blocks_compiled = 0;
-      n_block_hits = 0;
-      n_block_flushes = 0;
-      n_invalidations = 0;
-      n_compiled_insns = 0;
-      n_fallbacks = 0;
-    }
-  in
+  {
+    mem;
+    addr_mask = size - 1;
+    regs = padded 32;
+    pc = 0;
+    flag = false;
+    cycle = 0;
+    instret = 0;
+    fi_on = false;
+    kernel_cycles = 0;
+    kernel_instret = 0;
+    alu_retired = 0;
+    class_counts = padded Op_class.count;
+    control_retired = 0;
+    memory_retired = 0;
+    taken_branches = 0;
+    ready = padded 32;
+    max_cycles = 0;
+    fault_hook = None;
+    fi_always_on = false;
+    trace;
+    utab = Array.make (n_words * 4) Uop.u_unfilled;
+    raw = Array.make n_words (-1);
+    decoded = Array.make 256 0;
+    n_decoded = 0;
+    compiled;
+    covered = (if compiled then Array.make n_words 0 else [||]);
+    block_of = (if compiled then Array.make n_words (-1) else [||]);
+    blocks = (if compiled then Array.make 64 [||] else [||]);
+    threads = (if compiled then Array.make 64 (fun (_ : int) -> ()) else [||]);
+    n_blocks = 0;
+    blocks_hooked = false;
+    aborted = false;
+    in_use = false;
+    blk_i = 0;
+    blk_before = 0;
+    blk_fi0 = false;
+    blk_c0 = 0;
+    blk_bid = 0;
+    n_blocks_compiled = 0;
+    n_block_hits = 0;
+    n_block_flushes = 0;
+    n_invalidations = 0;
+    n_compiled_insns = 0;
+    n_fallbacks = 0;
+  }
+
+(* Points [st] at a new run: the reset architectural state, the run's
+   configuration, and caches validated against [mem]. *)
+let start st (config : config) mem ~entry =
+  st.mem <- mem;
+  Array.fill st.regs pad 32 0;
+  Array.fill st.ready pad 32 0;
+  st.pc <- entry;
+  st.flag <- false;
+  st.cycle <- 0;
+  st.instret <- 0;
+  st.fi_on <- config.fi_always_on;
+  st.kernel_cycles <- 0;
+  st.kernel_instret <- 0;
+  st.alu_retired <- 0;
+  Array.fill st.class_counts pad Op_class.count 0;
+  st.control_retired <- 0;
+  st.memory_retired <- 0;
+  st.taken_branches <- 0;
+  st.max_cycles <- config.max_cycles;
+  st.fault_hook <- config.fault_hook;
+  st.fi_always_on <- config.fi_always_on;
+  st.aborted <- false;
+  st.n_blocks_compiled <- 0;
+  st.n_block_hits <- 0;
+  st.n_block_flushes <- 0;
+  st.n_invalidations <- 0;
+  st.n_compiled_insns <- 0;
+  st.n_fallbacks <- 0;
+  validate st;
+  (* hook presence is compiled into the ALU closures *)
+  let hooked = Option.is_some config.fault_hook in
+  if st.compiled && hooked <> st.blocks_hooked then begin
+    if st.n_blocks > 0 then flush_blocks st;
+    st.blocks_hooked <- hooked
+  end
+
+(* The per-domain cache: one untraced state per (memory size, engine),
+   created on first use. Domains never share a state, so the cache
+   needs no lock; [in_use] catches re-entrant runs on one domain. *)
+let domain_states : state list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_state size compiled = function
+  | [] -> None
+  | st :: rest ->
+    if st.addr_mask = size - 1 && st.compiled = compiled then Some st
+    else find_state size compiled rest
+
+let cached_state ~compiled mem =
+  let states = Domain.DLS.get domain_states in
+  match find_state (Memory.size mem) compiled !states with
+  | Some st -> st
+  | None ->
+    let st = make_state ~compiled ~trace:None mem in
+    states := st :: !states;
+    st
+
+let execute st config ?resume mem ~entry =
+  start st config mem ~entry;
   (match resume with None -> () | Some s -> restore st s);
   try
-    if compiled then run_compiled st config else run_interp st config;
+    if st.compiled then run_compiled st else run_interp st;
     assert false
   with
   | Exit_sim outcome -> finish st outcome
   | Memory.Trap msg -> finish st (Trapped msg)
+
+let run ?(config = default_config) ?engine ?resume mem ~entry =
+  let engine = match engine with Some e -> e | None -> !default_engine in
+  let compiled = match engine with Interp -> false | Auto | Compiled -> true in
+  check_size "Cpu.run" (Memory.size mem);
+  let private_state () = make_state ~compiled ~trace:config.trace mem in
+  if Option.is_some config.trace then execute (private_state ()) config ?resume mem ~entry
+  else begin
+    let st = cached_state ~compiled mem in
+    if st.in_use then
+      (* re-entrant: a hook or trace callback of the run that holds
+         this domain's state is running the ISS *)
+      execute (private_state ()) config ?resume mem ~entry
+    else begin
+      st.in_use <- true;
+      match execute st config ?resume mem ~entry with
+      | stats ->
+        st.in_use <- false;
+        stats
+      | exception e ->
+        st.in_use <- false;
+        raise e
+    end
+  end
 
 (* Interpreter-only run that hands a snapshot of the pre-instruction
    state to [on_snapshot] at every [stride]-cycle boundary (cycle 0
@@ -1349,52 +1552,14 @@ let run ?(config = default_config) ?engine ?resume mem ~entry =
    branch penalty) is captured at the next instruction fetch — the
    first point where the architectural state is well-defined — so a
    snapshot's cycle can exceed its nominal boundary; consumers must
-   select by [snapshot_cycle], not by index arithmetic. *)
+   select by [snapshot_cycle], not by index arithmetic. Runs on a
+   private state: it records once per program, and [on_snapshot] may
+   itself run the ISS. *)
 let run_recording ?(config = default_config) ~stride ~on_snapshot mem ~entry =
   if stride <= 0 then invalid_arg "Cpu.run_recording: stride must be positive";
-  let size = Memory.size mem in
-  if size <= 0 || size land (size - 1) <> 0 then
-    invalid_arg "Cpu.run_recording: memory size must be a positive power of two";
-  let n_words = size / 4 in
-  let st =
-    {
-      mem;
-      addr_mask = size - 1;
-      regs = Array.make 32 0;
-      pc = entry;
-      flag = false;
-      cycle = 0;
-      instret = 0;
-      fi_on = config.fi_always_on;
-      kernel_cycles = 0;
-      kernel_instret = 0;
-      alu_retired = 0;
-      class_counts = Array.make Op_class.count 0;
-      control_retired = 0;
-      memory_retired = 0;
-      taken_branches = 0;
-      ready = Array.make 32 0;
-      utab = Array.make (n_words * 4) Uop.u_unfilled;
-      compiled = false;
-      covered = [||];
-      block_of = [||];
-      blocks = [||];
-      threads = [||];
-      n_blocks = 0;
-      aborted = false;
-      blk_i = 0;
-      blk_before = 0;
-      blk_fi0 = false;
-      blk_c0 = 0;
-      blk_code = [||];
-      n_blocks_compiled = 0;
-      n_block_hits = 0;
-      n_block_flushes = 0;
-      n_invalidations = 0;
-      n_compiled_insns = 0;
-      n_fallbacks = 0;
-    }
-  in
+  check_size "Cpu.run_recording" (Memory.size mem);
+  let st = make_state ~compiled:false ~trace:config.trace mem in
+  start st config mem ~entry;
   let next = ref 0 in
   try
     while true do
@@ -1402,7 +1567,7 @@ let run_recording ?(config = default_config) ~stride ~on_snapshot mem ~entry =
         on_snapshot (capture st);
         next := ((st.cycle / stride) + 1) * stride
       end;
-      step st config
+      step st
     done;
     assert false
   with

@@ -35,7 +35,9 @@
     {e compiled} engine groups straight-line runs into cached basic
     blocks executed without per-instruction fetch/decode/watchdog
     overhead, with store-driven invalidation for self-modifying code.
-    See DESIGN.md §12 for the cycle-exactness argument. *)
+    Decodes and blocks persist across runs in a per-domain cache,
+    validated by content at run entry (see {!run}). See DESIGN.md §12
+    for the cycle-exactness argument. *)
 
 open Sfi_util
 
@@ -108,10 +110,24 @@ val snapshot_cycle : snapshot -> int
 val run :
   ?config:config -> ?engine:engine -> ?resume:snapshot -> Memory.t -> entry:int -> stats
 (** Executes until exit, watchdog, or trap. The memory is mutated in
-    place (reload or {!Memory.copy} a pristine image between trials).
-    [engine] (default: the {!set_default_engine} value) picks the
-    execution engine; both produce bit-identical stats and fault-hook
-    streams, so this is purely a performance knob.
+    place (reload, {!Memory.copy} or {!Memory.blit} a pristine image
+    between trials). [engine] (default: the {!set_default_engine}
+    value) picks the execution engine; both produce bit-identical stats
+    and fault-hook streams, so this is purely a performance knob.
+
+    Runs on one domain share an ISS state per (memory size, engine):
+    its decode table and compiled blocks outlive a run, so repeated
+    runs of one program neither allocate tables nor recompile blocks.
+    Validity is checked by content at run entry: every cached decode is
+    compared with the word it was decoded from, a changed word loses its
+    decode, and a changed word inside a compiled block drops every
+    block. Whatever the memory holds — another program, trial-start
+    flips, a snapshot restore, code an earlier run's faulted store
+    rewrote — a run is therefore exactly a run on a cold state. A run
+    with [config.trace], and a run started from inside another run's
+    hook or trace callback on the same domain, gets a private cold
+    state; the shared one is released even when the hook raises. The
+    returned {!stats} share nothing with the state.
 
     [resume] starts from a {!snapshot} instead of the reset state
     ([entry] is then ignored): given the same memory contents the

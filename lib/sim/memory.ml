@@ -13,6 +13,10 @@ let size t = Bytes.length t
 
 let copy t = Bytes.copy t
 
+let blit ~src ~dst =
+  if Bytes.length src <> Bytes.length dst then invalid_arg "Memory.blit: sizes differ";
+  Bytes.blit src 0 dst 0 (Bytes.length src)
+
 (* The SRAM address decoder ignores address bits above the macro's width:
    accesses wrap, they do not fault. This matters under fault injection,
    where corrupted pointers routinely carry flipped high bits — on the

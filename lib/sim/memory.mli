@@ -21,6 +21,11 @@ val size : t -> int
 val copy : t -> t
 (** Snapshot; used to reset state between Monte-Carlo trials. *)
 
+val blit : src:t -> dst:t -> unit
+(** Overwrites all of [dst] with [src] (same size, else
+    [Invalid_argument]): resets a reused trial memory to a pristine
+    image without allocating. *)
+
 val load_program : t -> Sfi_isa.Program.t -> unit
 (** Writes all initialized words of the image. Raises {!Trap} if the image
     does not fit. *)

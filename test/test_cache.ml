@@ -300,27 +300,33 @@ let test_campaign_cold_warm () =
     (sig_cold = sig_warm);
   ignore dir
 
+let c_ref_hits = Sfi_obs.Counter.make "campaign.reference_cycles.hits"
+
+let c_ref_misses = Sfi_obs.Counter.make "campaign.reference_cycles.misses"
+
 let test_reference_cycles_disk () =
   with_temp_cache @@ fun dir ->
-  (* Fresh names throughout: the in-process memo is keyed by name and
-     shared with the other tests in this binary, so reusing "median"
-     would never reach the disk path. *)
-  let bench =
-    { (Sfi_kernels.Median.create ~n:9 ()) with Sfi_kernels.Bench.name = "median-disk" }
-  in
+  (* An image no other test in this binary builds: the in-process memo
+     is keyed by image content and shared with the other tests here, so
+     only a fresh image reaches the disk path. *)
+  let bench = Sfi_kernels.Median.create ~n:11 () in
   let n1 = Sfi_fi.Campaign.reference_cycles bench in
   Alcotest.(check bool) "positive cycle count" true (n1 > 0);
   let on_disk =
     List.filter (fun e -> e.Sfi_cache.namespace = "refcycles") (Sfi_cache.scan ~dir)
   in
   Alcotest.(check int) "refcycles entry stored" 1 (List.length on_disk);
-  (* An alias with a different name misses the per-name memo but shares
-     the content-addressed disk entry: same count, no reference run. *)
-  let h0 = value c_hits in
+  (* A renamed alias of the same image is the same memo entry: same
+     count, a memo hit, and neither a disk load nor a reference run
+     (both happen only on a memo miss). *)
+  let h0 = value c_hits and m0 = value c_misses in
+  let rh0 = value c_ref_hits and rm0 = value c_ref_misses in
   let alias = { bench with Sfi_kernels.Bench.name = "median-alias" } in
   let n2 = Sfi_fi.Campaign.reference_cycles alias in
-  Alcotest.(check int) "alias served from disk" n1 n2;
-  Alcotest.(check int) "disk hit counted" (h0 + 1) (value c_hits)
+  Alcotest.(check int) "alias shares the count" n1 n2;
+  Alcotest.(check int) "alias is a memo hit" (rh0 + 1) (value c_ref_hits);
+  Alcotest.(check int) "alias is no memo miss" rm0 (value c_ref_misses);
+  Alcotest.(check (pair int int)) "no disk load" (h0, m0) (value c_hits, value c_misses)
 
 let () =
   Alcotest.run "sfi_cache"

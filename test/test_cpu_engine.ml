@@ -396,6 +396,359 @@ let test_decode_into_allocation_free () =
      after must be flat. *)
   if dw > 16. then Alcotest.failf "decode_into allocated %.0f minor words" dw
 
+(* Repeated runs of one 64 KiB image reuse the domain's cached ISS
+   state: the second run allocates no decode or block tables and
+   compiles no block. Counted in minor words plus words allocated
+   directly in the major heap (large arrays skip the minor heap), the
+   latter from [Gc.quick_stat], whose minor count is not live. *)
+let words_allocated f =
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let s1 = Gc.quick_stat () in
+  ( m1 -. m0,
+    s1.Gc.major_words -. s0.Gc.major_words -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+let with_obs f =
+  Sfi_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sfi_obs.set_enabled false) f
+
+let c_blocks_compiled = Sfi_obs.Counter.make ~det:false "cpu.blocks_compiled"
+
+let aes = lazy (Option.get (Sfi_kernels.Registry.by_name "aes"))
+
+let test_repeated_run_allocation () =
+  let bench = Lazy.force aes in
+  let pristine = Sfi_kernels.Bench.fresh_memory bench in
+  let mem = Memory.copy pristine in
+  let run () =
+    Memory.blit ~src:pristine ~dst:mem;
+    ignore
+      (Cpu.run ~engine:Cpu.Compiled mem ~entry:bench.Sfi_kernels.Bench.program.Program.entry
+        : Cpu.stats)
+  in
+  with_obs (fun () ->
+      run ();
+      let b0 = Sfi_obs.Counter.value c_blocks_compiled in
+      let minor, major = words_allocated run in
+      if minor +. major >= 1000. then
+        Alcotest.failf "a repeated run allocated %.0f minor + %.0f direct-major words" minor
+          major;
+      Alcotest.(check int) "blocks compiled by a repeated run" b0
+        (Sfi_obs.Counter.value c_blocks_compiled))
+
+let test_trial_memory_reused () =
+  let bench = Lazy.force aes in
+  let model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:1e-4 [@warning "-3"] in
+  let trial seed =
+    ignore (Sfi_fi.Campaign.run_trial ~bench ~model ~freq_mhz:700. ~seed : Sfi_fi.Campaign.trial)
+  in
+  trial 1;
+  let _, major = words_allocated (fun () -> trial 2) in
+  (* the image alone is mem_size / 8 words, the ISS tables ~14x that *)
+  if major >= 1024. then
+    Alcotest.failf "a repeated trial allocated %.0f words directly in the major heap" major
+
+(* ---------- per-domain code cache ---------- *)
+
+(* The decode table and compiled blocks of a domain's ISS state outlive
+   a run. Each case below runs on this domain's cached state and again
+   inside a freshly spawned domain, whose cache is empty, and requires
+   the same stats, final memory and hook call stream. *)
+
+type observed = {
+  stats : Cpu.stats;
+  mem_after : string;
+  calls : (int * int * int * int * int) list; (* cycle, class, a, b, clean result *)
+}
+
+let image_of program =
+  let mem = Memory.create ~size:4096 in
+  Memory.load_program mem program;
+  (mem, program.Program.entry)
+
+let image src = image_of (Asm.assemble_exn src)
+
+(* A hook that faults now and then, and depends on its arguments, so a
+   stream misaligned by one call derails the rest of the run. *)
+let sparse_mask ~cycle ~cls:_ ~a ~b:_ ~result = if cycle mod 7 = 3 then (a lxor result) land 0xF else 0
+
+let observe ?(engine = Cpu.Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on = false)
+    ?(prepare = ignore) (img, entry) =
+  let mem = Memory.copy img in
+  prepare mem;
+  let calls = ref [] in
+  let fault_hook =
+    Option.map
+      (fun mask ~cycle ~cls ~a ~b ~result ->
+        calls := (cycle, Op_class.index cls, a, b, result) :: !calls;
+        mask ~cycle ~cls ~a ~b ~result)
+      mask
+  in
+  let config = { Cpu.default_config with Cpu.max_cycles; fault_hook; fi_always_on } in
+  let stats = Cpu.run ~config ~engine mem ~entry in
+  { stats; mem_after = Memory.sub_string mem ~pos:0 ~len:(Memory.size mem); calls = List.rev !calls }
+
+let uncached f = Domain.join (Domain.spawn f)
+
+let check_cached what run =
+  let cached = run () in
+  if cached <> uncached run then
+    Alcotest.failf "%s: differs from the same run on an uncached state" what
+
+let src_loop =
+  {|
+        l.addi r1, r0, 40
+        l.nop  0x10
+loop:   l.add  r2, r2, r1
+        l.mul  r3, r2, r1
+        l.sw   0x200(r0), r3
+        l.lwz  r4, 0x200(r0)
+        l.xor  r5, r4, r2
+        l.addi r1, r1, -1
+        l.sfnei r1, 0
+        l.bf   loop
+        l.nop  0x11
+        l.sw   0x100(r0), r5
+        l.nop  0x1
+      |}
+
+let src_calls =
+  {|
+        l.addi r1, r0, 6
+        l.nop  0x10
+loop:   l.addi r2, r2, 3
+        l.srli r6, r2, 1
+        l.and  r7, r6, r1
+        l.addi r1, r1, -1
+        l.sfnei r1, 0
+        l.bf   loop
+        l.jal  sub
+        l.nop  0x11
+        l.sw   0x104(r0), r3
+        l.nop  0x1
+sub:    l.addi r3, r7, 9
+        l.jr   r9
+      |}
+
+let test_cache_back_to_back () =
+  let a = image src_loop and b = image src_calls in
+  List.iteri
+    (fun i (what, img) ->
+      check_cached (Printf.sprintf "run %d (%s)" i what) (fun () -> observe ~mask:sparse_mask img))
+    [ ("loop", a); ("calls", b); ("loop", a); ("calls", b) ];
+  (* whole kernels at their own memory size, fault-free *)
+  List.iter
+    (fun name ->
+      let bench = Option.get (Sfi_kernels.Registry.by_name name) in
+      let img = (Sfi_kernels.Bench.fresh_memory bench, bench.Sfi_kernels.Bench.program.Program.entry) in
+      check_cached name (fun () -> observe ~max_cycles:50_000_000 img))
+    [ "median"; "aes"; "crc32"; "median" ]
+
+let src_selfmod =
+  let patched = Encode.encode (Insn.Addi (3, 3, 10)) in
+  Printf.sprintf
+    {|
+        l.movhi r1, hi(target)
+        l.ori   r1, r1, lo(target)
+        l.movhi r2, hi(0x%08x)
+        l.ori   r2, r2, lo(0x%08x)
+        l.addi  r4, r0, 0
+loop:
+target: l.addi  r3, r3, 1
+        l.sw    0(r1), r2
+        l.sfeqi r4, 0
+        l.addi  r4, r4, 1
+        l.bf    loop
+        l.sw    0x100(r0), r3
+        l.nop   0x1
+      |}
+    patched patched
+
+let test_cache_selfmod_then_pristine () =
+  let img = image src_selfmod in
+  List.iter
+    (fun engine ->
+      let name = Cpu.engine_name engine in
+      check_cached (name ^ ": self-modifying run") (fun () -> observe ~engine img);
+      check_cached (name ^ ": pristine run after it") (fun () -> observe ~engine img))
+    [ Cpu.Compiled; Cpu.Interp ]
+
+let test_cache_code_rewritten () =
+  let img, entry = image src_loop in
+  (* directly: the loop's [l.addi r1, r1, -1] becomes [-2] *)
+  let program = Asm.assemble_exn src_loop in
+  let rewritten = Memory.copy img in
+  Memory.write_u32 rewritten (Program.symbol program "loop" + 20)
+    (Encode.encode (Insn.Addi (1, 1, -2)));
+  List.iteri
+    (fun i img ->
+      check_cached (Printf.sprintf "direct rewrite, run %d" i) (fun () ->
+          observe ~mask:sparse_mask (img, entry)))
+    [ img; rewritten; img; rewritten ];
+  (* through the state model: bit flips anywhere in the code at trial start *)
+  let code_words = Array.length program.Program.words in
+  let model =
+    match
+      Sfi_fi.Model.of_key ~resources:Sfi_fi.Model.default_resources
+        ~params:
+          [ ("flips", Sfi_obs.Json.Int 4); ("word_lo", Sfi_obs.Json.Int 0);
+            ("word_hi", Sfi_obs.Json.Int code_words) ]
+        "state"
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  for seed = 1 to 16 do
+    let prepare mem =
+      let inj = Sfi_fi.Injector.create ~model ~freq_mhz:700. ~rng:(Rng.of_int seed) () in
+      ignore (Sfi_fi.Injector.trial_start inj mem : int)
+    in
+    check_cached (Printf.sprintf "state flips, seed %d" seed) (fun () ->
+        observe ~max_cycles:2_000 ~prepare (img, entry));
+    check_cached (Printf.sprintf "pristine after flips, seed %d" seed) (fun () ->
+        observe (img, entry))
+  done
+
+let word_at s addr =
+  (Char.code s.[addr] lsl 24)
+  lor (Char.code s.[addr + 1] lsl 16)
+  lor (Char.code s.[addr + 2] lsl 8)
+  lor Char.code s.[addr + 3]
+
+let test_cache_faulted_store_undecoded () =
+  (* A fault redirects a store into [target], a word no block has
+     decoded yet (the store's block ends at the jump); the patched word
+     then executes. A pristine run of the same image must execute the
+     original word. *)
+  let patch = Encode.encode (Insn.Addi (3, 0, 7)) in
+  let program =
+    Asm.assemble_exn
+      (Printf.sprintf
+         {|
+        l.movhi r2, hi(0x%08x)
+        l.ori   r2, r2, lo(0x%08x)
+        l.addi  r1, r0, 0x300
+        l.sw    0(r1), r2
+        l.j     target
+        l.nop
+target: l.addi  r3, r0, 1
+        l.sw    0x100(r0), r3
+        l.nop   0x1
+      |}
+         patch patch)
+  in
+  let target = Program.symbol program "target" in
+  let redirect ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result =
+    if result = 0x300 then 0x300 lxor target else 0
+  in
+  let img = image_of program in
+  let faulted () = observe ~mask:redirect ~fi_always_on:true img in
+  Alcotest.(check int) "the faulted run executes the patch" 7 (word_at (faulted ()).mem_after 0x100);
+  check_cached "faulted store" faulted;
+  check_cached "pristine run after it" (fun () -> observe img);
+  Alcotest.(check int) "the pristine run executes the original" 1
+    (word_at (observe img).mem_after 0x100)
+
+let test_cache_watchdog_shrinking () =
+  let img =
+    image_of
+      (Program.of_insns
+         [
+           Insn.Addi (1, 0, 1); Insn.Addi (2, 0, 2); Insn.Mul (3, 1, 2);
+           Insn.Lwz (4, 0x100, 0); Insn.Add (5, 4, 3); Insn.J (-5);
+         ])
+  in
+  List.iter
+    (fun mask ->
+      for max_cycles = 40 downto 1 do
+        check_cached (Printf.sprintf "budget %d" max_cycles) (fun () ->
+            observe ~max_cycles ?mask ~fi_always_on:true img)
+      done)
+    [ None; Some sparse_mask ]
+
+let test_cache_alternating_configs () =
+  let img = image src_loop in
+  (* another image first, so the first compiled run below builds its
+     blocks without a hook and the second must flush them *)
+  check_cached "other image" (fun () -> observe (image src_calls));
+  List.iteri
+    (fun i (engine, hooked, fi_always_on) ->
+      let mask = if hooked then Some sparse_mask else None in
+      check_cached
+        (Printf.sprintf "run %d: %s, hook %b, fi_always_on %b" i (Cpu.engine_name engine) hooked
+           fi_always_on)
+        (fun () -> observe ~engine ?mask ~fi_always_on img))
+    [
+      (Cpu.Compiled, false, false); (Cpu.Compiled, true, false); (Cpu.Interp, true, true);
+      (Cpu.Compiled, true, true); (Cpu.Compiled, false, true); (Cpu.Interp, false, false);
+      (Cpu.Compiled, true, false); (Cpu.Interp, true, false); (Cpu.Compiled, false, false);
+    ]
+
+(* A run started from inside another run's hook or trace callback must
+   be transparent to both: the outer run observes what it observes
+   without the nesting, and the nested run what it observes alone.
+   (Comparing with a fresh domain alone would not do: there both runs
+   would share that domain's state in the same way.) *)
+let test_cache_nested_runs () =
+  let outer = image src_loop and inner = image src_calls in
+  let alone_outer = observe ~mask:sparse_mask outer
+  and alone_inner = observe ~mask:sparse_mask inner in
+  let from_hook () =
+    let nested = ref None in
+    let mask ~cycle ~cls ~a ~b ~result =
+      if cycle >= 30 && !nested = None then nested := Some (observe ~mask:sparse_mask inner);
+      sparse_mask ~cycle ~cls ~a ~b ~result
+    in
+    let o = observe ~mask outer in
+    (o, !nested)
+  in
+  let o, n = from_hook () in
+  if o <> alone_outer then Alcotest.fail "hook nesting: the outer run changed";
+  if n <> Some alone_inner then Alcotest.fail "hook nesting: the nested run changed";
+  check_cached "nested run from a hook" from_hook;
+  check_cached "run after the nesting" (fun () -> observe ~mask:sparse_mask outer);
+  let traced ~nest () =
+    let nested = ref None and pcs = ref [] in
+    let trace ~pc _ =
+      pcs := pc :: !pcs;
+      if nest && pc = 12 && !nested = None then nested := Some (observe ~mask:sparse_mask inner)
+    in
+    let mem = Memory.copy (fst outer) in
+    let config = { Cpu.default_config with Cpu.trace = Some trace } in
+    let stats = Cpu.run ~config ~engine:Cpu.Compiled mem ~entry:(snd outer) in
+    ((stats, Memory.sub_string mem ~pos:0 ~len:(Memory.size mem), List.rev !pcs), !nested)
+  in
+  let o, n = traced ~nest:true () in
+  if o <> fst (traced ~nest:false ()) then Alcotest.fail "trace nesting: the outer run changed";
+  if n <> Some alone_inner then Alcotest.fail "trace nesting: the nested run changed";
+  check_cached "nested run from a trace callback" (traced ~nest:true)
+
+let test_cache_hook_raises () =
+  let img = image src_loop in
+  let calls = ref 0 in
+  let raising ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ =
+    incr calls;
+    if !calls = 25 then raise Exit else 0
+  in
+  (match observe ~mask:raising img with
+  | _ -> Alcotest.fail "the hook's exception did not reach the caller"
+  | exception Exit -> ());
+  check_cached "normal run after a raising hook" (fun () -> observe ~mask:sparse_mask img);
+  (* the raise released the cached state: a repeat compiles no block *)
+  with_obs (fun () ->
+      let b0 = Sfi_obs.Counter.value c_blocks_compiled in
+      ignore (observe ~mask:sparse_mask img : observed);
+      Alcotest.(check int) "blocks compiled by a repeat" b0
+        (Sfi_obs.Counter.value c_blocks_compiled))
+
+let test_cache_class_counts_unshared () =
+  let first = observe ~mask:sparse_mask (image src_loop) in
+  let saved = Array.copy first.stats.Cpu.class_counts in
+  ignore (observe ~mask:sparse_mask (image src_calls) : observed);
+  Alcotest.(check (array int)) "earlier class_counts" saved first.stats.Cpu.class_counts
+
 (* ---------- uop decode vs Encode.decode ---------- *)
 
 (* Reference quad for a decoded instruction, written against the
@@ -567,6 +920,22 @@ let () =
         [
           Alcotest.test_case "steady state" `Quick test_steady_state_allocation;
           Alcotest.test_case "decode_into" `Quick test_decode_into_allocation_free;
+          Alcotest.test_case "repeated run" `Quick test_repeated_run_allocation;
+          Alcotest.test_case "trial memory reused" `Quick test_trial_memory_reused;
+        ] );
+      ( "code cache",
+        [
+          Alcotest.test_case "programs back to back" `Quick test_cache_back_to_back;
+          Alcotest.test_case "self-modifying, then pristine" `Quick
+            test_cache_selfmod_then_pristine;
+          Alcotest.test_case "code rewritten between runs" `Quick test_cache_code_rewritten;
+          Alcotest.test_case "faulted store into undecoded word" `Quick
+            test_cache_faulted_store_undecoded;
+          Alcotest.test_case "watchdog budget shrinking" `Quick test_cache_watchdog_shrinking;
+          Alcotest.test_case "alternating configs" `Quick test_cache_alternating_configs;
+          Alcotest.test_case "nested runs" `Quick test_cache_nested_runs;
+          Alcotest.test_case "hook raises" `Quick test_cache_hook_raises;
+          Alcotest.test_case "class_counts unshared" `Quick test_cache_class_counts_unshared;
         ] );
       ( "uop decoder",
         [ prop_uop_matches_encode; prop_uop_matches_encode_legal ] );

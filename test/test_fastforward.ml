@@ -119,12 +119,14 @@ let test_elision_parity () =
    the STA limit faults are possible only through noise, so the
    schedule is dominated by skippable entries — exactly the regime the
    batching must leave bit-identical. *)
+let flow_400 =
+  lazy
+    (Sfi_core.Flow.create
+       ~config:{ Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles = 400 }
+       ())
+
 let test_model_c_parity () =
-  let flow =
-    Sfi_core.Flow.create
-      ~config:{ Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles = 400 }
-      ()
-  in
+  let flow = Lazy.force flow_400 in
   let model = Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
   let freq = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 0.999 in
   let bench = Option.get (Registry.by_name "median") in
@@ -140,6 +142,34 @@ let test_model_c_parity () =
   Alcotest.(check bool) "model C points equal" true (point_equal off on);
   Alcotest.(check bool) "model C det signatures equal" true (sig_off = sig_on);
   Alcotest.(check int) "every trial elided or restored" 12 (elided + restores)
+
+(* [Registry.by_name ~seed] builds same-named benchmarks from different
+   input data, so the in-process reference-cycle and trace memos must
+   key on the image, not the name: a seed-2 point run after a seed-1
+   point needs its own watchdog budget and, under fast-forward, its own
+   snapshots. Keyed by name, the seed-2 point replayed seed 1's
+   reference run (correct_rate 0.0 against full replay's 0.75 on
+   kmeans, 0.0 against 1.0 on dijkstra). *)
+let test_same_name_distinct_images () =
+  let flow = Lazy.force flow_400 in
+  let model = Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
+  let freq = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 1.02 in
+  let spec mode = Spec.(spec_mode mode |> with_trials 8 |> with_seed 3 |> with_jobs 1) in
+  List.iter
+    (fun name ->
+      let bench seed = Option.get (Registry.by_name ~seed name) in
+      let b1 = bench 1 and b2 = bench 2 in
+      ignore (Campaign.run (spec Spec.On) ~bench:b1 ~model ~freq_mhz:freq : Campaign.point);
+      let stats2, _ = Bench.run_fault_free b2 in
+      Alcotest.(check int)
+        (name ^ ": seed-2 reference cycles")
+        stats2.Cpu.cycles (Campaign.reference_cycles b2);
+      let on = Campaign.run (spec Spec.On) ~bench:b2 ~model ~freq_mhz:freq in
+      let off = Campaign.run (spec Spec.Off) ~bench:b2 ~model ~freq_mhz:freq in
+      Alcotest.(check bool)
+        (name ^ ": seed-2 fast-forward matches full replay")
+        true (point_equal off on))
+    [ "kmeans"; "dijkstra" ]
 
 let test_jobs_parity () =
   let bench = Option.get (Registry.by_name "median") in
@@ -330,6 +360,8 @@ let () =
           Alcotest.test_case "all kernels, both engines" `Quick test_parity_all_kernels;
           Alcotest.test_case "rare faults elide trials" `Quick test_elision_parity;
           Alcotest.test_case "model C batched probe" `Quick test_model_c_parity;
+          Alcotest.test_case "same name, distinct images" `Quick
+            test_same_name_distinct_images;
           Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_jobs_parity;
         ] );
       ( "checkpoint",
