@@ -37,8 +37,8 @@ let bechamel_suite () =
   let matmul_small = Sfi_kernels.Matmul.create ~n:6 ~bits:8 () in
   let model_c = Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
   let model_bplus = Flow.model_bplus flow ~vdd:0.7 ~sigma:0.010 in
-  let logic = Sfi_netlist.Logic_sim.create alu.Sfi_netlist.Alu.circuit in
-  let dta = Sfi_timing.Dta.create alu.Sfi_netlist.Alu.circuit in
+  let logic = Sfi_oracle.Logic_sim.create alu.Sfi_netlist.Alu.circuit in
+  let dta = Sfi_oracle.Dta.create alu.Sfi_netlist.Alu.circuit in
   let rng = Rng.of_int 77 in
   let tests =
     [
@@ -87,13 +87,14 @@ let bechamel_suite () =
       (* engine primitives *)
       Test.make ~name:"engine:logic-sim-alu-eval"
         (Staged.stage (fun () ->
-             Sfi_netlist.Alu.drive alu logic Op_class.Mul (Rng.bits32 rng) (Rng.bits32 rng);
-             Sfi_netlist.Logic_sim.eval logic));
+             Sfi_oracle.Logic_sim.drive_alu alu logic Op_class.Mul (Rng.bits32 rng)
+               (Rng.bits32 rng);
+             Sfi_oracle.Logic_sim.eval logic));
       Test.make ~name:"engine:dta-alu-cycle"
         (Staged.stage (fun () ->
-             Sfi_timing.Dta.set_input_vec dta alu.Sfi_netlist.Alu.a (Rng.bits32 rng);
-             Sfi_timing.Dta.set_input_vec dta alu.Sfi_netlist.Alu.b (Rng.bits32 rng);
-             Sfi_timing.Dta.cycle dta));
+             Sfi_oracle.Dta.set_input_vec dta alu.Sfi_netlist.Alu.a (Rng.bits32 rng);
+             Sfi_oracle.Dta.set_input_vec dta alu.Sfi_netlist.Alu.b (Rng.bits32 rng);
+             Sfi_oracle.Dta.cycle dta));
       Test.make ~name:"engine:iss-small-program"
         (Staged.stage
            (let program =
@@ -173,21 +174,21 @@ let perf_metrics () =
   let t0 = Unix.gettimeofday () in
   ignore (Flow.char_db flow ~vdd:0.7);
   let characterize_wall_s = Unix.gettimeofday () -. t0 in
-  (* DTA events/sec on the sized (post-variation) ALU. *)
-  let dta = Sfi_timing.Dta.create alu.Sfi_netlist.Alu.circuit in
+  (* Scalar (reference) DTA events/sec on the sized (post-variation) ALU. *)
+  let dta = Sfi_oracle.Dta.create alu.Sfi_netlist.Alu.circuit in
   let rng = Rng.of_int 1234 in
   let drive_cycle () =
-    Sfi_timing.Dta.set_input_vec dta alu.Sfi_netlist.Alu.a (Rng.bits32 rng);
-    Sfi_timing.Dta.set_input_vec dta alu.Sfi_netlist.Alu.b (Rng.bits32 rng);
-    Sfi_timing.Dta.cycle dta
+    Sfi_oracle.Dta.set_input_vec dta alu.Sfi_netlist.Alu.a (Rng.bits32 rng);
+    Sfi_oracle.Dta.set_input_vec dta alu.Sfi_netlist.Alu.b (Rng.bits32 rng);
+    Sfi_oracle.Dta.cycle dta
   in
   for _ = 1 to 200 do drive_cycle () done;
-  let e0 = Sfi_timing.Dta.events_processed dta in
+  let e0 = Sfi_oracle.Dta.events_processed dta in
   let t0 = Unix.gettimeofday () in
   let cycles = 20_000 in
   for _ = 1 to cycles do drive_cycle () done;
   let dta_wall = Unix.gettimeofday () -. t0 in
-  let events = Sfi_timing.Dta.events_processed dta - e0 in
+  let events = Sfi_oracle.Dta.events_processed dta - e0 in
   let events_per_sec = float_of_int events /. Float.max 1e-9 dta_wall in
   (* Injector hook calls/sec: model C in the transition region, where the
      per-call noise draw and threshold math actually run. *)
@@ -230,10 +231,12 @@ type iss = {
   iss_speedup : float;
 }
 
-(* The same fault-free kernel run on both ISS engines, timed — real
-   retired-instruction throughput, unlike the injector-hook rate above
-   (which times only the fault model's per-operation math). The full
-   stats records and outputs must be equal: the compiled engine is
+(* The same fault-free kernel run on the reference interpreter
+   ([Cpu.run_reference], a cold private state per run) and the
+   production engine ([Bench.run_fault_free] on [Cpu.run]), timed —
+   real retired-instruction throughput, unlike the injector-hook rate
+   above (which times only the fault model's per-operation math). The
+   full stats records and outputs must be equal: the compiled engine is
    cycle-for-cycle bit-identical by contract, so any divergence here is
    a hard failure, not a measurement artifact. Wall times are
    best-of-3 over rep blocks sized to ~20 M instructions so a stray
@@ -244,29 +247,35 @@ type iss = {
    otherwise absorb the entire sweep cost inside its timed window. *)
 let iss_compare () =
   let module C = Sfi_sim.Cpu in
+  let module B = Sfi_kernels.Bench in
   Gc.compact ();
   let bench = Sfi_kernels.Median.create ~n:129 () in
-  let run engine = Sfi_kernels.Bench.run_fault_free ~engine bench in
-  let istats, iout = run C.Interp in
-  let cstats, cout = run C.Compiled in
+  let reference () =
+    let mem = B.fresh_memory bench in
+    let stats = C.run_reference mem ~entry:bench.B.program.Sfi_isa.Program.entry in
+    (stats, B.read_output bench mem)
+  in
+  let compiled () = B.run_fault_free bench in
+  let istats, iout = reference () in
+  let cstats, cout = compiled () in
   if istats <> cstats || iout <> cout then
     failwith "iss compare: compiled engine diverged from the interpreter";
   let insns = istats.C.instret in
   let reps = max 1 (20_000_000 / max 1 insns) in
-  let time engine =
+  let time run =
     let best = ref infinity in
     for _ = 1 to 3 do
       let t0 = Unix.gettimeofday () in
       for _ = 1 to reps do
-        ignore (run engine : C.stats * U32.t array)
+        ignore (run () : C.stats * U32.t array)
       done;
       let w = Unix.gettimeofday () -. t0 in
       if w < !best then best := w
     done;
     !best /. float_of_int reps
   in
-  let interp_wall_s = time C.Interp in
-  let compiled_wall_s = time C.Compiled in
+  let interp_wall_s = time reference in
+  let compiled_wall_s = time compiled in
   let per_sec wall = float_of_int insns /. Float.max 1e-9 wall in
   let r =
     {
@@ -307,63 +316,61 @@ let counter_value name =
       | _ -> acc)
     0 (Sfi_obs.snapshot ())
 
-(* The same characterization run on both kernels, serially, timed — the
-   packed engine's reason to exist in one number. Events/sec counts
-   scalar-equivalent gate evaluations: [dta.events] for the scalar
-   engine, [bitsim.lane_events] (trigger-mask population) for the packed
-   one; the two totals agree modulo the per-class initial settling that
-   the packed engine folds into its functional prime. The cache must be
-   off here: fingerprints are engine-independent by design, so a warm
-   cache would serve engine B the database engine A just wrote. *)
+(* The same characterization run on the scalar reference kernel and the
+   production packed kernel, serially, timed — the packed engine's
+   reason to exist in one number. Events/sec counts scalar-equivalent
+   gate evaluations: [dta.events] for the scalar kernel,
+   [bitsim.lane_events] (trigger-mask population) for the packed one;
+   the two totals agree modulo the per-class initial settling that the
+   packed engine folds into its functional prime. The cache must be
+   off here, or the packed side would load instead of compute. *)
 let kernel_compare ~cycles () =
-  if not (Sfi_netlist.Bitsim.available ()) then begin
-    Printf.printf "kernel compare: skipped (packed engine unavailable on this target)\n%!";
-    None
-  end
-  else begin
-    Sfi_cache.set_dir None;
-    (* A clean heap for a clean measurement: the comparison runs before
-       the other phases (and compacts away whatever setup allocated), so
-       GC pressure from unrelated bench fixtures cannot skew the
-       engine-vs-engine ratio. *)
-    Gc.compact ();
-    let flow = Flow.create () in
-    let alu = Flow.alu flow in
-    let run engine =
-      let ev0 = counter_value "dta.events" + counter_value "bitsim.lane_events" in
-      let t0 = Unix.gettimeofday () in
-      let db = Sfi_timing.Characterize.run ~cycles ~jobs:1 ~engine ~vdd:0.7 alu in
-      let wall = Unix.gettimeofday () -. t0 in
-      let events =
-        counter_value "dta.events" + counter_value "bitsim.lane_events" - ev0
-      in
-      (db, wall, events)
-    in
-    let sdb, scalar_wall_s, s_events = run Sfi_timing.Characterize.Scalar in
-    let pdb, packed_wall_s, p_events = run Sfi_timing.Characterize.Packed in
-    if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
-      failwith "kernel compare: packed database differs from scalar";
-    let per_sec ev wall = float_of_int ev /. Float.max 1e-9 wall in
-    let r =
-      {
-        kernel_cycles = cycles;
-        scalar_wall_s;
-        packed_wall_s;
-        scalar_events_per_sec = per_sec s_events scalar_wall_s;
-        packed_events_per_sec = per_sec p_events packed_wall_s;
-        kernel_speedup = scalar_wall_s /. Float.max 1e-9 packed_wall_s;
-      }
-    in
-    Printf.printf
-      "kernel compare: %d cycles/class, scalar %.2f s (%.2f Mevents/s), packed %.2f s \
-       (%.2f Mevents/s), %.2fx, databases bit-identical\n%!"
-      cycles scalar_wall_s
-      (r.scalar_events_per_sec /. 1e6)
-      packed_wall_s
-      (r.packed_events_per_sec /. 1e6)
-      r.kernel_speedup;
-    Some r
-  end
+  Sfi_cache.set_dir None;
+  (* A clean heap for a clean measurement: the comparison runs before
+     the other phases (and compacts away whatever setup allocated), so
+     GC pressure from unrelated bench fixtures cannot skew the
+     engine-vs-engine ratio. *)
+  Gc.compact ();
+  let flow = Flow.create () in
+  let alu = Flow.alu flow in
+  let timed characterize =
+    let ev0 = counter_value "dta.events" + counter_value "bitsim.lane_events" in
+    let t0 = Unix.gettimeofday () in
+    let db = characterize () in
+    let wall = Unix.gettimeofday () -. t0 in
+    let events = counter_value "dta.events" + counter_value "bitsim.lane_events" - ev0 in
+    (db, wall, events)
+  in
+  let sdb, scalar_wall_s, s_events =
+    timed (fun () -> Sfi_oracle.Ref_characterize.run ~cycles ~vdd:0.7 alu)
+  in
+  let pdb, packed_wall_s, p_events =
+    timed (fun () ->
+        Sfi_timing.Characterize.run ~cycles ~spec:(Spec.with_jobs 1 Spec.default) ~vdd:0.7
+          alu)
+  in
+  if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
+    failwith "kernel compare: packed database differs from scalar";
+  let per_sec ev wall = float_of_int ev /. Float.max 1e-9 wall in
+  let r =
+    {
+      kernel_cycles = cycles;
+      scalar_wall_s;
+      packed_wall_s;
+      scalar_events_per_sec = per_sec s_events scalar_wall_s;
+      packed_events_per_sec = per_sec p_events packed_wall_s;
+      kernel_speedup = scalar_wall_s /. Float.max 1e-9 packed_wall_s;
+    }
+  in
+  Printf.printf
+    "kernel compare: %d cycles/class, scalar %.2f s (%.2f Mevents/s), packed %.2f s \
+     (%.2f Mevents/s), %.2fx, databases bit-identical\n%!"
+    cycles scalar_wall_s
+    (r.scalar_events_per_sec /. 1e6)
+    packed_wall_s
+    (r.packed_events_per_sec /. 1e6)
+    r.kernel_speedup;
+  r
 
 (* ---------- parallel smoke: serial vs pooled sweep ---------- *)
 
@@ -843,10 +850,8 @@ let () =
     (Domain.recommended_domain_count ());
   if smoke_only then begin
     let kernels = kernel_compare ~cycles:600 () in
-    (match kernels with
-    | Some k when k.kernel_speedup < 1.0 ->
-      failwith "kernel compare: packed engine slower than scalar"
-    | _ -> ());
+    if kernels.kernel_speedup < 1.0 then
+      failwith "kernel compare: packed engine slower than scalar";
     let iss = iss_compare () in
     if iss.iss_speedup < 1.0 then
       failwith "iss compare: compiled engine slower than the interpreter";
@@ -856,14 +861,14 @@ let () =
     if ff.full_wall_s /. Float.max 1e-9 ff.ff_wall_s < 2.0 then
       failwith "fastforward compare: less than 2x faster than full replay";
     write_bench_json ~path:"BENCH.json" ~scale_label:"smoke" ~experiments:[] ~bechamel:[]
-      ~smoke:(Some smoke) ~perf:None ~cache:None ~adaptive:(Some adaptive) ~kernels
-      ~iss:(Some iss) ~fastforward:(Some ff)
+      ~smoke:(Some smoke) ~perf:None ~cache:None ~adaptive:(Some adaptive)
+      ~kernels:(Some kernels) ~iss:(Some iss) ~fastforward:(Some ff)
   end
   else begin
     let scale = if paper then Experiments.paper else Experiments.fast in
     (* Kernels first: the scalar-vs-packed ratio is measured on a fresh
        process heap, before experiment fixtures accumulate. *)
-    let kernels = if bechamel_only then None else kernel_compare ~cycles:2000 () in
+    let kernels = if bechamel_only then None else Some (kernel_compare ~cycles:2000 ()) in
     let timings =
       if bechamel_only then []
       else begin

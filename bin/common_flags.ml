@@ -64,42 +64,6 @@ let cache_dir_arg =
 
 let apply_cache_dir dir = Option.iter (fun d -> Sfi_cache.set_dir (Some d)) dir
 
-(* --engine: selects the characterization kernel. Results are
-   bit-identical either way (pinned by the differential tests), so this
-   is purely a performance knob; it does not enter cache fingerprints. *)
-let engine_arg =
-  let module C = Sfi_timing.Characterize in
-  Arg.(value
-       & opt (some (enum [ ("auto", C.Auto); ("scalar", C.Scalar); ("packed", C.Packed) ]))
-           None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Characterization kernel: $(b,packed) evaluates 63 trials per \
-                 gate operation bit-parallel, $(b,scalar) runs one DTA cycle \
-                 per trial, $(b,auto) picks packed when the platform supports \
-                 it. Databases are bit-identical across engines (default: \
-                 \\$SFI_ENGINE, else auto).")
-
-let apply_engine engine =
-  Option.iter Sfi_timing.Characterize.set_default_engine engine
-
-(* --cpu-engine: selects the ISS engine. The compiled engine is
-   cycle-for-cycle bit-identical to the interpreter (pinned by the
-   engine-parity tests), so like --engine this is purely a performance
-   knob; it does not enter cache fingerprints or checkpoints. *)
-let cpu_engine_arg =
-  let module C = Sfi_sim.Cpu in
-  Arg.(value
-       & opt (some (enum [ ("auto", C.Auto); ("interp", C.Interp); ("compiled", C.Compiled) ]))
-           None
-       & info [ "cpu-engine" ] ~docv:"ENGINE"
-           ~doc:"ISS engine: $(b,compiled) executes basic blocks as cached \
-                 threaded code, $(b,interp) decodes and dispatches one \
-                 instruction at a time, $(b,auto) picks compiled. Cycle \
-                 counts, outcomes and injected-fault streams are bit-identical \
-                 across engines (default: \\$SFI_CPU_ENGINE, else auto).")
-
-let apply_cpu_engine engine = Option.iter Sfi_sim.Cpu.set_default_engine engine
-
 (* ---------- campaign spec flags ---------- *)
 
 let seed_arg =
@@ -157,9 +121,8 @@ let fastforward_arg =
                  provably fault-free trials analytically and simulates only \
                  the post-first-fault suffix of the rest; $(b,off) fully \
                  replays every trial. Results, det signatures and checkpoints \
-                 are bit-identical across modes, so like the engine knobs this \
-                 is purely a performance switch ($(b,auto): \
-                 \\$SFI_FASTFORWARD, else off).")
+                 are bit-identical across modes, so this is purely a \
+                 performance switch ($(b,auto): \\$SFI_FASTFORWARD, else off).")
 
 (* Builds the campaign spec from the shared flags. [fixed_trials] is the
    sweep's nominal per-point count (e.g. the campaign --trials value);

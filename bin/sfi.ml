@@ -23,14 +23,6 @@ let cache_dir_arg = Common_flags.cache_dir_arg
 
 let apply_cache_dir = Common_flags.apply_cache_dir
 
-let engine_arg = Common_flags.engine_arg
-
-let apply_engine = Common_flags.apply_engine
-
-let cpu_engine_arg = Common_flags.cpu_engine_arg
-
-let apply_cpu_engine = Common_flags.apply_cpu_engine
-
 (* ---------- sfi experiments ---------- *)
 
 let experiments_cmd =
@@ -41,7 +33,7 @@ let experiments_cmd =
     Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale Monte-Carlo settings (slow).")
   in
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.") in
-  let run ids paper list_only jobs obs cache_dir engine cpu_engine
+  let run ids paper list_only jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     if list_only then
       List.iter
@@ -50,8 +42,6 @@ let experiments_cmd =
     else begin
       apply_jobs jobs;
       apply_cache_dir cache_dir;
-      apply_engine engine;
-      apply_cpu_engine cpu_engine;
       with_obs obs @@ fun () ->
       let scale = if paper then Sfi_core.Experiments.paper else Sfi_core.Experiments.fast in
       (* No nominal count here: each figure scales the policy template to
@@ -64,7 +54,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures.")
     Term.(const run $ ids $ paper $ list_only $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg $ cpu_engine_arg $ Common_flags.spec_flags)
+          $ Common_flags.spec_flags)
 
 (* ---------- sfi flow ---------- *)
 
@@ -78,10 +68,9 @@ let flow_cmd =
          & opt int Sfi_core.Flow.default_config.Sfi_core.Flow.char_seed
          & info [ "seed" ] ~docv:"N" ~doc:"Characterization RNG seed.")
   in
-  let run char_cycles vdd seed jobs obs cache_dir engine =
+  let run char_cycles vdd seed jobs obs cache_dir =
     apply_jobs jobs;
     apply_cache_dir cache_dir;
-    apply_engine engine;
     with_obs obs @@ fun () ->
     let config =
       {
@@ -103,8 +92,7 @@ let flow_cmd =
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Build the gate-level flow and print its timing summary.")
-    Term.(const run $ char_cycles $ vdd $ seed $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg)
+    Term.(const run $ char_cycles $ vdd $ seed $ jobs_arg $ obs_arg $ cache_dir_arg)
 
 (* ---------- sfi asm ---------- *)
 
@@ -139,8 +127,31 @@ let run_cmd =
     Arg.(value & opt (some string) None
          & info [ "dump" ] ~docv:"ADDR:COUNT" ~doc:"Dump COUNT words from ADDR after the run.")
   in
-  let run file max_cycles mem_size dump cpu_engine =
-    apply_cpu_engine cpu_engine;
+  let run file max_cycles mem_size dump =
+    (* Validated before anything runs: Memory.create rejects a bad size
+       with an exception, and the dump read wraps at the memory size. *)
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "sfi: %s\n" msg;
+          exit 2)
+        fmt
+    in
+    if mem_size <= 0 || mem_size land (mem_size - 1) <> 0 then
+      fail "--mem must be a positive power of two (got %d)" mem_size;
+    let dump =
+      Option.map
+        (fun spec ->
+          match List.map int_of_string_opt (String.split_on_char ':' spec) with
+          | [ Some addr; Some count ] ->
+            if addr land 3 <> 0 then fail "--dump address 0x%x is not word-aligned" addr;
+            if count < 1 then fail "--dump count must be >= 1 (got %d)" count;
+            if addr < 0 || addr >= mem_size || count > (mem_size - addr) / 4 then
+              fail "--dump %s is outside the %d-byte memory (--mem)" spec mem_size;
+            (addr, count)
+          | _ -> fail "bad --dump spec %S (expected ADDR:COUNT)" spec)
+        dump
+    in
     let program = Sfi_isa.Asm.assemble_exn (read_file file) in
     let mem = Sfi_sim.Memory.create ~size:mem_size in
     Sfi_sim.Memory.load_program mem program;
@@ -155,24 +166,16 @@ let run_cmd =
     Printf.printf "outcome: %s\ncycles: %d\ninstret: %d\nipc: %.3f\nkernel cycles: %d\n"
       outcome stats.Sfi_sim.Cpu.cycles stats.Sfi_sim.Cpu.instret
       (Sfi_sim.Cpu.ipc stats) stats.Sfi_sim.Cpu.kernel_cycles;
-    match dump with
-    | None -> ()
-    | Some spec -> begin
-      match String.split_on_char ':' spec with
-      | [ a; c ] -> begin
-        match (int_of_string_opt a, int_of_string_opt c) with
-        | Some addr, Some count ->
-          Array.iteri
-            (fun i w -> Printf.printf "%08x: %s\n" (addr + (4 * i)) (Sfi_util.U32.to_hex w))
-            (Sfi_sim.Memory.read_u32_array mem ~addr ~count)
-        | _ -> prerr_endline "bad --dump spec"
-      end
-      | _ -> prerr_endline "bad --dump spec"
-    end
+    Option.iter
+      (fun (addr, count) ->
+        Array.iteri
+          (fun i w -> Printf.printf "%08x: %s\n" (addr + (4 * i)) (Sfi_util.U32.to_hex w))
+          (Sfi_sim.Memory.read_u32_array mem ~addr ~count))
+      dump
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the cycle-accurate ISS.")
-    Term.(const run $ file $ max_cycles $ mem_size $ dump $ cpu_engine_arg)
+    Term.(const run $ file $ max_cycles $ mem_size $ dump)
 
 (* ---------- sfi campaign ---------- *)
 
@@ -201,12 +204,10 @@ let campaign_cmd =
              ~doc:"Also write the sweep as JSON (schema sfi-point/1).")
   in
   let run bench_name model_name model_params vdd sigma_mv trials lo hi step prob
-      char_cycles csv json jobs obs cache_dir engine cpu_engine
+      char_cycles csv json jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     apply_jobs jobs;
     apply_cache_dir cache_dir;
-    apply_engine engine;
-    apply_cpu_engine cpu_engine;
     with_obs obs @@ fun () ->
     match Sfi_kernels.Registry.by_name bench_name with
     | None ->
@@ -313,7 +314,7 @@ let campaign_cmd =
     Term.(const run $ bench_name $ Common_flags.model_arg $ Common_flags.model_param_arg
           $ vdd $ sigma_mv $ trials $ lo $ hi $ step
           $ prob $ char_cycles $ csv $ json $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg $ cpu_engine_arg $ Common_flags.spec_flags)
+          $ Common_flags.spec_flags)
 
 (* ---------- sfi stats ---------- *)
 
@@ -595,8 +596,7 @@ let paths_cmd =
 let trace_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let limit = Arg.(value & opt int 50 & info [ "n" ] ~doc:"Instructions to trace.") in
-  let run file limit cpu_engine =
-    apply_cpu_engine cpu_engine;
+  let run file limit =
     let program = Sfi_isa.Asm.assemble_exn (read_file file) in
     let mem = Sfi_sim.Memory.create ~size:65536 in
     Sfi_sim.Memory.load_program mem program;
@@ -617,7 +617,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Execute a program and print the first N retired instructions.")
-    Term.(const run $ file $ limit $ cpu_engine_arg)
+    Term.(const run $ file $ limit)
 
 (* ---------- sfi models ---------- *)
 

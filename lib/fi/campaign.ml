@@ -417,11 +417,11 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   end
   else begin
     let ref_cycles = reference_cycles bench in
-    (* Fast-forward: one engine-neutral snapshot trace per benchmark,
-       shared by every trial of every point. A reference run that does
-       not exit cleanly yields no trace and the point silently falls
-       back to full replay — same results either way by contract. A
-       cycle-dependent model (the attack families) also yields no trace,
+    (* Fast-forward: one snapshot trace per benchmark, shared by every
+       trial of every point. A reference run that does not exit cleanly
+       yields no trace and the point silently falls back to full
+       replay — same results either way by contract. A cycle-dependent
+       model (the attack families) also yields no trace,
        with a counted fallback, because the probe's schedule replay
        would be unsound for it. *)
     let ff_trace =

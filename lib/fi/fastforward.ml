@@ -67,15 +67,12 @@ type trace = {
   ref_output : U32.t array;
 }
 
-(* The snapshot stride knob: finer strides shrink the replayed
+(* The snapshot stride: finer strides shrink the replayed
    prefix-to-fault window of suffix trials but grow the trace (and its
-   recording cost); the default aims at ~128 snapshots per program,
+   recording cost); this one aims at ~128 snapshots per program,
    which keeps the average replayed window under 0.5 % of the program
    while a 64 KiB image yields traces of at most a few MiB. *)
-let stride_for ~ref_cycles =
-  match Option.bind (Sys.getenv_opt "SFI_SNAP_STRIDE") int_of_string_opt with
-  | Some s when s > 0 -> s
-  | _ -> max 64 (ref_cycles / 128)
+let stride_for ~ref_cycles = max 64 (ref_cycles / 128)
 
 (* Dense class list for decoding [sched_cls] (Op_class has index/all but
    no inverse). *)
@@ -99,14 +96,12 @@ let icontents b = Array.sub b.buf 0 b.len
 
 (* ---------- recording ---------- *)
 
-(* One interpreter pass over the fault-free reference run, capturing a
-   snapshot + dirty-page delta at every stride boundary and the full
-   hook-call schedule (the recording hook returns mask 0, so the run IS
-   the reference run). Always interpreted: the trace is engine-neutral
-   data, and keying it off the recording engine would split cache
-   entries for bit-identical contents. Returns [None] when the
-   reference run does not exit cleanly — fast-forward then falls back
-   to full replay for this benchmark. *)
+(* One interpreter pass ([Cpu.run_recording]) over the fault-free
+   reference run, capturing a snapshot + dirty-page delta at every
+   stride boundary and the full hook-call schedule (the recording hook
+   returns mask 0, so the run IS the reference run). Returns [None] when
+   the reference run does not exit cleanly — fast-forward then falls
+   back to full replay for this benchmark. *)
 let record ~bench ~stride =
   let mem = Bench.fresh_memory bench in
   let shadow = Memory.copy mem in
@@ -156,7 +151,7 @@ let record ~bench ~stride =
 
 (* Content key of a snapshot trace: the benchmark image and pipeline
    constants (the same inputs that determine reference cycles) plus the
-   stride and page geometry. Deliberately engine-free. *)
+   stride and page geometry. *)
 let trace_fingerprint (bench : Bench.t) ~stride =
   let fp = Sfi_cache.Fingerprint.create "sfi-snap/1" in
   let open Sfi_cache.Fingerprint in

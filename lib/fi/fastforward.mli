@@ -13,8 +13,7 @@
     while consuming exactly the RNG draws a full run would, so results,
     det signatures and checkpoint records are bit-identical to full
     replay. Traces persist in {!Sfi_cache} (namespace ["snap"], codec
-    ["sfi-snap/1"]) keyed by benchmark content + stride, independent of
-    the CPU engine. *)
+    ["sfi-snap/1"]) keyed by benchmark content + stride. *)
 
 open Sfi_util
 open Sfi_kernels
@@ -26,7 +25,7 @@ val page_size : int
 
 val stride_for : ref_cycles:int -> int
 (** Snapshot stride for a program of [ref_cycles] fault-free cycles:
-    [max 64 (ref_cycles / 128)], overridable via [SFI_SNAP_STRIDE].
+    [max 64 (ref_cycles / 128)].
     Finer strides shrink the replayed snapshot-to-fault window; coarser
     ones shrink the trace. *)
 

@@ -1098,22 +1098,3 @@ let () =
             Error "model state: flips/word_lo/word_hi must be non-negative"
           else Ok (make_state ~params ~flips ~word_lo ~word_hi));
     }
-
-(* ---------- deprecated variant-era constructors ---------- *)
-
-let fixed_probability ~bit_flip_prob = make_a ~bit_flip_prob
-
-let static_timing ~endpoint_arrivals ~setup_ps ~vdd ~noise ~vdd_model =
-  (* The historic [name] split: sigma = 0 was model B, anything else B+.
-     The caller's noise value passes through either way so the hashed
-     fingerprint bytes are unchanged. *)
-  if Noise.sigma noise = 0. then
-    make_static_timing ~key:"B" ~features:features_b ~endpoint_arrivals ~setup_ps ~vdd
-      ~noise ~vdd_model
-  else
-    make_static_timing ~key:"B+" ~features:features_bplus ~endpoint_arrivals ~setup_ps
-      ~vdd ~noise ~vdd_model
-
-let statistical ~db ~vdd ~noise ~vdd_model ~sampling =
-  let key = match sampling with Independent -> "C" | Vector_correlated -> "C-corr" in
-  make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling

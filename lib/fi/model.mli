@@ -64,8 +64,7 @@ type features = {
 
 type t
 (** An instantiable fault model. Obtain one from a {!Registry} entry
-    ({!of_key}), from the {!Flow} helpers, or — deprecated — from the
-    compat constructors below. *)
+    ({!of_key}) or from the {!Flow} helpers. *)
 
 (** Per-trial instantiation: the inner sampling hook plus the per-trial
     state hooks the injector drives. *)
@@ -210,30 +209,3 @@ val feature_rows : unit -> (string * features) list
 (** The four rows of the paper's Table 2 (static metadata, independent
     of any instantiation). For the full registry use
     {!Registry.entries}. *)
-
-(** {2 Deprecated variant-era constructors}
-
-    The closed-variant constructors survive as thin functions so old
-    call sites keep compiling (with a deprecation warning); new code
-    goes through the registry or the {!Flow} helpers. *)
-
-val fixed_probability : bit_flip_prob:float -> t
-[@@deprecated "use Model.of_key \"A\" or Flow.model_a"]
-
-val static_timing :
-  endpoint_arrivals:float array ->
-  setup_ps:float ->
-  vdd:float ->
-  noise:Noise.t ->
-  vdd_model:Vdd_model.t ->
-  t
-[@@deprecated "use Model.of_key \"B\"/\"B+\" or Flow.model_b/model_bplus"]
-
-val statistical :
-  db:Characterize.t ->
-  vdd:float ->
-  noise:Noise.t ->
-  vdd_model:Vdd_model.t ->
-  sampling:sampling ->
-  t
-[@@deprecated "use Model.of_key \"C\"/\"C-corr\" or Flow.model_c"]

@@ -23,10 +23,10 @@ let fresh_memory t =
 
 let read_output t mem = Memory.read_u32_array mem ~addr:t.output_addr ~count:t.output_count
 
-let run_fault_free ?(max_cycles = 50_000_000) ?engine t =
+let run_fault_free ?(max_cycles = 50_000_000) t =
   let mem = fresh_memory t in
   let config = { Cpu.default_config with Cpu.max_cycles } in
-  let stats = Cpu.run ~config ?engine mem ~entry:t.program.Sfi_isa.Program.entry in
+  let stats = Cpu.run ~config mem ~entry:t.program.Sfi_isa.Program.entry in
   (stats, read_output t mem)
 
 let validate t =

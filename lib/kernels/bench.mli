@@ -33,11 +33,10 @@ val fresh_memory : t -> Memory.t
 
 val read_output : t -> Memory.t -> U32.t array
 
-val run_fault_free : ?max_cycles:int -> ?engine:Cpu.engine -> t -> Cpu.stats * U32.t array
-(** Runs without fault injection and returns the stats and outputs. The
-    golden outputs must match — checked by the test suite and asserted by
-    {!validate}. [engine] selects the simulator engine (default: the
-    process-wide {!Cpu.set_default_engine} value). *)
+val run_fault_free : ?max_cycles:int -> t -> Cpu.stats * U32.t array
+(** Runs on {!Cpu.run} without fault injection and returns the stats and
+    outputs. The golden outputs must match — checked by the test suite
+    and asserted by {!validate}. *)
 
 val validate : t -> Cpu.stats
 (** Runs fault-free and raises [Failure] if the outcome is not [Exited]

@@ -99,14 +99,3 @@ let build ?(lib = Cell_lib.default) () =
 let select_net t c =
   let _, net = Array.to_list t.selects |> List.find (fun (c', _) -> c' = c) in
   net
-
-let drive t sim c a b =
-  Logic_sim.set_input_vec sim t.a a;
-  Logic_sim.set_input_vec sim t.b b;
-  Array.iter (fun net -> Logic_sim.set_input sim net false) t.aux_low;
-  Array.iter (fun (c', net) -> Logic_sim.set_input sim net (c' = c)) t.selects
-
-let simulate t sim c a b =
-  drive t sim c a b;
-  Logic_sim.eval sim;
-  Logic_sim.read_vec sim t.result

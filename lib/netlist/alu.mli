@@ -47,12 +47,3 @@ val unit_tag_of_class : Op_class.t -> string
 (** The sizing tag of the unit a class exercises. *)
 
 val select_net : t -> Op_class.t -> Circuit.net
-
-val drive : t -> Logic_sim.t -> Op_class.t -> U32.t -> U32.t -> unit
-(** Sets operand and one-hot select inputs on a logic simulator for one
-    operation (does not call [eval]). *)
-
-val simulate : t -> Logic_sim.t -> Op_class.t -> U32.t -> U32.t -> U32.t
-(** Functional evaluation: drives the inputs, evaluates, and reads back
-    the 32-bit result. Must equal [Op_class.apply] for every class (the
-    netlist-vs-specification equivalence checked by the test suite). *)

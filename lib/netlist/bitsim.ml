@@ -22,11 +22,6 @@ open Sfi_util
 
 let lanes = Sys.int_size
 
-(* The packed engines (and their bit-identity contract with the scalar
-   kernels) are validated on 63-lane words; a narrower int — 32-bit or
-   javascript targets — falls back to the scalar path instead. *)
-let available () = Sys.int_size >= 63
-
 (* All [lanes] bits set. [lnot 0] rather than [-1] to make the "bit
    mask, not number" reading explicit. *)
 let full_mask = lnot 0
@@ -42,8 +37,9 @@ let make_words (c : Circuit.t) =
   | None -> ());
   words
 
-(* One gate, all lanes: the word transcription of [Circuit.eval_gate]
-   (for MUX2, fan-in order is [sel; taken-when-false; taken-when-true]). *)
+(* One gate, all lanes: the word transcription of [Cell.eval] over the
+   flat fan-in arrays (for MUX2, fan-in order is [sel; taken-when-false;
+   taken-when-true]). *)
 let eval_gate_word (c : Circuit.t) words gi =
   let o = Array.unsafe_get c.Circuit.fanin_off gi in
   let ins = c.Circuit.fanin_net in

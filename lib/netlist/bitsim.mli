@@ -12,12 +12,9 @@
 open Sfi_util
 
 val lanes : int
-(** Trials per word: [Sys.int_size], i.e. 63 on 64-bit native targets. *)
-
-val available : unit -> bool
-(** Whether this target carries the full 63 lanes per word. The packed
-    engines are only validated (and only worth using) at that width;
-    callers fall back to the scalar kernels when this is [false]. *)
+(** Trials per word: [Sys.int_size], i.e. 63 on the 64-bit native
+    targets this library is built for (the word utilities below use
+    32-bit literals, so narrower ints do not compile). *)
 
 val full_mask : int
 (** All {!lanes} bits set. *)
@@ -38,13 +35,14 @@ val eval_code : int -> int -> int -> int -> int
 val eval_gate_word : Circuit.t -> int array -> int -> int
 (** [eval_gate_word c words gi] is gate [gi]'s output word over the
     current net [words] — all lanes at once, no allocation. The word
-    transcription of {!Circuit.eval_gate}. *)
+    transcription of {!Cell.eval}. *)
 
 val eval_levels : Circuit.t -> int array -> unit
 (** Full functional pass: propagates [words] through every gate via the
     compiled levelized schedule (one kind dispatch per segment,
-    straight-line loops over flat int arrays). Equivalent to
-    {!Circuit.eval_all_gates} applied to each lane. *)
+    straight-line loops over flat int arrays). Equivalent to a
+    zero-delay evaluation of every gate in topological order, applied to
+    each lane. *)
 
 val pack : int array -> Circuit.net array -> U32.t array -> unit
 (** [pack words nets vals] stores [vals.(l)]'s bit [i] as lane [l] of

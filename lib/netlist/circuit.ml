@@ -293,60 +293,6 @@ let scale_tag_delays t ~tag ~factor =
 let scale_gate_delays t f =
   Array.iteri (fun i _ -> t.base_delay.(i) <- t.base_delay.(i) *. f i) t.gates
 
-(* Direct-indexing gate evaluation shared by the zero-delay simulator and
-   the event-driven DTA; unlike [Cell.eval] it reads net values in place
-   and allocates nothing. Dispatches on the flat SoA arrays — the int
-   kind code and CSR fan-in — so one event touches three flat arrays
-   instead of a gate record, a kind variant, and a fan-in array. The
-   branches are written out longhand (no local helper closure) to keep
-   the path allocation-free without relying on flambda. *)
-let eval_gate t values gi =
-  let o = Array.unsafe_get t.fanin_off gi in
-  let ins = t.fanin_net in
-  match Array.unsafe_get t.kind_code gi with
-  | 0 (* Inv *) -> not (Array.unsafe_get values (Array.unsafe_get ins o))
-  | 1 (* Buf *) -> Array.unsafe_get values (Array.unsafe_get ins o)
-  | 2 (* Nand2 *) ->
-    not
-      (Array.unsafe_get values (Array.unsafe_get ins o)
-      && Array.unsafe_get values (Array.unsafe_get ins (o + 1)))
-  | 3 (* Nor2 *) ->
-    not
-      (Array.unsafe_get values (Array.unsafe_get ins o)
-      || Array.unsafe_get values (Array.unsafe_get ins (o + 1)))
-  | 4 (* And2 *) ->
-    Array.unsafe_get values (Array.unsafe_get ins o)
-    && Array.unsafe_get values (Array.unsafe_get ins (o + 1))
-  | 5 (* Or2 *) ->
-    Array.unsafe_get values (Array.unsafe_get ins o)
-    || Array.unsafe_get values (Array.unsafe_get ins (o + 1))
-  | 6 (* Xor2 *) ->
-    Array.unsafe_get values (Array.unsafe_get ins o)
-    <> Array.unsafe_get values (Array.unsafe_get ins (o + 1))
-  | 7 (* Xnor2 *) ->
-    Array.unsafe_get values (Array.unsafe_get ins o)
-    = Array.unsafe_get values (Array.unsafe_get ins (o + 1))
-  | 8 (* Mux2 *) ->
-    if Array.unsafe_get values (Array.unsafe_get ins o) then
-      Array.unsafe_get values (Array.unsafe_get ins (o + 2))
-    else Array.unsafe_get values (Array.unsafe_get ins (o + 1))
-  | 9 (* Aoi21 *) ->
-    not
-      ((Array.unsafe_get values (Array.unsafe_get ins o)
-       && Array.unsafe_get values (Array.unsafe_get ins (o + 1)))
-      || Array.unsafe_get values (Array.unsafe_get ins (o + 2)))
-  | _ (* Oai21 *) ->
-    not
-      ((Array.unsafe_get values (Array.unsafe_get ins o)
-       || Array.unsafe_get values (Array.unsafe_get ins (o + 1)))
-      && Array.unsafe_get values (Array.unsafe_get ins (o + 2)))
-
-let eval_all_gates t values =
-  let out = t.gate_out in
-  for gi = 0 to Array.length out - 1 do
-    Array.unsafe_set values (Array.unsafe_get out gi) (eval_gate t values gi)
-  done
-
 let gate_count t = Array.length t.gates
 
 let count_by_kind t =

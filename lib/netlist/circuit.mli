@@ -115,15 +115,6 @@ val scale_gate_delays : t -> (int -> float) -> unit
 (** [scale_gate_delays t f] multiplies gate [i]'s delay by [f i]; used to
     apply per-gate process variation. *)
 
-val eval_gate : t -> bool array -> int -> bool
-(** [eval_gate t values gi] is the Boolean function of gate [gi] applied
-    to the current net [values], without allocating. One shared match for
-    the zero-delay simulator and the event-driven DTA. *)
-
-val eval_all_gates : t -> bool array -> unit
-(** [eval_all_gates t values] propagates [values] through every gate in
-    topological order (a full zero-delay evaluation pass). *)
-
 val gate_count : t -> int
 val count_by_kind : t -> (Cell.kind * int) list
 val count_by_tag : t -> (string * int) list

@@ -33,23 +33,6 @@ type stats = {
   taken_branches : int;
 }
 
-type engine = Auto | Interp | Compiled
-
-(* Process-wide default, following the Characterize.default_engine /
-   Pool.set_default_jobs idiom so the CLI flag (and SFI_CPU_ENGINE, for
-   harnesses without their own flag plumbing, e.g. the golden tests
-   under CI's compiled leg) reaches every simulation in the process. *)
-let default_engine =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_CPU_ENGINE") with
-    | Some "interp" -> Interp
-    | Some "compiled" -> Compiled
-    | _ -> Auto)
-
-let set_default_engine e = default_engine := e
-
-let engine_name = function Auto -> "auto" | Interp -> "interp" | Compiled -> "compiled"
-
 (* Engine-dependent work counters (how the result was computed, not
    what was computed), det:false like the bitsim.* family so cold/warm
    and interp/compiled runs keep identical det signatures. Accumulated
@@ -1490,24 +1473,22 @@ let start st (config : config) mem ~entry =
     st.blocks_hooked <- hooked
   end
 
-(* The per-domain cache: one untraced state per (memory size, engine),
-   created on first use. Domains never share a state, so the cache
-   needs no lock; [in_use] catches re-entrant runs on one domain. *)
+(* The per-domain cache: one untraced compiled-engine state per memory
+   size, created on first use. Domains never share a state, so the
+   cache needs no lock; [in_use] catches re-entrant runs on one domain. *)
 let domain_states : state list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let rec find_state size compiled = function
+let rec find_state size = function
   | [] -> None
-  | st :: rest ->
-    if st.addr_mask = size - 1 && st.compiled = compiled then Some st
-    else find_state size compiled rest
+  | st :: rest -> if st.addr_mask = size - 1 then Some st else find_state size rest
 
-let cached_state ~compiled mem =
+let cached_state mem =
   let states = Domain.DLS.get domain_states in
-  match find_state (Memory.size mem) compiled !states with
+  match find_state (Memory.size mem) !states with
   | Some st -> st
   | None ->
-    let st = make_state ~compiled ~trace:None mem in
+    let st = make_state ~compiled:true ~trace:None mem in
     states := st :: !states;
     st
 
@@ -1521,14 +1502,12 @@ let execute st config ?resume mem ~entry =
   | Exit_sim outcome -> finish st outcome
   | Memory.Trap msg -> finish st (Trapped msg)
 
-let run ?(config = default_config) ?engine ?resume mem ~entry =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  let compiled = match engine with Interp -> false | Auto | Compiled -> true in
+let run ?(config = default_config) ?resume mem ~entry =
   check_size "Cpu.run" (Memory.size mem);
-  let private_state () = make_state ~compiled ~trace:config.trace mem in
+  let private_state () = make_state ~compiled:true ~trace:config.trace mem in
   if Option.is_some config.trace then execute (private_state ()) config ?resume mem ~entry
   else begin
-    let st = cached_state ~compiled mem in
+    let st = cached_state mem in
     if st.in_use then
       (* re-entrant: a hook or trace callback of the run that holds
          this domain's state is running the ISS *)
@@ -1544,6 +1523,10 @@ let run ?(config = default_config) ?engine ?resume mem ~entry =
         raise e
     end
   end
+
+let run_reference ?(config = default_config) ?resume mem ~entry =
+  check_size "Cpu.run_reference" (Memory.size mem);
+  execute (make_state ~compiled:false ~trace:config.trace mem) config ?resume mem ~entry
 
 (* Interpreter-only run that hands a snapshot of the pre-instruction
    state to [on_snapshot] at every [stride]-cycle boundary (cycle 0

@@ -28,16 +28,18 @@
     benchmark kernel by [l.nop 0x10] / [l.nop 0x11] markers, and
     [l.nop 0x1] exits the simulation (or1ksim conventions).
 
-    Two execution engines produce bit-identical results (same
-    {!stats}, same fault-hook call sequence, pinned by differential
-    tests): the {e interpreter} fetches one pre-resolved micro-op
-    ({!Sfi_isa.Uop}) per cycle from an unboxed decode table, and the
-    {e compiled} engine groups straight-line runs into cached basic
-    blocks executed without per-instruction fetch/decode/watchdog
-    overhead, with store-driven invalidation for self-modifying code.
-    Decodes and blocks persist across runs in a per-domain cache,
-    validated by content at run entry (see {!run}). See DESIGN.md §12
-    for the cycle-exactness argument. *)
+    Runs execute on the {e compiled} engine: straight-line runs of
+    pre-resolved micro-ops ({!Sfi_isa.Uop}) are grouped into cached
+    basic blocks executed without per-instruction
+    fetch/decode/watchdog overhead, with store-driven invalidation for
+    self-modifying code. The {e interpreter} — one micro-op fetched from
+    an unboxed decode table per cycle — is its slow path near the
+    watchdog and after a store rewrote a cached block, the engine of
+    {!run_recording}, and the reference the compiled engine is pinned to
+    ({!run_reference}: same {!stats}, same fault-hook call sequence,
+    checked by differential tests). Decodes and blocks persist across
+    runs in a per-domain cache, validated by content at run entry (see
+    {!run}). See DESIGN.md §12 for the cycle-exactness argument. *)
 
 open Sfi_util
 
@@ -82,19 +84,6 @@ type stats = {
   taken_branches : int;
 }
 
-type engine =
-  | Auto      (** resolves to [Compiled] *)
-  | Interp    (** per-instruction micro-op interpreter *)
-  | Compiled  (** threaded-code basic-block trace cache *)
-
-val set_default_engine : engine -> unit
-(** Sets the process-wide engine used when {!run} gets no [?engine]
-    (the [--cpu-engine] flag lands here). The initial default is
-    [Auto], overridable by the [SFI_CPU_ENGINE] environment variable
-    ("interp" or "compiled"). *)
-
-val engine_name : engine -> string
-
 type snapshot
 (** Full architectural state of the core at an instruction boundary —
     pc, flag, registers, interlock table, cycle/retire counters and the
@@ -107,34 +96,39 @@ type snapshot
 val snapshot_cycle : snapshot -> int
 (** The cycle count at which the snapshot was taken. *)
 
-val run :
-  ?config:config -> ?engine:engine -> ?resume:snapshot -> Memory.t -> entry:int -> stats
+val run : ?config:config -> ?resume:snapshot -> Memory.t -> entry:int -> stats
 (** Executes until exit, watchdog, or trap. The memory is mutated in
     place (reload, {!Memory.copy} or {!Memory.blit} a pristine image
-    between trials). [engine] (default: the {!set_default_engine}
-    value) picks the execution engine; both produce bit-identical stats
-    and fault-hook streams, so this is purely a performance knob.
+    between trials).
 
-    Runs on one domain share an ISS state per (memory size, engine):
-    its decode table and compiled blocks outlive a run, so repeated
-    runs of one program neither allocate tables nor recompile blocks.
-    Validity is checked by content at run entry: every cached decode is
-    compared with the word it was decoded from, a changed word loses its
-    decode, and a changed word inside a compiled block drops every
-    block. Whatever the memory holds — another program, trial-start
-    flips, a snapshot restore, code an earlier run's faulted store
-    rewrote — a run is therefore exactly a run on a cold state. A run
-    with [config.trace], and a run started from inside another run's
-    hook or trace callback on the same domain, gets a private cold
-    state; the shared one is released even when the hook raises. The
-    returned {!stats} share nothing with the state.
+    Runs on one domain share an ISS state per memory size: its decode
+    table and compiled blocks outlive a run, so repeated runs of one
+    program neither allocate tables nor recompile blocks. Validity is
+    checked by content at run entry: every cached decode is compared
+    with the word it was decoded from, a changed word loses its decode,
+    and a changed word inside a compiled block drops every block.
+    Whatever the memory holds — another program, trial-start flips, a
+    snapshot restore, code an earlier run's faulted store rewrote — a
+    run is therefore exactly a run on a cold state. A run with
+    [config.trace], and a run started from inside another run's hook or
+    trace callback on the same domain, gets a private cold state; the
+    shared one is released even when the hook raises. The returned
+    {!stats} share nothing with the state.
 
     [resume] starts from a {!snapshot} instead of the reset state
     ([entry] is then ignored): given the same memory contents the
     snapshot was taken against, the suffix executes cycle-for-cycle
     identically to the run that produced it — including the absolute
     [max_cycles] watchdog, since the snapshot carries its cycle
-    count — under either engine. *)
+    count. *)
+
+val run_reference :
+  ?config:config -> ?resume:snapshot -> Memory.t -> entry:int -> stats
+(** Like {!run}, on the interpreter alone and a private cold state:
+    every instruction is fetched, checked and dispatched one at a time.
+    Bit-identical to {!run} — stats, memory and fault-hook call stream —
+    and slower; it is the reference the differential tests and the
+    bench harness hold the compiled engine to. *)
 
 val run_recording :
   ?config:config ->
@@ -143,7 +137,7 @@ val run_recording :
   Memory.t ->
   entry:int ->
   stats
-(** Like [run] with the interpreter engine, additionally calling
+(** Like {!run_reference}, additionally calling
     [on_snapshot] with the pre-instruction state at the first
     instruction boundary at or after every [stride]-cycle mark
     (cycle 0 included). The callback must copy any memory pages it

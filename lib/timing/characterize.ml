@@ -24,24 +24,6 @@ let uniform8 =
     sample = (fun rng -> (Rng.bits32 rng land 0xFF, Rng.bits32 rng land 0xFF));
   }
 
-type engine = Auto | Scalar | Packed
-
-(* Process-wide default, following the Pool.set_default_jobs /
-   Sfi_cache.set_dir idiom so CLI flags (and the SFI_ENGINE variable,
-   for harnesses without their own flag plumbing, e.g. the golden tests
-   under CI's packed leg) reach every characterization in the
-   process. *)
-let default_engine =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_ENGINE") with
-    | Some "scalar" -> Scalar
-    | Some "packed" -> Packed
-    | _ -> Auto)
-
-let set_default_engine e = default_engine := e
-
-let engine_name = function Auto -> "auto" | Scalar -> "scalar" | Packed -> "packed"
-
 let obs_runs = Sfi_obs.Counter.make "characterize.runs"
 
 (* One trial = one randomized-operand DTA cycle. [classes] and [trials]
@@ -59,14 +41,10 @@ let obs_wall = Sfi_obs.Span.make "characterize.wall"
 (* Packed-kernel utilization: [bitsim.lanes] sums the active lanes over
    [bitsim.batches] packed sweeps (their ratio against Bitsim.lanes is
    the fill factor; only the final partial batch of a class dilutes it).
-   [bitsim.fallbacks] counts packed requests served by the scalar
-   kernel because the target lacks 63-bit words. All cache-dependent
-   work counts, hence ~det:false like the dta.* family. *)
+   Cache-dependent work counts, hence ~det:false like the trials. *)
 let obs_batches = Sfi_obs.Counter.make ~det:false "bitsim.batches"
 
 let obs_lanes = Sfi_obs.Counter.make ~det:false "bitsim.lanes"
-
-let obs_fallbacks = Sfi_obs.Counter.make ~det:false "bitsim.fallbacks"
 
 type class_db = {
   cls : Op_class.t;
@@ -90,8 +68,8 @@ let functional_mismatch cls a b got expect =
        "Characterize: DTA functional mismatch for %s a=%08x b=%08x: got %08x expected %08x"
        (Op_class.name cls) a b got expect)
 
-(* Shared tail of both kernels: one transpose pass over [cycle_arrivals]
-   fills every endpoint's sample column, and [Cdf.of_samples_owned]
+(* The kernel's tail: one transpose pass over [cycle_arrivals] fills
+   every endpoint's sample column, and [Cdf.of_samples_owned]
    sorts each column in place — instead of allocating (and then copying
    again) a fresh cycles-long array per endpoint. *)
 let finish ~(profile : operand_profile) cls cycle_arrivals max_settle =
@@ -112,51 +90,25 @@ let finish ~(profile : operand_profile) cls cycle_arrivals max_settle =
     max_settle;
   }
 
-let characterize_class_scalar ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t)
-    cls =
-  let dta = Dta.create ~vdd ~vdd_model ~lib alu.Alu.circuit in
-  (* Select the class once; the select settling cycle is not recorded. *)
-  Array.iter
-    (fun (c', net) -> Dta.set_input dta net (c' = cls))
-    alu.Alu.selects;
-  Dta.cycle dta;
-  let width = Alu.width in
-  let endpoints = alu.Alu.result in
-  let cycle_arrivals = Array.make_matrix cycles width 0. in
-  let max_settle = ref 0. in
-  for k = 0 to cycles - 1 do
-    let a, b = profile.sample rng in
-    Dta.set_input_vec dta alu.Alu.a a;
-    Dta.set_input_vec dta alu.Alu.b b;
-    Dta.cycle dta;
-    let got = Dta.read_vec dta endpoints in
-    let expect = Op_class.apply cls a b in
-    if got <> expect then functional_mismatch cls a b got expect;
-    let row = cycle_arrivals.(k) in
-    for e = 0 to width - 1 do
-      let s = Dta.settle_time dta endpoints.(e) in
-      row.(e) <- s;
-      if s > !max_settle then max_settle := s
-    done
-  done;
-  finish ~profile cls cycle_arrivals !max_settle
+(* The kernel: ⌈cycles/lanes⌉ sweeps of [Bitsim.lanes] trials.
 
-(* The packed kernel: ⌈cycles/lanes⌉ sweeps of [Bitsim.lanes] trials.
-
-   The scalar kernel is a *chain* — trial [k]'s events are launched by
-   the operand transition from trial [k-1]'s settled state. To replicate
-   that chain lane-parallel, each sweep (1) samples its lane operands in
-   plain index order, so the RNG stream is identical to the scalar
-   loop's, (2) stages every lane's *predecessor* operands (lane l gets
-   lane l-1's pair; lane 0 continues from the previous sweep) and
-   settles them with one functional [prime] pass — valid because the
-   settled state of an acyclic circuit is a pure function of its inputs
-   — and (3) stages the new operands and runs one masked-event [cycle],
-   which plays out every lane's transition bit-identically to its
-   scalar counterpart. Inactive lanes of the final partial sweep carry
-   a = b = 0 on both sides of the transition and stay inert. *)
-let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t)
-    cls =
+   A class's characterization is defined as a *chain* of DTA cycles —
+   trial [k]'s events are launched by the operand transition from trial
+   [k-1]'s settled state (the one-cycle-per-trial reference kernel the
+   tests check this one against). To replicate that chain lane-parallel,
+   each sweep (1) samples its lane operands in plain index order, so the
+   RNG stream is identical to the chain's, (2) stages every lane's
+   *predecessor* operands (lane l gets lane l-1's pair; lane 0 continues
+   from the previous sweep) and settles them with one functional [prime]
+   pass — valid because the settled state of an acyclic circuit is a
+   pure function of its inputs — and (3) stages the new operands and
+   runs one masked-event [cycle], which plays out every lane's
+   transition bit-identically to its place in the chain. Inactive lanes
+   of the final partial sweep carry a = b = 0 on both sides of the
+   transition and stay inert. *)
+let characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t) cls =
+  Sfi_obs.Counter.incr obs_classes;
+  Sfi_obs.Counter.add obs_trials cycles;
   let lanes = Bitsim.lanes in
   let width = Alu.width in
   let endpoints = alu.Alu.result in
@@ -164,8 +116,7 @@ let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : 
     Dta_packed.create ~vdd ~vdd_model ~lib ~watch:endpoints alu.Alu.circuit
   in
   (* Selects are constant across trials: stage once (all lanes), applied
-     by the first [prime]. The scalar kernel's select settling cycle is
-     likewise unrecorded. *)
+     by the first [prime]; the select settling is not recorded. *)
   Array.iter
     (fun (c', net) ->
       Dta_packed.set_input_word dta net (if c' = cls then Bitsim.full_mask else 0))
@@ -225,23 +176,6 @@ let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : 
   done;
   finish ~profile cls cycle_arrivals !max_settle
 
-let characterize_class ~engine ~cycles ~rng ~vdd ~vdd_model ~lib ~profile alu cls =
-  Sfi_obs.Counter.incr obs_classes;
-  Sfi_obs.Counter.add obs_trials cycles;
-  let kernel =
-    match engine with
-    | Scalar -> characterize_class_scalar
-    | Auto | Packed ->
-      if Bitsim.available () then characterize_class_packed
-      else begin
-        (* Narrow native ints (32-bit / javascript targets): the packed
-           word layout is not validated there, serve scalar instead. *)
-        Sfi_obs.Counter.incr obs_fallbacks;
-        characterize_class_scalar
-      end
-  in
-  kernel ~cycles ~rng ~vdd ~vdd_model ~lib ~profile alu cls
-
 (* Content fingerprint of everything the characterization result depends
    on. The circuit's [base_delay] array already folds in sizing, process
    variation and corner scaling, so the netlist structure plus delays
@@ -280,8 +214,7 @@ let fingerprint ~cycles ~seed ~setup_ps ~vdd_model ~lib
   List.iter (fun cls -> add_string fp (profile_for cls).profile_name) Op_class.all;
   hex fp
 
-let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu
-    =
+let compute ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu =
   let root = Rng.of_int seed in
   (* Split the per-class RNGs from the root seed in class order before
      dispatch; each class then runs on its own DTA instance, so the
@@ -293,7 +226,7 @@ let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup
     Pool.using ?jobs (fun pool ->
         Pool.map pool
           (fun (cls, rng) ->
-            characterize_class ~engine ~cycles ~rng ~vdd ~vdd_model ~lib
+            characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib
               ~profile:(profile_for cls) alu cls)
           (Array.of_list tagged))
   in
@@ -304,21 +237,13 @@ let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup
 
 let run ?(cycles = 8000) ?(seed = 0xD7A) ?(setup_ps = Sta.default_setup_ps)
     ?(vdd_model = Vdd_model.default) ?(lib = Cell_lib.default)
-    ?(profile_for = fun _ -> uniform32) ?jobs ?spec ?engine ~vdd (alu : Alu.t) =
+    ?(profile_for = fun _ -> uniform32) ?spec ~vdd (alu : Alu.t) =
   if cycles <= 0 then invalid_arg "Characterize.run: cycles must be positive";
-  (* Resolved at call time so set_default_engine between runs takes
-     effect; the engine deliberately stays OUT of the cache fingerprint
-     below — both kernels produce bit-identical databases, so an entry
-     written under one engine must be served to the other. *)
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  (* A spec's job count wins over the legacy [?jobs] knob; its other
-     fields (trial policy, seed, checkpoint) describe Monte-Carlo
-     campaigns and do not apply to characterization — in particular the
-     characterization seed stays [?seed], keeping chardb cache
+  (* Only the spec's job count applies; its other fields (trial policy,
+     seed, checkpoint) describe Monte-Carlo campaigns — in particular
+     the characterization seed stays [?seed], keeping chardb cache
      fingerprints stable across campaign-spec changes. *)
-  let jobs =
-    match spec with Some (s : Spec.t) -> s.Spec.jobs | None -> jobs
-  in
+  let jobs = Option.bind spec (fun (s : Spec.t) -> s.Spec.jobs) in
   Sfi_obs.Counter.incr obs_runs;
   Sfi_obs.Span.time obs_wall @@ fun () ->
   let key =
@@ -341,8 +266,7 @@ let run ?(cycles = 8000) ?(seed = 0xD7A) ?(setup_ps = Sta.default_setup_ps)
   | Some t -> t
   | None ->
       let t =
-        compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd
-          ~setup_ps alu
+        compute ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu
       in
       (match key with
       | Some key -> Sfi_cache.store ~namespace:"chardb" ~key t

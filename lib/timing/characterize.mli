@@ -32,24 +32,6 @@ val uniform16 : operand_profile
 
 val uniform8 : operand_profile
 
-type engine =
-  | Auto  (** {!Packed} when {!Sfi_netlist.Bitsim.available}, else scalar *)
-  | Scalar  (** one {!Dta} cycle per trial *)
-  | Packed
-      (** {!Dta_packed}: ⌈cycles/lanes⌉ bit-parallel sweeps; produces a
-          bit-identical database (same RNG stream — lane operands are
-          sampled in trial order — and per-lane event times equal to the
-          scalar kernel's). Falls back to scalar, counted in the
-          [bitsim.fallbacks] counter, on targets without 63-bit words. *)
-
-val set_default_engine : engine -> unit
-(** Sets the process-wide engine used when {!run} gets no [?engine]
-    (the [--engine] flag lands here). The initial default is [Auto],
-    overridable by the [SFI_ENGINE] environment variable ([scalar],
-    [packed], anything else [Auto]). *)
-
-val engine_name : engine -> string
-
 type class_db = {
   cls : Op_class.t;
   profile_name : string;
@@ -78,9 +60,7 @@ val run :
   ?vdd_model:Vdd_model.t ->
   ?lib:Cell_lib.t ->
   ?profile_for:(Op_class.t -> operand_profile) ->
-  ?jobs:int ->
   ?spec:Spec.t ->
-  ?engine:engine ->
   vdd:float ->
   Alu.t ->
   t
@@ -91,21 +71,20 @@ val run :
     checked against [Op_class.apply]; a mismatch raises [Failure] (it
     would indicate a broken netlist or simulator).
 
+    The kernel is {!Dta_packed}: ⌈cycles/lanes⌉ bit-parallel sweeps of
+    {!Sfi_netlist.Bitsim.lanes} trials. A class's trials form one chain,
+    each launched from the previous trial's settled state; lane operands
+    are sampled in trial order, so the RNG stream is the chain's. The
+    tests pin the database bit-identical to a scalar reference kernel
+    that runs the chain one event-driven DTA cycle per trial.
+
     Classes are characterized in parallel on a domain pool, each on its
     own DTA instance with a pre-split RNG stream — the database is
-    bit-identical for every job count. The worker count comes from
-    [spec]'s [jobs] field when a {!Sfi_util.Spec.t} is given (its other
-    fields are ignored here: the characterization seed stays [seed], so
-    chardb cache fingerprints do not depend on campaign specs);
-    otherwise from the deprecated [jobs] argument; otherwise
-    [Sfi_util.Pool.default_jobs ()]. Prefer [spec] — [jobs] remains only
-    for source compatibility.
-
-    [engine] (default: the {!set_default_engine} value) picks the
-    characterization kernel. Both engines produce bit-identical
-    databases, so the persistent-cache fingerprint does NOT include the
-    engine: a database written under one engine is a cache hit for the
-    other. *)
+    bit-identical for every job count. The worker count is [spec]'s
+    [jobs] field when a {!Sfi_util.Spec.t} is given (its other fields
+    are ignored here: the characterization seed stays [seed], so chardb
+    cache fingerprints do not depend on campaign specs), otherwise
+    [Sfi_util.Pool.default_jobs ()]. *)
 
 val class_db : t -> Op_class.t -> class_db
 

@@ -1,5 +1,5 @@
-open Sfi_util
 open Sfi_netlist
+open Sfi_timing
 
 (* Hot-path representation notes.
 
@@ -68,7 +68,7 @@ let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
   (match c.Circuit.const_true with Some n -> values.(n) <- true | None -> ());
   (* Settle the circuit for the all-low input state using a zero-delay
      pass; subsequent cycles start from this stable state. *)
-  Circuit.eval_all_gates c values;
+  Logic_sim.eval_all_gates c values;
   let is_input = Array.make c.Circuit.n_nets false in
   Array.iter (fun (_, n) -> is_input.(n) <- true) c.Circuit.pis;
   {
@@ -142,7 +142,7 @@ let rec drain t =
     t.events <- t.events + 1;
     let key = Min_heap.popped_key t.heap in
     let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
-    let v = Circuit.eval_gate t.circuit t.values gi in
+    let v = Logic_sim.eval_gate t.circuit t.values gi in
     if Array.unsafe_get t.values out_net <> v then begin
       t.settles <- t.settles + 1;
       Array.unsafe_set t.values out_net v;

@@ -14,13 +14,14 @@
 
     The event kernel is allocation-free in steady state: event times are
     held as order-preserving integer encodings of their float values (see
-    {!Sfi_util.Min_heap}), per-cycle state is invalidated with generation
+    {!Min_heap}), per-cycle state is invalidated with generation
     stamps rather than O(n_nets) clears, and same-time evaluations of a
     gate whose several inputs toggle together are coalesced into one
     event. Settle times are bit-identical to the straightforward
     float-keyed implementation. *)
 
 open Sfi_netlist
+open Sfi_timing
 
 type t
 

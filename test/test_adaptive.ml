@@ -40,7 +40,7 @@ let bench = lazy (Median.create ~n:11 ~seed:2 ())
 (* Model A needs no netlist or characterization, so these tests stay
    fast; p = 1 makes every trial identical (all 32 bits flip on every
    op), p in (0,1) exercises genuinely stochastic streams. *)
-let model_a p = Model.fixed_probability ~bit_flip_prob:p [@@warning "-3"]
+let model_a p = Sfi_core.Flow.model_a ~bit_flip_prob:p
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))

@@ -1,17 +1,18 @@
 (* Bit-parallel engine tests: the compiled levelized schedule, the word
    evaluator, lane packing, the packed event-driven DTA, and the
-   seed-replica differential contract — the packed characterization
-   kernel must produce a class database bit-identical to the scalar
-   kernel's, across every op class and operand profile. *)
+   seed-replica differential contract — the production (packed)
+   characterization kernel must produce a class database bit-identical
+   to the scalar reference kernel's, across every op class and operand
+   profile. *)
 
 open Sfi_util
 open Sfi_netlist
 open Sfi_timing
+open Sfi_oracle
 module B = Circuit.Builder
 
-(* Tests must exercise both engines for real: make sure no persistent
-   cache (engine-independent keys!) can serve one engine the other's
-   database. *)
+(* The production kernel must compute for real: make sure no persistent
+   cache can serve it a stored database. *)
 let () = Sfi_cache.set_dir None
 
 (* ---------- compiled levelized schedule ---------- *)
@@ -103,7 +104,7 @@ let prop_eval_levels_matches_scalar =
         Array.iteri
           (fun i n -> values.(n) <- (in_words.(i) lsr lane) land 1 = 1)
           ins;
-        Circuit.eval_all_gates c values;
+        Logic_sim.eval_all_gates c values;
         Array.iter
           (fun n -> if values.(n) <> ((words.(n) lsr lane) land 1 = 1) then ok := false)
           outs
@@ -206,60 +207,40 @@ let profile_for cls =
 let db_bytes (db : Characterize.t) = Marshal.to_string db []
 
 let test_packed_db_bit_identical () =
-  if not (Bitsim.available ()) then ()
-  else begin
-    let alu = Lazy.force sized_alu in
-    let run engine =
-      Characterize.run ~cycles:150 ~seed:97 ~profile_for ~engine ~vdd:0.7 alu
-    in
-    let scalar = run Characterize.Scalar in
-    let packed = run Characterize.Packed in
-    (* Bit-identity of the full database: every per-class CDF, the raw
-       cycle_arrivals matrices and the settle maxima, via the marshalled
-       bytes (floats compared representation-exact). *)
-    Alcotest.(check bool) "class_db bit-identical across engines" true
-      (db_bytes scalar = db_bytes packed);
-    (* And spot-check semantics, so a Marshal quirk could not hide a
-       real difference. *)
-    List.iter
-      (fun cls ->
-        let s = Characterize.class_db scalar cls in
-        let p = Characterize.class_db packed cls in
-        Alcotest.(check string) "profile" s.Characterize.profile_name
-          p.Characterize.profile_name;
-        Alcotest.(check bool) "max_settle" true
-          (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
-        Alcotest.(check bool) "cycle_arrivals" true
-          (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
-      Op_class.all
-  end
+  let alu = Lazy.force sized_alu in
+  let scalar = Ref_characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
+  let packed = Characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
+  (* Bit-identity of the full database: every per-class CDF, the raw
+     cycle_arrivals matrices and the settle maxima, via the marshalled
+     bytes (floats compared representation-exact). *)
+  Alcotest.(check bool) "class_db bit-identical across kernels" true
+    (db_bytes scalar = db_bytes packed);
+  (* And spot-check semantics, so a Marshal quirk could not hide a
+     real difference. *)
+  List.iter
+    (fun cls ->
+      let s = Characterize.class_db scalar cls in
+      let p = Characterize.class_db packed cls in
+      Alcotest.(check string) "profile" s.Characterize.profile_name
+        p.Characterize.profile_name;
+      Alcotest.(check bool) "max_settle" true
+        (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
+      Alcotest.(check bool) "cycle_arrivals" true
+        (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
+    Op_class.all
 
 (* The packed kernel must survive a partial final sweep (cycles not a
    multiple of lanes is the common case) and a single-trial run. *)
 let test_packed_partial_batches () =
-  if not (Bitsim.available ()) then ()
-  else begin
-    let alu = Lazy.force sized_alu in
-    List.iter
-      (fun cycles ->
-        let run engine = Characterize.run ~cycles ~seed:5 ~engine ~vdd:0.7 alu in
-        Alcotest.(check bool)
-          (Printf.sprintf "bit-identical at %d cycles" cycles)
-          true
-          (db_bytes (run Characterize.Scalar) = db_bytes (run Characterize.Packed)))
-      [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
-  end
-
-(* Auto must behave exactly like the resolved engine (packed here). *)
-let test_auto_resolves () =
   let alu = Lazy.force sized_alu in
-  let auto = Characterize.run ~cycles:80 ~seed:12 ~engine:Characterize.Auto ~vdd:0.7 alu in
-  let explicit =
-    Characterize.run ~cycles:80 ~seed:12 ~vdd:0.7 alu
-      ~engine:(if Bitsim.available () then Characterize.Packed else Characterize.Scalar)
-  in
-  Alcotest.(check bool) "auto equals resolved engine" true
-    (db_bytes auto = db_bytes explicit)
+  List.iter
+    (fun cycles ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical at %d cycles" cycles)
+        true
+        (db_bytes (Ref_characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)
+        = db_bytes (Characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)))
+    [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
 
 let () =
   Alcotest.run "sfi_bitsim"
@@ -279,6 +260,5 @@ let () =
           Alcotest.test_case "packed class_db bit-identical" `Quick
             test_packed_db_bit_identical;
           Alcotest.test_case "partial final sweep" `Quick test_packed_partial_batches;
-          Alcotest.test_case "auto engine resolution" `Quick test_auto_resolves;
         ] );
     ]

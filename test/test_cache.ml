@@ -231,10 +231,12 @@ let test_scan_and_prune () =
 
 (* ---------- characterization: cold vs warm bit-identity ---------- *)
 
+let serial = Sfi_util.Spec.(with_jobs 1 default)
+
 let test_characterize_cold_warm () =
   with_temp_cache @@ fun dir ->
   let alu = Sfi_netlist.Alu.build () in
-  let run () = Characterize.run ~cycles:40 ~seed:11 ~jobs:1 ~vdd:0.7 alu in
+  let run () = Characterize.run ~cycles:40 ~seed:11 ~spec:serial ~vdd:0.7 alu in
   Sfi_obs.reset ();
   let cold = run () in
   let sig_cold = Sfi_obs.det_signature () in
@@ -252,7 +254,7 @@ let test_characterize_cold_warm () =
 let test_characterize_corrupt_recompute () =
   with_temp_cache @@ fun dir ->
   let alu = Sfi_netlist.Alu.build () in
-  let run () = Characterize.run ~cycles:40 ~seed:11 ~jobs:1 ~vdd:0.7 alu in
+  let run () = Characterize.run ~cycles:40 ~seed:11 ~spec:serial ~vdd:0.7 alu in
   let cold = run () in
   let path = Filename.concat dir (the_entry dir).Sfi_cache.file in
   ignore (corrupt_byte path 4096 : int);

@@ -2,26 +2,36 @@ open Sfi_util
 open Sfi_isa
 open Sfi_sim
 
-(* Differential tests pinning the compiled basic-block engine to the
-   interpreter: same cycles, same stats, same fault-hook call stream,
-   same trace ordering, same outcomes — on the paths where the two
-   implementations genuinely diverge in mechanism (block caching,
-   batched accounting, threaded-code chaining). *)
+(* Differential tests pinning the compiled basic-block engine
+   ([Cpu.run]) to the reference interpreter ([Cpu.run_reference]): same
+   cycles, same stats, same fault-hook call stream, same trace
+   ordering, same outcomes — on the paths where the two implementations
+   genuinely diverge in mechanism (block caching, batched accounting,
+   threaded-code chaining). *)
 
 (* ---------- helpers ---------- *)
+
+type engine = Interp | Compiled
+
+let engine_name = function Interp -> "interp" | Compiled -> "compiled"
+
+let run_on engine ?config mem ~entry =
+  match engine with
+  | Interp -> Cpu.run_reference ?config mem ~entry
+  | Compiled -> Cpu.run ?config mem ~entry
 
 let run_insns engine ?(size = 4096) ?(config = Cpu.default_config) insns =
   let program = Program.of_insns insns in
   let mem = Memory.create ~size in
   Memory.load_program mem program;
-  let stats = Cpu.run ~config ~engine mem ~entry:0 in
+  let stats = run_on engine ~config mem ~entry:0 in
   (stats, mem)
 
 let run_asm engine ?(size = 4096) ?(config = Cpu.default_config) src =
   let program = Asm.assemble_exn src in
   let mem = Memory.create ~size in
   Memory.load_program mem program;
-  let stats = Cpu.run ~config ~engine mem ~entry:program.Program.entry in
+  let stats = run_on engine ~config mem ~entry:program.Program.entry in
   (stats, mem)
 
 let check_stats_equal what (a : Cpu.stats) (b : Cpu.stats) =
@@ -32,8 +42,8 @@ let check_stats_equal what (a : Cpu.stats) (b : Cpu.stats) =
 (* Runs the same program under both engines and checks full stats
    equality plus an optional memory-word probe. *)
 let parity ?(probe = []) ?size ?config what insns =
-  let si, mi = run_insns Cpu.Interp ?size ?config insns in
-  let sc, mc = run_insns Cpu.Compiled ?size ?config insns in
+  let si, mi = run_insns Interp ?size ?config insns in
+  let sc, mc = run_insns Compiled ?size ?config insns in
   check_stats_equal what si sc;
   List.iter
     (fun addr ->
@@ -43,8 +53,8 @@ let parity ?(probe = []) ?size ?config what insns =
     probe
 
 let parity_asm ?(probe = []) ?size ?config what src =
-  let si, mi = run_asm Cpu.Interp ?size ?config src in
-  let sc, mc = run_asm Cpu.Compiled ?size ?config src in
+  let si, mi = run_asm Interp ?size ?config src in
+  let sc, mc = run_asm Compiled ?size ?config src in
   check_stats_equal what si sc;
   List.iter
     (fun addr ->
@@ -61,8 +71,13 @@ let test_kernel_parity () =
       match Sfi_kernels.Registry.by_name name with
       | None -> Alcotest.failf "unknown bench %s" name
       | Some bench ->
-        let si, oi = Sfi_kernels.Bench.run_fault_free ~engine:Cpu.Interp bench in
-        let sc, oc = Sfi_kernels.Bench.run_fault_free ~engine:Cpu.Compiled bench in
+        let si, oi =
+          let mem = Sfi_kernels.Bench.fresh_memory bench in
+          let entry = bench.Sfi_kernels.Bench.program.Program.entry in
+          let stats = Cpu.run_reference mem ~entry in
+          (stats, Sfi_kernels.Bench.read_output bench mem)
+        in
+        let sc, oc = Sfi_kernels.Bench.run_fault_free bench in
         check_stats_equal name si sc;
         if oi <> oc then Alcotest.failf "%s: outputs differ between engines" name;
         if oc <> bench.Sfi_kernels.Bench.golden then
@@ -105,8 +120,8 @@ loop:   l.add  r2, r2, r1
     in
     (stats, List.rev !calls, Memory.read_u32 mem 0x100)
   in
-  let si, ci, wi = run Cpu.Interp in
-  let sc, cc, wc = run Cpu.Compiled in
+  let si, ci, wi = run Interp in
+  let sc, cc, wc = run Compiled in
   check_stats_equal "hook stream" si sc;
   Alcotest.(check int) "call count" (List.length ci) (List.length cc);
   if ci <> cc then Alcotest.fail "hook stream: call sequences differ";
@@ -185,8 +200,8 @@ sub:    l.addi r3, r0, 9
     in
     (stats, List.rev !traced)
   in
-  let si, ti = run Cpu.Interp in
-  let sc, tc = run Cpu.Compiled in
+  let si, ti = run Interp in
+  let sc, tc = run Compiled in
   check_stats_equal "trace order" si sc;
   if ti <> tc then Alcotest.fail "trace order: per-instruction (pc, insn) streams differ"
 
@@ -203,11 +218,11 @@ let test_trace_illegal_not_traced () =
     let mem = Memory.create ~size:4096 in
     Memory.load_program mem program;
     Memory.write_u32 mem 8 0xFFFF_FFFF;
-    let stats = Cpu.run ~config ~engine mem ~entry:0 in
+    let stats = run_on engine ~config mem ~entry:0 in
     (stats, List.rev !traced)
   in
-  let si, ti = run Cpu.Interp in
-  let sc, tc = run Cpu.Compiled in
+  let si, ti = run Interp in
+  let sc, tc = run Compiled in
   check_stats_equal "illegal trace" si sc;
   (match si.Cpu.outcome with
   | Cpu.Trapped _ -> ()
@@ -251,9 +266,9 @@ let test_trap_parity () =
     let mem = Memory.create ~size:4096 in
     Memory.load_program mem program;
     Memory.write_u32 mem 4 0xFFFF_FFFF;
-    Cpu.run ~engine mem ~entry:0
+    run_on engine mem ~entry:0
   in
-  check_stats_equal "illegal instruction" (illegal Cpu.Interp) (illegal Cpu.Compiled)
+  check_stats_equal "illegal instruction" (illegal Interp) (illegal Compiled)
 
 (* ---------- kernel markers mid-block ---------- *)
 
@@ -287,45 +302,13 @@ let test_fi_toggle_mid_block () =
     in
     (stats, !calls)
   in
-  let si, ci = run Cpu.Interp in
-  let sc, cc = run Cpu.Compiled in
+  let si, ci = run Interp in
+  let sc, cc = run Compiled in
   check_stats_equal "fi toggle" si sc;
   Alcotest.(check int) "hook calls" ci cc;
   (* Each window retires its begin marker, its body and its end marker
      inside the fi accounting: (1+2+1) + (1+1+1). *)
   Alcotest.(check int) "two windows counted" 7 si.Cpu.kernel_instret
-
-(* ---------- campaign point parity ---------- *)
-
-let test_campaign_point_parity () =
-  (* A full Monte-Carlo point through the default-engine switch: same
-     point (all rates, CIs, trial counts) and the same deterministic
-     observability signature. Model A needs no netlist, so this runs
-     the whole campaign stack quickly; the fault masks perturb control
-     flow enough that some trials watchdog or trap. *)
-  let bench = Sfi_kernels.Median.create ~n:17 () in
-  let model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:5e-4 [@warning "-3"] in
-  let spec =
-    Sfi_fi.Campaign.Spec.(default |> with_trials 12 |> with_jobs 1 |> with_seed 42)
-  in
-  ignore (Sfi_fi.Campaign.reference_cycles bench) (* warm the memo for both runs *);
-  let run_with engine =
-    Cpu.set_default_engine engine;
-    Sfi_obs.reset ();
-    Sfi_obs.set_enabled true;
-    let p = Sfi_fi.Campaign.run spec ~bench ~model ~freq_mhz:800. in
-    let s = Sfi_obs.det_signature () in
-    Sfi_obs.set_enabled false;
-    (Sfi_fi.Campaign.Point_json.to_string (Sfi_fi.Campaign.Point_json.of_sweep [ p ]), s)
-  in
-  Fun.protect
-    ~finally:(fun () -> Cpu.set_default_engine Cpu.Auto)
-    (fun () ->
-      let pi, sigi = run_with Cpu.Interp in
-      let pc, sigc = run_with Cpu.Compiled in
-      Alcotest.(check string) "point JSON" pi pc;
-      if sigi <> sigc then
-        Alcotest.fail "campaign point: det_signature differs between engines")
 
 (* ---------- allocation pins ---------- *)
 
@@ -358,7 +341,7 @@ loop:   l.add   r2, r2, r1
         let mem = Memory.create ~size:4096 in
         Memory.load_program mem program;
         let w0 = Gc.minor_words () in
-        let stats = Cpu.run ~engine mem ~entry:program.Program.entry in
+        let stats = run_on engine mem ~entry:program.Program.entry in
         let dw = Gc.minor_words () -. w0 in
         (dw, stats.Cpu.instret)
       in
@@ -368,8 +351,8 @@ loop:   l.add   r2, r2, r1
       let per_insn = (dw_big -. dw_small) /. float_of_int (n_big - n_small) in
       if per_insn > 0.01 then
         Alcotest.failf "%s engine allocates %.3f words/insn in steady state"
-          (Cpu.engine_name engine) per_insn)
-    [ Cpu.Interp; Cpu.Compiled ]
+          (engine_name engine) per_insn)
+    [ Interp; Compiled ]
 
 let test_decode_into_allocation_free () =
   (* A cold decode fill allocates nothing (the point of the unboxed
@@ -425,8 +408,7 @@ let test_repeated_run_allocation () =
   let run () =
     Memory.blit ~src:pristine ~dst:mem;
     ignore
-      (Cpu.run ~engine:Cpu.Compiled mem ~entry:bench.Sfi_kernels.Bench.program.Program.entry
-        : Cpu.stats)
+      (Cpu.run mem ~entry:bench.Sfi_kernels.Bench.program.Program.entry : Cpu.stats)
   in
   with_obs (fun () ->
       run ();
@@ -440,7 +422,7 @@ let test_repeated_run_allocation () =
 
 let test_trial_memory_reused () =
   let bench = Lazy.force aes in
-  let model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:1e-4 [@warning "-3"] in
+  let model = Sfi_core.Flow.model_a ~bit_flip_prob:1e-4 in
   let trial seed =
     ignore (Sfi_fi.Campaign.run_trial ~bench ~model ~freq_mhz:700. ~seed : Sfi_fi.Campaign.trial)
   in
@@ -474,7 +456,7 @@ let image src = image_of (Asm.assemble_exn src)
    stream misaligned by one call derails the rest of the run. *)
 let sparse_mask ~cycle ~cls:_ ~a ~b:_ ~result = if cycle mod 7 = 3 then (a lxor result) land 0xF else 0
 
-let observe ?(engine = Cpu.Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on = false)
+let observe ?(engine = Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on = false)
     ?(prepare = ignore) (img, entry) =
   let mem = Memory.copy img in
   prepare mem;
@@ -487,7 +469,7 @@ let observe ?(engine = Cpu.Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on
       mask
   in
   let config = { Cpu.default_config with Cpu.max_cycles; fault_hook; fi_always_on } in
-  let stats = Cpu.run ~config ~engine mem ~entry in
+  let stats = run_on engine ~config mem ~entry in
   { stats; mem_after = Memory.sub_string mem ~pos:0 ~len:(Memory.size mem); calls = List.rev !calls }
 
 let uncached f = Domain.join (Domain.spawn f)
@@ -570,10 +552,10 @@ let test_cache_selfmod_then_pristine () =
   let img = image src_selfmod in
   List.iter
     (fun engine ->
-      let name = Cpu.engine_name engine in
+      let name = engine_name engine in
       check_cached (name ^ ": self-modifying run") (fun () -> observe ~engine img);
       check_cached (name ^ ": pristine run after it") (fun () -> observe ~engine img))
-    [ Cpu.Compiled; Cpu.Interp ]
+    [ Compiled; Interp ]
 
 let test_cache_code_rewritten () =
   let img, entry = image src_loop in
@@ -677,13 +659,13 @@ let test_cache_alternating_configs () =
     (fun i (engine, hooked, fi_always_on) ->
       let mask = if hooked then Some sparse_mask else None in
       check_cached
-        (Printf.sprintf "run %d: %s, hook %b, fi_always_on %b" i (Cpu.engine_name engine) hooked
+        (Printf.sprintf "run %d: %s, hook %b, fi_always_on %b" i (engine_name engine) hooked
            fi_always_on)
         (fun () -> observe ~engine ?mask ~fi_always_on img))
     [
-      (Cpu.Compiled, false, false); (Cpu.Compiled, true, false); (Cpu.Interp, true, true);
-      (Cpu.Compiled, true, true); (Cpu.Compiled, false, true); (Cpu.Interp, false, false);
-      (Cpu.Compiled, true, false); (Cpu.Interp, true, false); (Cpu.Compiled, false, false);
+      (Compiled, false, false); (Compiled, true, false); (Interp, true, true);
+      (Compiled, true, true); (Compiled, false, true); (Interp, false, false);
+      (Compiled, true, false); (Interp, true, false); (Compiled, false, false);
     ]
 
 (* A run started from inside another run's hook or trace callback must
@@ -717,7 +699,7 @@ let test_cache_nested_runs () =
     in
     let mem = Memory.copy (fst outer) in
     let config = { Cpu.default_config with Cpu.trace = Some trace } in
-    let stats = Cpu.run ~config ~engine:Cpu.Compiled mem ~entry:(snd outer) in
+    let stats = Cpu.run ~config mem ~entry:(snd outer) in
     ((stats, Memory.sub_string mem ~pos:0 ~len:(Memory.size mem), List.rev !pcs), !nested)
   in
   let o, n = traced ~nest:true () in
@@ -894,8 +876,8 @@ let prop_random_program_parity =
   in
   Prop.test ~cases:300 "random programs retire identically" gen (fun insns ->
       let config = { Cpu.default_config with Cpu.max_cycles = 5_000 } in
-      let si, _ = run_insns Cpu.Interp ~config insns in
-      let sc, _ = run_insns Cpu.Compiled ~config insns in
+      let si, _ = run_insns Interp ~config insns in
+      let sc, _ = run_insns Compiled ~config insns in
       si = sc)
 
 let () =
@@ -913,7 +895,6 @@ let () =
           Alcotest.test_case "watchdog mid-block" `Quick test_watchdog_mid_block;
           Alcotest.test_case "trap outcomes" `Quick test_trap_parity;
           Alcotest.test_case "fi toggle mid-block" `Quick test_fi_toggle_mid_block;
-          Alcotest.test_case "campaign point" `Quick test_campaign_point_parity;
           prop_random_program_parity;
         ] );
       ( "allocation",

@@ -33,21 +33,27 @@ let sta_with_setup =
 
 let sta_arrivals = lazy (Array.map snd (Sta.analyze (Lazy.force flow_alu).Alu.circuit).Sta.endpoints)
 
-(* Built through the deprecated compat constructors on purpose: these
-   tests also pin that the variant-era entry points still produce the
-   registry models bit-identically. *)
+(* Registry models over the fixture's own STA arrivals and database, at
+   0.7 V with the default Vdd curve and setup margin; sigma = 0 means no
+   supply noise (model B rather than B+). *)
+let model key resources =
+  match Model.of_key ~resources key with Ok m -> m | Error e -> failwith e
+
+let noise sigma = if sigma = 0. then Noise.none else Noise.create ~sigma ()
+
 let model_b ?(sigma = 0.) () =
-  Model.static_timing ~endpoint_arrivals:(Lazy.force sta_arrivals)
-    ~setup_ps:Sta.default_setup_ps ~vdd:0.7
-    ~noise:(if sigma = 0. then Noise.none else Noise.create ~sigma ())
-    ~vdd_model:Vdd_model.default
-[@@warning "-3"]
+  model
+    (if sigma = 0. then "B" else "B+")
+    { Model.default_resources with
+      Model.noise = noise sigma;
+      endpoint_arrivals = Some (Lazy.force sta_arrivals) }
 
 let model_c ?(sampling = Model.Independent) ?(sigma = 0.) () =
-  Model.statistical ~db:(Lazy.force char_db) ~vdd:0.7
-    ~noise:(if sigma = 0. then Noise.none else Noise.create ~sigma ())
-    ~vdd_model:Vdd_model.default ~sampling
-[@@warning "-3"]
+  model
+    (match sampling with Model.Independent -> "C" | Model.Vector_correlated -> "C-corr")
+    { Model.default_resources with
+      Model.noise = noise sigma;
+      db = Some (Lazy.force char_db) }
 
 (* B's fault onset: period = slowest STA arrival incl. setup. *)
 let onset_b_mhz () =
@@ -226,7 +232,7 @@ let test_model_a_frequency_invariant () =
   let masks_at freq =
     let inj =
       Injector.create
-        ~model:(Model.fixed_probability ~bit_flip_prob:0.01 [@warning "-3"])
+        ~model:(Sfi_core.Flow.model_a ~bit_flip_prob:0.01)
         ~freq_mhz:freq ~rng:(Rng.of_int 55) ()
     in
     let hook = Injector.hook inj in

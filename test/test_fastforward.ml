@@ -1,9 +1,9 @@
 (* Snapshot fast-forward: the bit-identity contract and the sfi-snap/1
    cache codec.
 
-   - every registry kernel, under both CPU engines, produces the same
-     campaign point (sfi-point/1 JSON) and deterministic obs signature
-     with fast-forward Off and On;
+   - every registry kernel produces the same campaign point
+     (sfi-point/1 JSON) and deterministic obs signature with
+     fast-forward Off and On;
    - mostly-fault-free operating points actually elide trials
      (fastforward.trials_elided) and still match full replay;
    - jobs=1 and jobs=4 agree under fast-forward;
@@ -42,7 +42,7 @@ let with_obs f =
   let r = f () in
   (r, Sfi_obs.det_signature ())
 
-let model_a p = Model.fixed_probability ~bit_flip_prob:p [@@warning "-3"]
+let model_a p = Sfi_core.Flow.model_a ~bit_flip_prob:p
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))
@@ -53,46 +53,32 @@ let points_equal ps qs =
 
 let spec_mode mode = Spec.(default |> with_fastforward mode)
 
-(* ---------- Off vs On across kernels and engines ---------- *)
+(* ---------- Off vs On across kernels ---------- *)
 
 let test_parity_all_kernels () =
-  Fun.protect
-    ~finally:(fun () -> Cpu.set_default_engine Cpu.Auto)
-    (fun () ->
-      List.iter
-        (fun engine ->
-          Cpu.set_default_engine engine;
-          List.iter
-            (fun name ->
-              let bench =
-                match Registry.by_name name with
-                | Some b -> b
-                | None -> Alcotest.failf "unknown bench %s" name
-              in
-              (* warm the in-process reference-cycles memo so both runs
-                 see the same hit/miss counts *)
-              ignore (Campaign.reference_cycles bench : int);
-              let spec mode =
-                Spec.(spec_mode mode |> with_trials 6 |> with_seed 11 |> with_jobs 2)
-              in
-              let model = model_a 0.008 in
-              let off, sig_off =
-                with_obs (fun () ->
-                    Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:700.)
-              in
-              let on, sig_on =
-                with_obs (fun () ->
-                    Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700.)
-              in
-              let what =
-                Printf.sprintf "%s/%s" name (Cpu.engine_name engine)
-              in
-              Alcotest.(check bool) (what ^ ": points equal") true (point_equal off on);
-              Alcotest.(check bool)
-                (what ^ ": det signatures equal")
-                true (sig_off = sig_on))
-            Registry.names)
-        [ Cpu.Interp; Cpu.Compiled ])
+  List.iter
+    (fun name ->
+      let bench =
+        match Registry.by_name name with
+        | Some b -> b
+        | None -> Alcotest.failf "unknown bench %s" name
+      in
+      (* warm the in-process reference-cycles memo so both runs see the
+         same hit/miss counts *)
+      ignore (Campaign.reference_cycles bench : int);
+      let spec mode =
+        Spec.(spec_mode mode |> with_trials 6 |> with_seed 11 |> with_jobs 2)
+      in
+      let model = model_a 0.008 in
+      let off, sig_off =
+        with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:700.)
+      in
+      let on, sig_on =
+        with_obs (fun () -> Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700.)
+      in
+      Alcotest.(check bool) (name ^ ": points equal") true (point_equal off on);
+      Alcotest.(check bool) (name ^ ": det signatures equal") true (sig_off = sig_on))
+    Registry.names
 
 (* At a rare-fault operating point most trials are provably fault-free:
    fast-forward must elide them (no simulation at all) and still agree
@@ -357,7 +343,7 @@ let () =
     [
       ( "parity",
         [
-          Alcotest.test_case "all kernels, both engines" `Quick test_parity_all_kernels;
+          Alcotest.test_case "all kernels, Off vs On" `Quick test_parity_all_kernels;
           Alcotest.test_case "rare faults elide trials" `Quick test_elision_parity;
           Alcotest.test_case "model C batched probe" `Quick test_model_c_parity;
           Alcotest.test_case "same name, distinct images" `Quick

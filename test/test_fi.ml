@@ -19,26 +19,29 @@ let sta_arrivals =
     (let alu = Lazy.force flow_alu in
      Array.map snd (Sta.analyze alu.Alu.circuit).Sta.endpoints)
 
-(* Built through the deprecated compat constructors on purpose: the
-   variant-era entry points must keep producing the registry models. *)
-let model_a p = Model.fixed_probability ~bit_flip_prob:p [@@warning "-3"]
+(* Registry models over the fixture's own STA arrivals and database, at
+   0.7 V with the default Vdd curve and setup margin. *)
+let model key resources =
+  match Model.of_key ~resources key with Ok m -> m | Error e -> failwith e
 
-let model_b () =
-  Model.static_timing ~endpoint_arrivals:(Lazy.force sta_arrivals)
-    ~setup_ps:Sta.default_setup_ps ~vdd:0.7 ~noise:Noise.none
-    ~vdd_model:Vdd_model.default
-[@@warning "-3"]
+let model_a p = Sfi_core.Flow.model_a ~bit_flip_prob:p
 
-let model_bplus sigma =
-  Model.static_timing ~endpoint_arrivals:(Lazy.force sta_arrivals)
-    ~setup_ps:Sta.default_setup_ps ~vdd:0.7 ~noise:(Noise.create ~sigma ())
-    ~vdd_model:Vdd_model.default
-[@@warning "-3"]
+let static_resources noise =
+  { Model.default_resources with
+    Model.noise;
+    endpoint_arrivals = Some (Lazy.force sta_arrivals) }
+
+let model_b () = model "B" (static_resources Noise.none)
+
+let model_bplus sigma = model "B+" (static_resources (Noise.create ~sigma ()))
 
 let model_c ?(sampling = Model.Independent) ?(vdd = 0.7) sigma =
-  Model.statistical ~db:(Lazy.force char_db) ~vdd ~noise:(Noise.create ~sigma ())
-    ~vdd_model:Vdd_model.default ~sampling
-[@@warning "-3"]
+  model
+    (match sampling with Model.Independent -> "C" | Model.Vector_correlated -> "C-corr")
+    { Model.default_resources with
+      Model.vdd;
+      noise = Noise.create ~sigma ();
+      db = Some (Lazy.force char_db) }
 
 (* ---------- Model ---------- *)
 

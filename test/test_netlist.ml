@@ -1,5 +1,6 @@
 open Sfi_util
 open Sfi_netlist
+open Sfi_oracle
 module B = Circuit.Builder
 
 (* ---------- Cell ---------- *)
@@ -399,7 +400,7 @@ let test_alu_matches_spec_exhaustive_small () =
     (fun cls ->
       List.iter
         (fun (a, b) ->
-          let got = Alu.simulate alu sim cls a b in
+          let got = Logic_sim.simulate_alu alu sim cls a b in
           let expect = Op_class.apply cls a b in
           if got <> expect then
             Alcotest.failf "%s %08x %08x: got %08x expected %08x" (Op_class.name cls)
@@ -483,7 +484,7 @@ let prop_alu_random_equivalence =
       let cls = List.nth Op_class.all ci in
       (* Spread the 30-bit generator values over the full 32-bit range. *)
       let a = U32.of_int (a * 5) and b = U32.of_int (b * 3) in
-      Alu.simulate alu sim cls a b = Op_class.apply cls a b)
+      Logic_sim.simulate_alu alu sim cls a b = Op_class.apply cls a b)
 
 let () =
   let qsuite =

@@ -4,6 +4,7 @@
    runs a few hundred random cases against it. *)
 
 open Sfi_util
+open Sfi_oracle
 
 (* ---------- Min_heap: pop order vs sorted reference ---------- *)
 
@@ -336,7 +337,8 @@ let load_insns insns =
 (* Restoring any stride-boundary snapshot and rerunning the suffix must
    reproduce the full run cycle-for-cycle: identical final stats and an
    identical fault-hook call stream (cycle, class, operands, result)
-   from the restore point on — under either engine. *)
+   from the restore point on — on the production engine and on the
+   reference interpreter. *)
 let prop_snapshot_roundtrip =
   Prop.test ~cases:150 "restored suffix equals full run"
     (Prop.pair gen_program (Prop.int ~lo:5 ~hi:100))
@@ -365,19 +367,21 @@ let prop_snapshot_roundtrip =
                List.filter (fun (c, _, _, _, _) -> c >= from) full_calls
              in
              List.for_all
-               (fun engine ->
+               (fun run ->
                  calls := [];
-                 let mem = Memory.copy mem_at_snap in
-                 let stats = Cpu.run ~config ~engine ~resume:snap mem ~entry:0 in
+                 let stats = run (Memory.copy mem_at_snap) in
                  stats = full_stats && List.rev !calls = expect)
-               [ Cpu.Interp; Cpu.Compiled ])
+               [
+                 (fun mem -> Cpu.run_reference ~config ~resume:snap mem ~entry:0);
+                 (fun mem -> Cpu.run ~config ~resume:snap mem ~entry:0);
+               ])
            !snaps)
 
 (* --- analytic first-fault sampling vs full replay --- *)
 
 let ff_bench = lazy (Option.get (Sfi_kernels.Registry.by_name "median"))
 
-let ff_model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:0.002 [@@warning "-3"]
+let ff_model = Sfi_core.Flow.model_a ~bit_flip_prob:0.002
 
 let ff_trace =
   lazy
@@ -407,8 +411,7 @@ let full_first_fault ~rng =
   in
   let mem = Bench.fresh_memory bench in
   match
-    Cpu.run ~config ~engine:Cpu.Interp mem
-      ~entry:bench.Bench.program.Sfi_isa.Program.entry
+    Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry
   with
   | _ -> None
   | exception Found (c, k) -> Some (c, k)

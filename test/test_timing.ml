@@ -1,6 +1,7 @@
 open Sfi_util
 open Sfi_netlist
 open Sfi_timing
+open Sfi_oracle
 module B = Circuit.Builder
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -493,7 +494,7 @@ let test_sizing_preserves_function () =
       for _ = 1 to 20 do
         let a = Rng.bits32 rng and b = Rng.bits32 rng in
         Alcotest.(check int) "sized alu function" (Op_class.apply cls a b)
-          (Alu.simulate alu sim cls a b)
+          (Logic_sim.simulate_alu alu sim cls a b)
       done)
     Op_class.all
 
@@ -721,7 +722,7 @@ module Ref_dta = struct
     in
     let values = Array.make c.Circuit.n_nets false in
     (match c.Circuit.const_true with Some n -> values.(n) <- true | None -> ());
-    Circuit.eval_all_gates c values;
+    Logic_sim.eval_all_gates c values;
     {
       circuit = c;
       delay;
@@ -759,7 +760,7 @@ module Ref_dta = struct
       | None -> ()
       | Some (time, gi) ->
         let out_net = t.circuit.Circuit.gates.(gi).Circuit.out in
-        let v = Circuit.eval_gate t.circuit t.values gi in
+        let v = Logic_sim.eval_gate t.circuit t.values gi in
         if t.values.(out_net) <> v then begin
           t.values.(out_net) <- v;
           t.settle.(out_net) <- time;
