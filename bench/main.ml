@@ -552,11 +552,13 @@ type ff_cmp = {
 (* The snapshot fast-forward payoff, measured where it matters: a
    model-C k-means point just past the provable no-fault region, where
    most trials are fault-free and full replay burns its time proving
-   that one ISS run at a time. The analytic first-fault sampler elides
-   those trials outright; the rest restore a snapshot and simulate only
-   the suffix. Bit-identity is asserted through the same sfi-point/1
-   rendering the golden tests use; recording and reference-cycle costs
-   are warmed out of the timed region (they are one-time and cached). *)
+   that one ISS run at a time. The campaign's analytic first-fault
+   sampler elides those trials outright; the rest restore a snapshot
+   and simulate only the suffix. The full-replay side is the test
+   oracle's reference point ([Sfi_oracle.Ref_campaign]). Bit-identity
+   is asserted through the same sfi-point/1 rendering the golden tests
+   use; recording and reference-cycle costs are warmed out of the timed
+   region (they are one-time and cached). *)
 let fastforward_compare () =
   let flow = Flow.create ~config:{ Flow.default_config with Flow.char_cycles = 400 } () in
   let bench =
@@ -595,16 +597,13 @@ let fastforward_compare () =
   let trials = 24 in
   let module Spec = Sfi_fi.Campaign.Spec in
   (* One worker on both sides: this compares elision against full
-     replay, and domain-scheduling overhead on small hosts would only
-     add the same noise to both walls (the pool has its own smoke). *)
-  let spec mode =
-    Spec.(
-      default |> with_trials trials |> with_seed 2 |> with_jobs 1
-      |> with_fastforward mode)
-  in
-  let run mode =
+     replay, which the reference runs serially, and domain-scheduling
+     overhead on small hosts would only add noise (the pool has its own
+     smoke). *)
+  let spec = Spec.(default |> with_trials trials |> with_seed 2 |> with_jobs 1) in
+  let run f =
     let t0 = Unix.gettimeofday () in
-    let p = Sfi_fi.Campaign.run (spec mode) ~bench ~model ~freq_mhz in
+    let p = f () in
     (p, Unix.gettimeofday () -. t0)
   in
   (* Best-of-3 walls, like the ISS compare: runs are deterministic, so
@@ -612,10 +611,10 @@ let fastforward_compare () =
      exactly by the rep count. *)
   Gc.compact ();
   let reps = 3 in
-  let best mode =
+  let best f =
     let p = ref None and best = ref infinity in
     for _ = 1 to reps do
-      let q, w = run mode in
+      let q, w = run f in
       (match !p with
       | None -> p := Some q
       | Some p0 ->
@@ -629,8 +628,10 @@ let fastforward_compare () =
   let c_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores" in
   let e0 = Sfi_obs.Counter.value c_elided in
   let r0 = Sfi_obs.Counter.value c_restores in
-  let p_full, full_wall_s = best Spec.Off in
-  let p_ff, ff_wall_s = best Spec.On in
+  let p_full, full_wall_s =
+    best (fun () -> Sfi_oracle.Ref_campaign.run ~trials ~seed:2 ~bench ~model ~freq_mhz)
+  in
+  let p_ff, ff_wall_s = best (fun () -> Sfi_fi.Campaign.run spec ~bench ~model ~freq_mhz) in
   if not (points_equal [ p_full ] [ p_ff ]) then
     failwith "fastforward compare: fast-forwarded point differs from full replay";
   let r =

@@ -111,19 +111,6 @@ let checkpoint_arg =
                  schema sfi-ckpt/1); a killed run restarted with the same \
                  parameters resumes from it bit-identically.")
 
-let fastforward_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Spec.Auto); ("off", Spec.Off); ("on", Spec.On) ])
-           Spec.Auto
-       & info [ "fastforward" ] ~docv:"MODE"
-           ~doc:"Snapshot fast-forward: $(b,on) records sparse snapshots of the \
-                 fault-free reference run (cached as sfi-snap/1), resolves \
-                 provably fault-free trials analytically and simulates only \
-                 the post-first-fault suffix of the rest; $(b,off) fully \
-                 replays every trial. Results, det signatures and checkpoints \
-                 are bit-identical across modes, so this is purely a \
-                 performance switch ($(b,auto): \\$SFI_FASTFORWARD, else off).")
-
 (* Builds the campaign spec from the shared flags. [fixed_trials] is the
    sweep's nominal per-point count (e.g. the campaign --trials value);
    when absent the policy template keeps Spec.default's count and the
@@ -134,9 +121,8 @@ let fastforward_arg =
    save trials relative to a fixed run, never spend more). Without a
    nominal count the template ceiling starts at the batch size and
    [with_nominal_trials] lifts it to each figure's count. *)
-let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint
-    ~fastforward () =
-  let spec = Spec.default |> Spec.with_seed seed |> Spec.with_fastforward fastforward in
+let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint () =
+  let spec = Spec.default |> Spec.with_seed seed in
   let spec =
     if adaptive then begin
       let ceiling =
@@ -162,17 +148,15 @@ let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~check
    Invalid combinations (non-positive counts or targets) exit 2 with the
    validation message. *)
 let spec_flags =
-  let build seed adaptive batch max_trials ci_target checkpoint fastforward
-      ?fixed_trials () =
+  let build seed adaptive batch max_trials ci_target checkpoint ?fixed_trials () =
     try
-      make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint
-        ~fastforward ()
+      make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint ()
     with Invalid_argument msg ->
       Printf.eprintf "sfi: %s\n" msg;
       exit 2
   in
   Term.(const build $ seed_arg $ adaptive_arg $ batch_arg $ max_trials_arg
-        $ ci_target_arg $ checkpoint_arg $ fastforward_arg)
+        $ ci_target_arg $ checkpoint_arg)
 
 (* ---------- fault-model flags ---------- *)
 

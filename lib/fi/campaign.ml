@@ -14,7 +14,8 @@ module Json = Sfi_obs.Json
    checkpoint resume the executed-work counters (campaign.trials and the
    dta/injector families) legitimately shrink by the resumed amount; the
    determinism contract is "equal across job counts", not "equal across
-   resume states". *)
+   resume states". The registration order below is the order of the det
+   signature. *)
 let obs_trials = Sfi_obs.Counter.make "campaign.trials"
 
 let obs_points = Sfi_obs.Counter.make "campaign.points"
@@ -33,7 +34,7 @@ let obs_trial_cycles = Sfi_obs.Hist.make "campaign.trial_kernel_cycles"
 
 let obs_bench_span name = Sfi_obs.Span.make ("campaign.bench." ^ name)
 
-type trial = {
+type trial = Trial.t = {
   finished : bool;
   correct : bool;
   fault_bits : int;
@@ -153,87 +154,35 @@ let reference_cycles =
           cell.cycles <- Some cycles;
           cycles)
 
-(* Per-domain trial memory: the pristine image of the program this
-   domain last ran trials of, built once, and a work buffer each trial
-   resets from it with one blit instead of allocating and loading a
-   fresh image. [busy] catches a trial started from inside another
-   trial on the same domain, which gets a memory of its own. *)
-type trial_memory = {
-  program : Sfi_isa.Program.t;
-  pristine : Memory.t;
-  work : Memory.t;
-  mutable busy : bool;
-}
+(* The trial watchdog: 3x the fault-free cycle count plus 64k slack.
+   Every trial asks for it once, so each trial's reference-cycle memo
+   hit is part of the det signature whichever engine runs it. *)
+let budget bench = (3 * reference_cycles bench) + 65536
 
-let trial_memory : trial_memory option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_trial_memory (bench : Bench.t) f =
-  let slot = Domain.DLS.get trial_memory in
-  let tm =
-    match !slot with
-    | Some tm
-      when tm.program == bench.Bench.program
-           && Memory.size tm.pristine = bench.Bench.mem_size ->
-      tm
-    | _ ->
-      let pristine = Bench.fresh_memory bench in
-      let tm =
-        { program = bench.Bench.program; pristine; work = Memory.copy pristine; busy = false }
-      in
-      slot := Some tm;
-      tm
+(* One trial on its pre-split stream: fast-forwarded over [trace] when
+   the point has one, else fully replayed from cycle 0. This is the one
+   place a trial is counted, whichever engine ran it. *)
+let trial ~bench ~model ~freq_mhz ~trace rng =
+  let budget = budget bench in
+  let t =
+    match trace with
+    | Some trace -> Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng
+    | None ->
+      let injector = Injector.create ~model ~freq_mhz ~rng () in
+      snd
+        (Trial.simulate ~bench ~injector ~budget (fun mem ->
+             (* Per-trial state hook: architectural-state attack models
+                flip bits in the freshly reset image here; every built-in
+                is a no-op that draws nothing, so the RNG stream (and
+                thus every historic result) is unchanged. *)
+             ignore (Injector.trial_start injector mem : int)))
   in
-  if tm.busy then f (Bench.fresh_memory bench)
-  else begin
-    tm.busy <- true;
-    Memory.blit ~src:tm.pristine ~dst:tm.work;
-    match f tm.work with
-    | r ->
-      tm.busy <- false;
-      r
-    | exception e ->
-      tm.busy <- false;
-      raise e
-  end
-
-let run_trial_with ~bench ~model ~freq_mhz ~rng =
-  let injector = Injector.create ~model ~freq_mhz ~rng () in
-  let budget = (3 * reference_cycles bench) + 65536 in
-  let config =
-    {
-      Cpu.default_config with
-      Cpu.max_cycles = budget;
-      Cpu.fault_hook = Some (Injector.hook injector);
-    }
-  in
-  with_trial_memory bench @@ fun mem ->
-  (* Per-trial state hook: architectural-state attack models flip bits
-     in the freshly reset image here; every built-in is a no-op that
-     draws nothing, so the RNG stream (and thus every historic result)
-     is unchanged. *)
-  let (_ : int) = Injector.trial_start injector mem in
-  let stats = Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry in
-  let finished = stats.Cpu.outcome = Cpu.Exited in
-  let actual = if finished then Bench.read_output bench mem else [||] in
-  let correct = finished && actual = bench.Bench.golden in
-  let error =
-    if finished then bench.Bench.metric ~expected:bench.Bench.golden ~actual else nan
-  in
-  let kernel_cycles = max 1 stats.Cpu.kernel_cycles in
   Sfi_obs.Counter.incr obs_trials;
-  Sfi_obs.Hist.observe obs_trial_cycles kernel_cycles;
-  {
-    finished;
-    correct;
-    fault_bits = Injector.fault_bits injector;
-    fault_events = Injector.fault_events injector;
-    kernel_cycles;
-    error;
-  }
+  Sfi_obs.Hist.observe obs_trial_cycles t.kernel_cycles;
+  t
 
 let run_trial ~bench ~model ~freq_mhz ~seed =
-  run_trial_with ~bench ~model ~freq_mhz ~rng:(Rng.of_int seed)
+  trial ~bench ~model ~freq_mhz ~trace:None (Rng.of_int seed)
 
 (* ---------- aggregation and the adaptive stopping rule ---------- *)
 
@@ -411,44 +360,18 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   let trials_requested = Spec.max_trials spec in
   if Injector.cannot_inject probe then begin
     (* Deterministic fault-free region: one run represents all trials. *)
-    let t = run_trial_with ~bench ~model ~freq_mhz ~rng:(Rng.copy root) in
+    let t = trial ~bench ~model ~freq_mhz ~trace:None (Rng.copy root) in
     Sfi_obs.Counter.incr obs_batches;
     (aggregate ~freq_mhz ~any_fault_possible:false ~trials_requested [ t ], [| t |])
   end
   else begin
-    let ref_cycles = reference_cycles bench in
     (* Fast-forward: one snapshot trace per benchmark, shared by every
-       trial of every point. A reference run that does not exit cleanly
-       yields no trace and the point silently falls back to full
-       replay — same results either way by contract. A cycle-dependent
-       model (the attack families) also yields no trace,
-       with a counted fallback, because the probe's schedule replay
-       would be unsound for it. *)
-    let ff_trace =
-      if Spec.resolve_fastforward spec.Spec.fastforward then
-        Fastforward.trace_for_model ~bench ~model
-          ~stride:(Fastforward.stride_for ~ref_cycles)
-      else None
-    in
-    let run_one rng =
-      match ff_trace with
-      | None -> run_trial_with ~bench ~model ~freq_mhz ~rng
-      | Some trace ->
-        (* Mirror [run_trial_with]'s det:true accounting exactly: one
-           [reference_cycles] call (budget), one trials bump, one
-           cycle-histogram observation per trial. *)
-        let budget = (3 * reference_cycles bench) + 65536 in
-        let r = Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng in
-        Sfi_obs.Counter.incr obs_trials;
-        Sfi_obs.Hist.observe obs_trial_cycles r.Fastforward.kernel_cycles;
-        {
-          finished = r.Fastforward.finished;
-          correct = r.Fastforward.correct;
-          fault_bits = r.Fastforward.fault_bits;
-          fault_events = r.Fastforward.fault_events;
-          kernel_cycles = r.Fastforward.kernel_cycles;
-          error = r.Fastforward.error;
-        }
+       trial of every point. Without one — a cycle-dependent model, or a
+       reference run that does not exit cleanly — the point falls back
+       to full replay, counted by [trace_for_model]. *)
+    let trace =
+      Fastforward.trace_for_model ~bench ~model
+        ~stride:(Fastforward.stride_for ~ref_cycles:(reference_cycles bench))
     in
     let max_trials = trials_requested in
     let batch = Spec.batch_size spec in
@@ -478,7 +401,9 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
           Sfi_obs.Counter.add obs_resumed len;
           ts
         | None ->
-          let ts = Pool.map pool run_one (Array.sub rngs !n_done len) in
+          let ts =
+            Pool.map pool (trial ~bench ~model ~freq_mhz ~trace) (Array.sub rngs !n_done len)
+          in
           (match ckpt with
           | Some (path, _, _) ->
             Checkpoint.append ~path ~key ~batch:!batch_idx (json_of_batch ts)

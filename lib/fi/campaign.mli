@@ -16,7 +16,12 @@
 
     When the injector proves that no fault can occur at the operating
     point (the grayed-out "n/a" regions of the paper's figures), a single
-    fault-free run stands in for all trials.
+    fault-free run stands in for all trials. Every other trial runs
+    through {!Fastforward}: a provably fault-free trial is resolved
+    without simulation, a faulty one simulates only the suffix after its
+    first fault. A point falls back to full replay from cycle 0 only
+    for a {!Model.cycle_dependent} model or a benchmark whose reference
+    run does not exit cleanly — both counted, both bit-identical.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
     (default: [Pool.default_jobs ()], i.e. the [SFI_JOBS] environment
@@ -39,7 +44,7 @@ open Sfi_kernels
 
 module Spec = Sfi_util.Spec
 
-type trial = {
+type trial = Trial.t = {
   finished : bool;
   correct : bool;
   fault_bits : int;
@@ -63,17 +68,19 @@ type point = {
 
 val reference_cycles : Bench.t -> int
 (** The benchmark's fault-free cycle count, used for watchdog budgets.
-    Memoized per benchmark name for the process lifetime; when the
+    Memoized for the process lifetime, keyed by image content — the
+    program image, memory geometry and pipeline penalty constants, not
+    the benchmark's name, so same-named benchmarks built from other
+    inputs get their own count and identical images share one. When the
     persistent cache is enabled ({!Sfi_cache.set_dir} or
-    [SFI_CACHE_DIR]), the count is additionally stored on disk in the
-    ["refcycles"] namespace, keyed by the program image, memory
-    geometry and pipeline penalty constants (not the name — identical
-    images share an entry). *)
+    [SFI_CACHE_DIR]), the count is additionally stored on disk under the
+    same key in the ["refcycles"] namespace. *)
 
 val run_trial :
   bench:Bench.t -> model:Model.t -> freq_mhz:float -> seed:int -> trial
-(** One simulation with its own RNG stream; watchdog set to 3x the
-    fault-free cycle count (+64k slack). *)
+(** One full-replay trial from cycle 0 with its own RNG stream — the
+    engine a point falls back to when it cannot fast-forward; watchdog
+    set to 3x the fault-free cycle count (+64k slack). *)
 
 val run : Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point
 (** Evaluates one point under the spec's trial policy, seed, job count

@@ -33,7 +33,7 @@ open Sfi_kernels
 
 (* Work accounting. Everything here measures elided or replayed work,
    not results — det:false like the cache/cpu/injector work families, so
-   fast-forward On and Off keep identical det signatures. *)
+   a fast-forwarded point keeps the det signature of its full replay. *)
 let obs_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
 
 let obs_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
@@ -227,47 +227,27 @@ let trace_for =
           cell := Some t;
           t)
 
-(* Counted fallback for models the probe cannot soundly replay: how the
-   trace was (not) obtained is elided-work metadata, det:false like the
-   rest of the family. *)
+(* The two counted fallbacks to full replay: models the probe cannot
+   soundly replay, and benchmarks whose reference run does not exit.
+   How the trace was (not) obtained is elided-work metadata, det:false
+   like the rest of the family. *)
 let obs_model_unsupported =
   Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
+
+let obs_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
 
 let trace_for_model ~bench ~model ~stride =
   if Model.cycle_dependent model then begin
     Sfi_obs.Counter.incr obs_model_unsupported;
     None
   end
-  else trace_for ~bench ~stride
+  else begin
+    let t = trace_for ~bench ~stride in
+    if Option.is_none t then Sfi_obs.Counter.incr obs_no_trace;
+    t
+  end
 
 (* ---------- the fast-forwarded trial ---------- *)
-
-type result = {
-  finished : bool;
-  correct : bool;
-  fault_bits : int;
-  fault_events : int;
-  kernel_cycles : int;
-  error : float;
-}
-
-(* Assembles the trial result exactly like [Campaign.run_trial_with]
-   does from a simulated run. *)
-let wrap_up ~(bench : Bench.t) ~stats ~output ~fault_bits ~fault_events =
-  let finished = stats.Cpu.outcome = Cpu.Exited in
-  let correct = finished && output = bench.Bench.golden in
-  let error =
-    if finished then bench.Bench.metric ~expected:bench.Bench.golden ~actual:output
-    else nan
-  in
-  {
-    finished;
-    correct;
-    fault_bits;
-    fault_events;
-    kernel_cycles = max 1 stats.Cpu.kernel_cycles;
-    error;
-  }
 
 (* Per-class-index gaussian-skip table for a probe injector: [k >= 0]
    means a hook call for that class is a provable no-op consuming
@@ -376,7 +356,7 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
     (* Provably fault-free: the trial is the reference run. *)
     Sfi_obs.Counter.incr obs_elided;
     Sfi_obs.Counter.add obs_cycles_elided trace.ref_stats.Cpu.cycles;
-    wrap_up ~bench ~stats:trace.ref_stats ~output:trace.ref_output ~fault_bits:0
+    Trial.make ~bench ~stats:trace.ref_stats ~output:trace.ref_output ~fault_bits:0
       ~fault_events:0
   end
   else begin
@@ -390,28 +370,17 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
        under the same absolute cycle budget as a full run. *)
     let j = !next_snap - 1 in
     let restore_cycle = Cpu.snapshot_cycle snaps.(j).state in
-    let mem = Bench.fresh_memory bench in
-    for k = 0 to j do
-      Array.iter
-        (fun (p, s) -> Memory.blit_from_string mem ~pos:(p * trace.trace_page_size) s)
-        snaps.(k).pages
-    done;
     let injector = Injector.create ~model ~freq_mhz ~rng:boundary.(j) () in
-    let config =
-      {
-        Cpu.default_config with
-        Cpu.max_cycles = budget;
-        Cpu.fault_hook = Some (Injector.hook injector);
-      }
-    in
-    let stats =
-      Cpu.run ~config ~resume:snaps.(j).state mem
-        ~entry:bench.Bench.program.Sfi_isa.Program.entry
+    let stats, trial =
+      Trial.simulate ~bench ~injector ~budget ~resume:snaps.(j).state (fun mem ->
+          for k = 0 to j do
+            Array.iter
+              (fun (p, s) -> Memory.blit_from_string mem ~pos:(p * trace.trace_page_size) s)
+              snaps.(k).pages
+          done)
     in
     Sfi_obs.Counter.incr obs_restores;
     Sfi_obs.Counter.add obs_suffix_cycles (stats.Cpu.cycles - restore_cycle);
     Sfi_obs.Counter.add obs_cycles_elided restore_cycle;
-    let output = if stats.Cpu.outcome = Cpu.Exited then Bench.read_output bench mem else [||] in
-    wrap_up ~bench ~stats ~output ~fault_bits:(Injector.fault_bits injector)
-      ~fault_events:(Injector.fault_events injector)
+    trial
   end

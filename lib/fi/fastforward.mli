@@ -1,4 +1,4 @@
-(** Snapshot fast-forward for campaign trials (DESIGN.md §13).
+(** Snapshot fast-forward, the campaign's trial engine (DESIGN.md §13).
 
     A trial is bit-identical to the fault-free reference run until its
     first injected fault: the fault-model hooks depend only on the
@@ -12,8 +12,8 @@
 
     while consuming exactly the RNG draws a full run would, so results,
     det signatures and checkpoint records are bit-identical to full
-    replay. Traces persist in {!Sfi_cache} (namespace ["snap"], codec
-    ["sfi-snap/1"]) keyed by benchmark content + stride. *)
+    replay from cycle 0. Traces persist in {!Sfi_cache} (namespace
+    ["snap"], codec ["sfi-snap/1"]) keyed by benchmark content + stride. *)
 
 open Sfi_util
 open Sfi_kernels
@@ -36,23 +36,15 @@ val trace_for : bench:Bench.t -> stride:int -> trace option
     not exit cleanly — callers fall back to full replay. *)
 
 val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace option
-(** {!trace_for}, gated on the model's fast-forward contract: a
-    {!Model.cycle_dependent} model (every attack family) gets [None] —
-    bumping the det:false [fastforward.model_unsupported] counter — so
-    the campaign falls back to full replay instead of an unsound probe,
-    whether fast-forward was requested via [Auto] or an explicit [On].
-    Never silently diverges: the probe's schedule replay assumes masks
-    ignore cycle numbers, operand values and pre-run state. *)
-
-type result = {
-  finished : bool;
-  correct : bool;
-  fault_bits : int;
-  fault_events : int;
-  kernel_cycles : int;
-  error : float;
-}
-(** Field-for-field what [Campaign]'s full-replay trial produces. *)
+(** {!trace_for}, gated on the model's fast-forward contract; [None]
+    sends the campaign point to full replay, and each such fallback is
+    counted (det:false):
+    - a {!Model.cycle_dependent} model (every attack family) bumps
+      [fastforward.model_unsupported] without recording a trace: the
+      probe's schedule replay assumes masks ignore cycle numbers,
+      operand values and pre-run state, so it would be unsound;
+    - a benchmark whose reference run does not exit cleanly bumps
+      [fastforward.no_trace]. *)
 
 val first_fault :
   model:Model.t ->
@@ -74,8 +66,9 @@ val run_trial :
   budget:int ->
   trace:trace ->
   rng:Rng.t ->
-  result
-(** One fast-forwarded trial on the trial's pre-split [rng] stream.
-    [budget] is the same absolute cycle watchdog a full-replay trial
-    would use; resumed suffixes inherit the snapshot's cycle counter, so
-    the watchdog trips at the identical absolute cycle. *)
+  Trial.t
+(** One fast-forwarded trial on the trial's pre-split [rng] stream,
+    equal to the full-replay trial of the same stream. [budget] is the
+    same absolute cycle watchdog a full-replay trial would use; resumed
+    suffixes inherit the snapshot's cycle counter, so the watchdog trips
+    at the identical absolute cycle. *)

@@ -2,31 +2,14 @@ type trials_policy =
   | Fixed of int
   | Adaptive of { batch : int; max_trials : int; ci_target : float }
 
-type fastforward = Auto | Off | On
-
 type t = {
   trials : trials_policy;
   seed : int;
   jobs : int option;
   checkpoint : string option;
-  fastforward : fastforward;
 }
 
-let default =
-  { trials = Fixed 100; seed = 1; jobs = None; checkpoint = None; fastforward = Auto }
-
-(* [Auto] defers to the environment (the golden corpus and CI's
-   fast-forward leg run whole harnesses under SFI_FASTFORWARD=1 without
-   per-call plumbing) and conservatively resolves to [Off] when unset:
-   fast-forward is bit-identical by contract, but full replay remains
-   the reference semantics. *)
-let resolve_fastforward = function
-  | Off -> false
-  | On -> true
-  | Auto -> (
-    match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_FASTFORWARD") with
-    | Some ("1" | "on" | "true" | "yes") -> true
-    | _ -> false)
+let default = { trials = Fixed 100; seed = 1; jobs = None; checkpoint = None }
 
 let validate t =
   (match t.trials with
@@ -52,10 +35,6 @@ let with_jobs jobs t = validate { t with jobs = Some jobs }
 let with_checkpoint path t = { t with checkpoint = Some path }
 
 let without_checkpoint t = { t with checkpoint = None }
-
-let with_fastforward fastforward t = { t with fastforward }
-
-let fastforward_name = function Auto -> "auto" | Off -> "off" | On -> "on"
 
 (* Retarget the nominal per-point budget while keeping the policy kind:
    a driver that historically asked for "n trials here" keeps doing so

@@ -24,27 +24,13 @@ type trials_policy =
           [max_trials]. [ci_target] is the half-width the rates' 95%
           intervals must reach. *)
 
-type fastforward =
-  | Auto  (** defer to [SFI_FASTFORWARD] ("1"/"on"/"true"/"yes"); else Off *)
-  | Off   (** full replay: every trial simulates from cycle 0 *)
-  | On
-      (** snapshot fast-forward: trials restore the reference run's
-          nearest snapshot before their first fault and simulate only
-          the suffix; fault-free trials are resolved analytically.
-          Bit-identical to [Off] by contract (results, det signatures
-          and checkpoint records), so checkpoints and sweeps mix modes
-          freely. *)
-
 type t = {
   trials : trials_policy;
   seed : int;            (** root seed; per-trial streams are split from it *)
   jobs : int option;     (** worker domains; [None] = {!Pool.default_jobs} *)
   checkpoint : string option;
       (** completed batches stream to this JSONL file and are reloaded
-          (CRC-validated) on the next run with an identical spec — the
-          checkpoint key deliberately excludes {!field-fastforward}, so
-          a sweep checkpointed under one mode resumes under the other *)
-  fastforward : fastforward;
+          (CRC-validated) on the next run with an identical spec *)
 }
 
 val default : t
@@ -59,14 +45,6 @@ val with_seed : int -> t -> t
 val with_jobs : int -> t -> t
 val with_checkpoint : string -> t -> t
 val without_checkpoint : t -> t
-val with_fastforward : fastforward -> t -> t
-
-val resolve_fastforward : fastforward -> bool
-(** [true] when the mode (after [Auto]'s environment lookup) enables
-    snapshot fast-forward. *)
-
-val fastforward_name : fastforward -> string
-
 val with_nominal_trials : int -> t -> t
 (** [with_nominal_trials n t]: [Fixed _] becomes [Fixed n]; [Adaptive]
     keeps its batch and precision target but raises [max_trials] to at

@@ -1,15 +1,19 @@
-(* Snapshot fast-forward: the bit-identity contract and the sfi-snap/1
-   cache codec.
+(* Snapshot fast-forward is the campaign's trial engine. These tests pin
+   it against the full-replay reference point ([Sfi_oracle.Ref_campaign],
+   every trial simulated from cycle 0) and pin the sfi-snap/1 cache
+   codec.
 
-   - every registry kernel produces the same campaign point
-     (sfi-point/1 JSON) and deterministic obs signature with
-     fast-forward Off and On;
+   - every registered model on every registry kernel produces the
+     reference's trial array; models the probe supports elide or
+     restore every trial, cycle-dependent ones fall back (counted on
+     fastforward.model_unsupported);
+   - a benchmark whose reference run traps has no trace and falls back
+     to full replay, counted on fastforward.no_trace;
    - mostly-fault-free operating points actually elide trials
      (fastforward.trials_elided) and still match full replay;
    - jobs=1 and jobs=4 agree under fast-forward;
-   - checkpoint records are mode-independent: Off and On write
-     byte-identical files, and a sweep checkpointed under Off resumes
-     under On bit-identically;
+   - a checkpointed sweep, and the same sweep killed mid-run and
+     resumed from its records, equal the reference points;
    - sfi-snap/1 entries survive round-trips and reject corruption,
      truncation and version bumps (counted on cache.corrupt_rejected),
      falling back to re-recording; cold and warm runs keep identical
@@ -19,17 +23,20 @@ open Sfi_sim
 open Sfi_kernels
 open Sfi_fi
 module Spec = Campaign.Spec
+module Ref_campaign = Sfi_oracle.Ref_campaign
 
-(* Isolate from any ambient cache/fast-forward environment. *)
+(* Isolate from any ambient cache environment. *)
 let () = Unix.putenv "SFI_CACHE_DIR" ""
-
-let () = Unix.putenv "SFI_FASTFORWARD" ""
 
 let () = Sfi_obs.set_enabled true
 
 let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
 
 let c_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
+
+let c_unsupported = Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
+
+let c_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
 
 let c_resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials"
 
@@ -51,34 +58,102 @@ let point_equal (p : Campaign.point) (q : Campaign.point) =
 let points_equal ps qs =
   List.length ps = List.length qs && List.for_all2 point_equal ps qs
 
-let spec_mode mode = Spec.(default |> with_fastforward mode)
+(* [compare], not [=]: an unfinished trial's error is nan. *)
+let trials_equal (a : Campaign.trial array) b = compare a b = 0
 
-(* ---------- Off vs On across kernels ---------- *)
+let spec ~trials ~seed = Spec.(default |> with_trials trials |> with_seed seed)
 
-let test_parity_all_kernels () =
+let flow_400 =
+  lazy
+    (Sfi_core.Flow.create
+       ~config:{ Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles = 400 }
+       ())
+
+(* ---------- fast-forward vs full replay ---------- *)
+
+(* Just past the STA limit every paper model can fault and the attack
+   families fire on their defaults, so 4 trials per point already mix
+   elided, restored and fully replayed trials. *)
+let test_parity_models_kernels () =
+  let flow = Lazy.force flow_400 in
+  let freq_mhz = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 1.02 in
   List.iter
-    (fun name ->
-      let bench =
-        match Registry.by_name name with
-        | Some b -> b
-        | None -> Alcotest.failf "unknown bench %s" name
+    (fun (e : Model.Registry.entry) ->
+      let key = e.Model.Registry.key in
+      let model =
+        match Sfi_core.Flow.model_by_key flow ~key ~vdd:0.7 ~sigma:0.010 with
+        | Ok m -> m
+        | Error msg -> Alcotest.failf "model %s: %s" key msg
       in
-      (* warm the in-process reference-cycles memo so both runs see the
-         same hit/miss counts *)
-      ignore (Campaign.reference_cycles bench : int);
-      let spec mode =
-        Spec.(spec_mode mode |> with_trials 6 |> with_seed 11 |> with_jobs 2)
-      in
-      let model = model_a 0.008 in
-      let off, sig_off =
-        with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:700.)
-      in
-      let on, sig_on =
-        with_obs (fun () -> Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700.)
-      in
-      Alcotest.(check bool) (name ^ ": points equal") true (point_equal off on);
-      Alcotest.(check bool) (name ^ ": det signatures equal") true (sig_off = sig_on))
-    Registry.names
+      List.iter
+        (fun name ->
+          let bench = Option.get (Registry.by_name name) in
+          let what = Printf.sprintf "%s on %s" key name in
+          Sfi_obs.reset ();
+          let _, trials =
+            Campaign.run_detailed
+              Spec.(spec ~trials:4 ~seed:11 |> with_jobs 2)
+              ~bench ~model ~freq_mhz
+          in
+          let fast_forwarded = value c_elided + value c_restores in
+          let unsupported = value c_unsupported in
+          let _, expect = Ref_campaign.run_detailed ~trials:4 ~seed:11 ~bench ~model ~freq_mhz in
+          Alcotest.(check bool) (what ^ ": trials equal full replay") true
+            (trials_equal trials expect);
+          if Model.cycle_dependent model then
+            Alcotest.(check bool) (what ^ ": fallback counted") true (unsupported > 0)
+          else
+            Alcotest.(check int) (what ^ ": every trial elided or restored") 4 fast_forwarded)
+        Registry.names)
+    (Model.Registry.entries ())
+
+(* [Campaign] never validates its benchmark, so a program whose
+   reference run traps reaches it: it records no trace, and the point
+   must fall back to full replay, counted. *)
+let trapping_bench =
+  let open Sfi_isa in
+  let program =
+    Program.of_insns
+      Insn.
+        [
+          Nop nop_kernel_begin;
+          Addi (1, 0, 40);
+          Mul (2, 1, 1);
+          Add (3, 2, 1);
+          Addi (1, 1, -1);
+          Sfi (Ne, 1, 0);
+          Bf (-4);
+          (* a misaligned word load traps instead of exiting *)
+          Lwz (4, 0x202, 0);
+          Nop nop_exit;
+        ]
+  in
+  {
+    Bench.name = "trapping";
+    bench_type = "test";
+    compute_rating = "low";
+    control_rating = "low";
+    size_desc = "40 iterations";
+    program;
+    mem_size = 4096;
+    output_addr = 0x200;
+    output_count = 1;
+    golden = [| Sfi_util.U32.of_int 0 |];
+    metric_name = "none";
+    metric = (fun ~expected:_ ~actual:_ -> 0.);
+  }
+
+let test_no_trace_falls_back () =
+  let model = model_a 0.01 in
+  let stats, _ = Bench.run_fault_free trapping_bench in
+  Alcotest.(check bool) "reference run traps" true
+    (match stats.Cpu.outcome with Cpu.Trapped _ -> true | _ -> false);
+  Sfi_obs.reset ();
+  let p = Campaign.run (spec ~trials:8 ~seed:5) ~bench:trapping_bench ~model ~freq_mhz:700. in
+  Alcotest.(check bool) "fallback counted" true (value c_no_trace > 0);
+  Alcotest.(check bool) "point equals full replay" true
+    (point_equal p
+       (Ref_campaign.run ~trials:8 ~seed:5 ~bench:trapping_bench ~model ~freq_mhz:700.))
 
 (* At a rare-fault operating point most trials are provably fault-free:
    fast-forward must elide them (no simulation at all) and still agree
@@ -86,16 +161,11 @@ let test_parity_all_kernels () =
 let test_elision_parity () =
   let bench = Option.get (Registry.by_name "median") in
   let model = model_a 2e-7 in
-  let spec mode = Spec.(spec_mode mode |> with_trials 24 |> with_seed 3) in
-  let off, sig_off =
-    with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:700.)
-  in
   Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700. in
-  let sig_on = Sfi_obs.det_signature () in
+  let p = Campaign.run (spec ~trials:24 ~seed:3) ~bench ~model ~freq_mhz:700. in
   let elided = value c_elided and restores = value c_restores in
-  Alcotest.(check bool) "points equal" true (point_equal off on);
-  Alcotest.(check bool) "det signatures equal" true (sig_off = sig_on);
+  Alcotest.(check bool) "point equals full replay" true
+    (point_equal p (Ref_campaign.run ~trials:24 ~seed:3 ~bench ~model ~freq_mhz:700.));
   Alcotest.(check bool) "some trials elided" true (elided > 0);
   Alcotest.(check int) "elided + restored = trials" 24 (elided + restores)
 
@@ -105,64 +175,51 @@ let test_elision_parity () =
    the STA limit faults are possible only through noise, so the
    schedule is dominated by skippable entries — exactly the regime the
    batching must leave bit-identical. *)
-let flow_400 =
-  lazy
-    (Sfi_core.Flow.create
-       ~config:{ Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles = 400 }
-       ())
-
 let test_model_c_parity () =
   let flow = Lazy.force flow_400 in
   let model = Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
   let freq = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 0.999 in
   let bench = Option.get (Registry.by_name "median") in
-  ignore (Campaign.reference_cycles bench : int);
-  let spec mode = Spec.(spec_mode mode |> with_trials 12 |> with_seed 17) in
-  let off, sig_off =
-    with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:freq)
-  in
   Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:freq in
-  let sig_on = Sfi_obs.det_signature () in
+  let p = Campaign.run (spec ~trials:12 ~seed:17) ~bench ~model ~freq_mhz:freq in
   let elided = value c_elided and restores = value c_restores in
-  Alcotest.(check bool) "model C points equal" true (point_equal off on);
-  Alcotest.(check bool) "model C det signatures equal" true (sig_off = sig_on);
+  Alcotest.(check bool) "model C point equals full replay" true
+    (point_equal p (Ref_campaign.run ~trials:12 ~seed:17 ~bench ~model ~freq_mhz:freq));
   Alcotest.(check int) "every trial elided or restored" 12 (elided + restores)
 
 (* [Registry.by_name ~seed] builds same-named benchmarks from different
    input data, so the in-process reference-cycle and trace memos must
    key on the image, not the name: a seed-2 point run after a seed-1
-   point needs its own watchdog budget and, under fast-forward, its own
-   snapshots. Keyed by name, the seed-2 point replayed seed 1's
-   reference run (correct_rate 0.0 against full replay's 0.75 on
-   kmeans, 0.0 against 1.0 on dijkstra). *)
+   point needs its own watchdog budget and its own snapshots. Keyed by
+   name, the seed-2 point replayed seed 1's reference run
+   (correct_rate 0.0 against full replay's 0.75 on kmeans, 0.0 against
+   1.0 on dijkstra). *)
 let test_same_name_distinct_images () =
   let flow = Lazy.force flow_400 in
   let model = Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
   let freq = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 1.02 in
-  let spec mode = Spec.(spec_mode mode |> with_trials 8 |> with_seed 3 |> with_jobs 1) in
+  let spec = Spec.(spec ~trials:8 ~seed:3 |> with_jobs 1) in
   List.iter
     (fun name ->
       let bench seed = Option.get (Registry.by_name ~seed name) in
       let b1 = bench 1 and b2 = bench 2 in
-      ignore (Campaign.run (spec Spec.On) ~bench:b1 ~model ~freq_mhz:freq : Campaign.point);
+      ignore (Campaign.run spec ~bench:b1 ~model ~freq_mhz:freq : Campaign.point);
       let stats2, _ = Bench.run_fault_free b2 in
       Alcotest.(check int)
         (name ^ ": seed-2 reference cycles")
         stats2.Cpu.cycles (Campaign.reference_cycles b2);
-      let on = Campaign.run (spec Spec.On) ~bench:b2 ~model ~freq_mhz:freq in
-      let off = Campaign.run (spec Spec.Off) ~bench:b2 ~model ~freq_mhz:freq in
       Alcotest.(check bool)
-        (name ^ ": seed-2 fast-forward matches full replay")
-        true (point_equal off on))
+        (name ^ ": seed-2 point equals full replay")
+        true
+        (point_equal
+           (Campaign.run spec ~bench:b2 ~model ~freq_mhz:freq)
+           (Ref_campaign.run ~trials:8 ~seed:3 ~bench:b2 ~model ~freq_mhz:freq)))
     [ "kmeans"; "dijkstra" ]
 
 let test_jobs_parity () =
   let bench = Option.get (Registry.by_name "median") in
   let model = model_a 0.004 in
-  let spec jobs =
-    Spec.(spec_mode Spec.On |> with_trials 16 |> with_seed 7 |> with_jobs jobs)
-  in
+  let spec jobs = Spec.(spec ~trials:16 ~seed:7 |> with_jobs jobs) in
   let p1, sig1 =
     with_obs (fun () -> Campaign.run (spec 1) ~bench ~model ~freq_mhz:720.)
   in
@@ -172,7 +229,7 @@ let test_jobs_parity () =
   Alcotest.(check bool) "jobs=1 vs jobs=4 points equal" true (point_equal p1 p4);
   Alcotest.(check bool) "jobs=1 vs jobs=4 det signatures equal" true (sig1 = sig4)
 
-(* ---------- checkpoints are mode-independent ---------- *)
+(* ---------- checkpoints ---------- *)
 
 let with_ckpt f =
   let path = Filename.temp_file "sfi-ff-ckpt" ".jsonl" in
@@ -196,46 +253,32 @@ let truncate_to_lines path k =
   write_file path (String.concat "\n" kept ^ "\n")
 
 (* A non-converging adaptive spec: the batch schedule is fixed at 4
-   batches of 6, so truncation points are predictable. *)
-let ckpt_spec mode path =
+   batches of 6, so truncation points are predictable, and the point
+   runs exactly the 24 trials of the full-replay reference. *)
+let ckpt_spec path =
   Spec.(
-    spec_mode mode
+    default
     |> with_adaptive ~batch:6 ~max_trials:24 ~ci_target:0.01
     |> with_seed 5 |> with_checkpoint path)
 
-let test_checkpoint_records_identical () =
+let test_checkpoint_kill_resume () =
   let bench = Option.get (Registry.by_name "median") in
   let model = model_a 0.004 in
   let freqs = [ 680.; 740. ] in
-  let run mode path =
-    Campaign.run_sweep (ckpt_spec mode path) ~bench ~model ~freqs_mhz:freqs
-  in
-  let ps_off, file_off = with_ckpt (fun p -> (run Spec.Off p, read_file p)) in
-  let ps_on, file_on = with_ckpt (fun p -> (run Spec.On p, read_file p)) in
-  Alcotest.(check bool) "sweeps equal" true (points_equal ps_off ps_on);
-  Alcotest.(check string) "checkpoint files byte-identical" file_off file_on
-
-let test_checkpoint_off_resumes_under_on () =
-  let bench = Option.get (Registry.by_name "median") in
-  let model = model_a 0.004 in
-  let freqs = [ 680.; 740. ] in
-  let clean =
-    with_ckpt (fun p ->
-        Campaign.run_sweep (ckpt_spec Spec.Off p) ~bench ~model ~freqs_mhz:freqs)
+  let expect =
+    List.map (fun freq_mhz -> Ref_campaign.run ~trials:24 ~seed:5 ~bench ~model ~freq_mhz) freqs
   in
   with_ckpt @@ fun path ->
-  ignore
-    (Campaign.run_sweep (ckpt_spec Spec.Off path) ~bench ~model ~freqs_mhz:freqs
-      : Campaign.point list);
-  (* the on-disk state of a full-replay sweep killed after 3 batches *)
+  let clean = Campaign.run_sweep (ckpt_spec path) ~bench ~model ~freqs_mhz:freqs in
+  (* the on-disk state of a sweep killed after 3 batches *)
   truncate_to_lines path 3;
   Sfi_obs.reset ();
-  let resumed =
-    Campaign.run_sweep (ckpt_spec Spec.On path) ~bench ~model ~freqs_mhz:freqs
-  in
+  let resumed = Campaign.run_sweep (ckpt_spec path) ~bench ~model ~freqs_mhz:freqs in
   Alcotest.(check int) "3 batches of 6 resumed" 18 (value c_resumed);
-  Alcotest.(check bool) "resumed-under-On equals clean full replay" true
-    (points_equal clean resumed)
+  Alcotest.(check bool) "checkpointed sweep equals full replay" true
+    (points_equal clean expect);
+  Alcotest.(check bool) "resumed sweep equals full replay" true
+    (points_equal resumed expect)
 
 (* ---------- sfi-snap/1 cache robustness ---------- *)
 
@@ -328,7 +371,7 @@ let test_cold_warm_det_signature () =
   let bench = Option.get (Registry.by_name "mat_mult_8bit") in
   ignore (Campaign.reference_cycles bench : int);
   let model = model_a 0.006 in
-  let spec = Spec.(spec_mode Spec.On |> with_trials 8 |> with_seed 13) in
+  let spec = spec ~trials:8 ~seed:13 in
   let cold, sig_cold =
     with_obs (fun () -> Campaign.run spec ~bench ~model ~freq_mhz:710.)
   in
@@ -343,7 +386,9 @@ let () =
     [
       ( "parity",
         [
-          Alcotest.test_case "all kernels, Off vs On" `Quick test_parity_all_kernels;
+          Alcotest.test_case "every model x kernel vs replay" `Quick
+            test_parity_models_kernels;
+          Alcotest.test_case "no trace falls back, counted" `Quick test_no_trace_falls_back;
           Alcotest.test_case "rare faults elide trials" `Quick test_elision_parity;
           Alcotest.test_case "model C batched probe" `Quick test_model_c_parity;
           Alcotest.test_case "same name, distinct images" `Quick
@@ -352,10 +397,8 @@ let () =
         ] );
       ( "checkpoint",
         [
-          Alcotest.test_case "records mode-independent" `Quick
-            test_checkpoint_records_identical;
-          Alcotest.test_case "Off checkpoint resumes under On" `Quick
-            test_checkpoint_off_resumes_under_on;
+          Alcotest.test_case "killed sweep resumes to replay" `Quick
+            test_checkpoint_kill_resume;
         ] );
       ( "snap-cache",
         [

@@ -9,9 +9,9 @@
      declares [skippable_gaussians = Some k], the hook really is a
      no-op consuming exactly [k] standard-normal draws (checked against
      [Rng.skip_gaussians] over hundreds of seeds);
-   - cycle-dependent models never fast-forward: an explicit [On] run
-     falls back to full replay (counted on
-     [fastforward.model_unsupported]) and stays bit-identical to [Off];
+   - cycle-dependent models never fast-forward: a campaign point falls
+     back to full replay (counted on [fastforward.model_unsupported])
+     and equals the full-replay reference point;
    - a mixed built-in + attack campaign killed mid-run resumes from its
      shared checkpoint bit-identically (records are keyed by the model
      fingerprint, so the models never consume each other's batches);
@@ -26,10 +26,8 @@ open Sfi_fi
 module Json = Sfi_obs.Json
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache/fast-forward environment. *)
+(* Isolate from any ambient cache environment. *)
 let () = Unix.putenv "SFI_CACHE_DIR" ""
-
-let () = Unix.putenv "SFI_FASTFORWARD" ""
 
 let () = Sfi_obs.set_enabled true
 
@@ -206,18 +204,14 @@ let point_equal (p : Campaign.point) (q : Campaign.point) =
 let test_ff_unsupported_falls_back () =
   let bench = Option.get (Registry.by_name "median") in
   let m = model "skip" ~params:[ ("p", Json.Float 0.002) ] in
-  ignore (Campaign.reference_cycles bench : int);
-  let spec mode = Spec.(default |> with_fastforward mode |> with_trials 8 |> with_seed 13) in
   Sfi_obs.reset ();
-  let off = Campaign.run (spec Spec.Off) ~bench ~model:m ~freq_mhz:700. in
-  let sig_off = Sfi_obs.det_signature () in
-  Alcotest.(check int) "Off never consults the gate" 0 (value c_unsupported);
-  Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model:m ~freq_mhz:700. in
-  let sig_on = Sfi_obs.det_signature () in
-  Alcotest.(check bool) "explicit On counted as unsupported" true (value c_unsupported > 0);
-  Alcotest.(check bool) "On falls back bit-identically" true (point_equal off on);
-  Alcotest.(check bool) "det signatures equal" true (sig_off = sig_on)
+  let p =
+    Campaign.run Spec.(default |> with_trials 8 |> with_seed 13) ~bench ~model:m ~freq_mhz:700.
+  in
+  Alcotest.(check bool) "fallback counted as unsupported" true (value c_unsupported > 0);
+  Alcotest.(check bool) "point equals full replay" true
+    (point_equal p
+       (Sfi_oracle.Ref_campaign.run ~trials:8 ~seed:13 ~bench ~model:m ~freq_mhz:700.))
 
 (* ---------- mixed built-in + attack checkpoint resume ---------- *)
 
