@@ -5,6 +5,27 @@
 open Cmdliner
 module Spec = Sfi_fi.Campaign.Spec
 
+(* A usage error: the message on stderr and exit 2, before any work. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "sfi: %s\n" msg;
+      exit 2)
+    fmt
+
+(* Numeric flags no run can proceed on. At or below the alpha-power
+   law's threshold voltage gate delays are infinite or meaningless, and
+   characterization would simulate nonsense or fail mid-run. *)
+let check_finite name v =
+  if not (Float.is_finite v) then fail "--%s must be finite (got %g)" name v
+
+let check_vdd vdd =
+  check_finite "vdd" vdd;
+  let vth = Sfi_timing.Vdd_model.(vth default) in
+  if vdd <= vth then fail "--vdd must be above the %.2f V threshold voltage (got %g)" vth vdd
+
+let check_cycles cycles = if cycles < 1 then fail "--cycles must be >= 1 (got %d)" cycles
+
 (* --jobs: overrides the process-wide default job count (otherwise
    SFI_JOBS or all cores) before any pool is created. *)
 let jobs_arg =
@@ -17,9 +38,7 @@ let jobs_arg =
 let apply_jobs jobs =
   Option.iter
     (fun n ->
-      if n < 1 then (
-        Printf.eprintf "sfi: --jobs must be >= 1 (got %d)\n" n;
-        exit 2);
+      if n < 1 then fail "--jobs must be >= 1 (got %d)" n;
       Sfi_util.Pool.set_default_jobs n)
     jobs;
   Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!"
@@ -151,9 +170,7 @@ let spec_flags =
   let build seed adaptive batch max_trials ci_target checkpoint ?fixed_trials () =
     try
       make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint ()
-    with Invalid_argument msg ->
-      Printf.eprintf "sfi: %s\n" msg;
-      exit 2
+    with Invalid_argument msg -> fail "%s" msg
   in
   Term.(const build $ seed_arg $ adaptive_arg $ batch_arg $ max_trials_arg
         $ ci_target_arg $ checkpoint_arg)

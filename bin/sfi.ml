@@ -23,6 +23,8 @@ let cache_dir_arg = Common_flags.cache_dir_arg
 
 let apply_cache_dir = Common_flags.apply_cache_dir
 
+let fail = Common_flags.fail
+
 (* ---------- sfi experiments ---------- *)
 
 let experiments_cmd =
@@ -48,7 +50,8 @@ let experiments_cmd =
          its own trial count (an adaptive template's ceiling follows). *)
       let spec = spec_flags () in
       let ctx = Sfi_core.Experiments.make_ctx ~spec scale in
-      ignore (Sfi_core.Experiments.run ctx ids)
+      (* Unknown ids are rejected before any experiment runs. *)
+      try Sfi_core.Experiments.run ctx ids with Invalid_argument msg -> fail "%s" msg
     end
   in
   Cmd.v
@@ -69,6 +72,8 @@ let flow_cmd =
          & info [ "seed" ] ~docv:"N" ~doc:"Characterization RNG seed.")
   in
   let run char_cycles vdd seed jobs obs cache_dir =
+    Common_flags.check_cycles char_cycles;
+    Common_flags.check_vdd vdd;
     apply_jobs jobs;
     apply_cache_dir cache_dir;
     with_obs obs @@ fun () ->
@@ -130,13 +135,6 @@ let run_cmd =
   let run file max_cycles mem_size dump =
     (* Validated before anything runs: Memory.create rejects a bad size
        with an exception, and the dump read wraps at the memory size. *)
-    let fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          Printf.eprintf "sfi: %s\n" msg;
-          exit 2)
-        fmt
-    in
     if mem_size <= 0 || mem_size land (mem_size - 1) <> 0 then
       fail "--mem must be a positive power of two (got %d)" mem_size;
     let dump =
@@ -206,6 +204,18 @@ let campaign_cmd =
   let run bench_name model_name model_params vdd sigma_mv trials lo hi step prob
       char_cycles csv json jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
+    Common_flags.check_cycles char_cycles;
+    Common_flags.check_vdd vdd;
+    Common_flags.check_finite "prob" prob;
+    Common_flags.check_finite "sigma" sigma_mv;
+    if sigma_mv < 0. then fail "--sigma must be >= 0 mV (got %g)" sigma_mv;
+    (* The grid below must be finite and non-empty. *)
+    List.iter
+      (fun (name, v) ->
+        if not (Float.is_finite v && v > 0.) then
+          fail "--%s must be a positive number of MHz (got %g)" name v)
+      [ ("from", lo); ("to", hi); ("step", step) ];
+    if lo > hi then fail "--from %g MHz is above --to %g MHz" lo hi;
     apply_jobs jobs;
     apply_cache_dir cache_dir;
     with_obs obs @@ fun () ->
@@ -580,6 +590,7 @@ let paths_cmd =
   let count = Arg.(value & opt int 5 & info [ "count" ] ~doc:"Endpoints to report.") in
   let vdd = Arg.(value & opt float 0.7 & info [ "vdd" ]) in
   let run count vdd =
+    Common_flags.check_vdd vdd;
     let alu = Sfi_netlist.Alu.build () in
     Sfi_timing.Sizing.apply_process_variation ~sigma:0.03 ~seed:1 alu.Sfi_netlist.Alu.circuit;
     Sfi_timing.Sizing.size_to_clock ~clock_mhz:707. alu.Sfi_netlist.Alu.circuit;

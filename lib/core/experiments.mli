@@ -47,7 +47,7 @@ val all : (string * string) list
 val run_one : ctx -> string -> bool
 (** Runs one experiment by id; [false] for unknown ids. *)
 
-val run : ctx -> string list -> (string * float) list
-(** Runs the given ids (or everything when the list is empty), printing a
-    header per experiment. Returns [(id, wall_seconds)] for every id that
-    ran, in run order — the raw material of BENCH.json. *)
+val run : ctx -> string list -> unit
+(** Runs the given ids (or everything when the list is empty), in the
+    given order, printing a header and a wall time per experiment. Raises
+    [Invalid_argument] naming every id not in {!all}, before running any. *)

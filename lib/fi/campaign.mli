@@ -109,7 +109,7 @@ val point_of_first_failure : point list -> float option
     with a fully correct result). *)
 
 (** Versioned JSON codec for points and sweeps — the one serialization
-    used by the CLI, the golden tests and the bench harness. Floats are
+    used by the CLI, the golden tests and the speed gates. Floats are
     written with {!Sfi_obs.Json}'s round-tripping writer; [nan] fields
     (e.g. [mean_error] when nothing finished) encode as [null]. *)
 module Point_json : sig

@@ -128,7 +128,7 @@ val run_reference :
     every instruction is fetched, checked and dispatched one at a time.
     Bit-identical to {!run} — stats, memory and fault-hook call stream —
     and slower; it is the reference the differential tests and the
-    bench harness hold the compiled engine to. *)
+    speed gates hold the compiled engine to. *)
 
 val run_recording :
   ?config:config ->

@@ -189,8 +189,6 @@ let read_vec t nets =
 let settle_time t net =
   if t.settle_gen.(net) = t.gen then t.settle.(net) *. 0x1p32 else 0.
 
-let events_processed t = t.events
-
 let settles_count t = t.settles
 
 let coalesced_count t = t.coalesced

@@ -50,10 +50,6 @@ val settle_time : t -> Circuit.net -> float
 (** Time (ps) of the net's last transition during the most recent
     {!cycle}; [0.] if it did not toggle. *)
 
-val events_processed : t -> int
-(** Total events evaluated since creation (performance diagnostics).
-    Same-time evaluations of one gate are coalesced and count once. *)
-
 val settles_count : t -> int
 (** Events that changed a net's value since creation. *)
 

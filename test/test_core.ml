@@ -35,16 +35,15 @@ let test_flow_models_constructible () =
   Alcotest.(check string) "C" "C" (Sfi_fi.Model.key (Flow.model_c f ~vdd:0.7 ~sigma:0.01 ()));
   Alcotest.(check string) "A" "A" (Sfi_fi.Model.key (Flow.model_a ~bit_flip_prob:0.1))
 
+let contains s word =
+  let n = String.length word in
+  let rec go i = i + n <= String.length s && (String.sub s i n = word || go (i + 1)) in
+  go 0
+
 let test_flow_summary_mentions_stages () =
   let s = Flow.summary (Lazy.force flow) in
   List.iter
-    (fun word ->
-      let contains =
-        let n = String.length word in
-        let rec go i = i + n <= String.length s && (String.sub s i n = word || go (i + 1)) in
-        go 0
-      in
-      if not contains then Alcotest.failf "summary lacks %S" word)
+    (fun word -> if not (contains s word) then Alcotest.failf "summary lacks %S" word)
     [ "netlist"; "virtual synthesis"; "STA"; "DTA"; "mul"; "addsub" ]
 
 let test_flow_operating_vdd_rescales () =
@@ -125,7 +124,11 @@ let test_experiments_registry_complete () =
 
 let test_experiments_unknown_id () =
   Alcotest.(check bool) "unknown rejected" false
-    (Experiments.run_one (Lazy.force ctx) "nonsense")
+    (Experiments.run_one (Lazy.force ctx) "nonsense");
+  match Experiments.run (Lazy.force ctx) [ "table2"; "nonsense" ] with
+  | () -> Alcotest.fail "run accepted an unknown id"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("names the unknown id: " ^ msg) true (contains msg "nonsense")
 
 let test_experiments_cheap_ones_run () =
   (* table2/fig3 exercise the registry and flow summary quickly. *)

@@ -11,7 +11,8 @@
      to full replay, counted on fastforward.no_trace;
    - mostly-fault-free operating points actually elide trials
      (fastforward.trials_elided) and still match full replay;
-   - jobs=1 and jobs=4 agree under fast-forward;
+   - jobs=1 and jobs=4 agree under fast-forward, on a model-A point
+     and a model-C sweep (points and det signatures);
    - a checkpointed sweep, and the same sweep killed mid-run and
      resumed from its records, equal the reference points;
    - sfi-snap/1 entries survive round-trips and reject corruption,
@@ -216,18 +217,34 @@ let test_same_name_distinct_images () =
            (Ref_campaign.run ~trials:8 ~seed:3 ~bench:b2 ~model ~freq_mhz:freq)))
     [ "kmeans"; "dijkstra" ]
 
+(* Two inputs: one model-A point, and a model-C sweep from the STA
+   limit into deep failure, where trials mix elided, restored and
+   faulting runs. *)
 let test_jobs_parity () =
-  let bench = Option.get (Registry.by_name "median") in
-  let model = model_a 0.004 in
-  let spec jobs = Spec.(spec ~trials:16 ~seed:7 |> with_jobs jobs) in
-  let p1, sig1 =
-    with_obs (fun () -> Campaign.run (spec 1) ~bench ~model ~freq_mhz:720.)
+  let check what run =
+    let p1, sig1 = with_obs (fun () -> run 1) in
+    let p4, sig4 = with_obs (fun () -> run 4) in
+    Alcotest.(check bool) (what ^ ": jobs=1 vs jobs=4 points equal") true (points_equal p1 p4);
+    Alcotest.(check bool) (what ^ ": jobs=1 vs jobs=4 det signatures equal") true (sig1 = sig4)
   in
-  let p4, sig4 =
-    with_obs (fun () -> Campaign.run (spec 4) ~bench ~model ~freq_mhz:720.)
-  in
-  Alcotest.(check bool) "jobs=1 vs jobs=4 points equal" true (point_equal p1 p4);
-  Alcotest.(check bool) "jobs=1 vs jobs=4 det signatures equal" true (sig1 = sig4)
+  let median = Option.get (Registry.by_name "median") in
+  let median_17 = Median.create ~n:17 () in
+  (* An image's first reference-cycle lookup is a det-counted miss. *)
+  List.iter (fun b -> ignore (Campaign.reference_cycles b : int)) [ median; median_17 ];
+  check "model A point" (fun jobs ->
+      [
+        Campaign.run
+          Spec.(spec ~trials:16 ~seed:7 |> with_jobs jobs)
+          ~bench:median ~model:(model_a 0.004) ~freq_mhz:720.;
+      ]);
+  let flow = Lazy.force flow_400 in
+  let fsta = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 in
+  let model = Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
+  check "model C sweep" (fun jobs ->
+      Campaign.run_sweep
+        Spec.(default |> with_trials 8 |> with_jobs jobs)
+        ~bench:median_17 ~model
+        ~freqs_mhz:(List.map (fun r -> fsta *. r) [ 1.02; 1.10; 1.18; 1.26 ]))
 
 (* ---------- checkpoints ---------- *)
 

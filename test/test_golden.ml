@@ -70,7 +70,7 @@ let fig2_small () =
 
 (* The sweep figures serialize through the one versioned point codec
    (schema sfi-point/1) — the same renderer `sfi campaign --json` and the
-   bench harness use — so a codec change shows up here as a golden diff. *)
+   speed gates use — so a codec change shows up here as a golden diff. *)
 let sweep_json ~figure ~bench ~sigma ~rels ~trials =
   let fl = Lazy.force flow in
   let fsta = Flow.sta_limit_mhz fl ~vdd:0.7 in
