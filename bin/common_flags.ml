@@ -26,19 +26,20 @@ let check_vdd vdd =
 
 let check_cycles cycles = if cycles < 1 then fail "--cycles must be >= 1 (got %d)" cycles
 
-(* --jobs: overrides the process-wide default job count (otherwise
-   SFI_JOBS or all cores) before any pool is created. *)
+(* --jobs (or SFI_JOBS): overrides the process-wide default job count
+   (all cores) before any pool is created. This and --cache-dir are the
+   only places the environment is read. *)
 let jobs_arg =
   Arg.(value
        & opt (some int) None
-       & info [ "j"; "jobs" ] ~docv:"N"
+       & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "SFI_JOBS")
            ~doc:"Worker domains for Monte-Carlo and characterization fan-out \
-                 (default: \\$SFI_JOBS or all cores).")
+                 (default: all cores).")
 
 let apply_jobs jobs =
   Option.iter
     (fun n ->
-      if n < 1 then fail "--jobs must be >= 1 (got %d)" n;
+      if n < 1 then fail "--jobs (or SFI_JOBS) must be >= 1 (got %d)" n;
       Sfi_util.Pool.set_default_jobs n)
     jobs;
   Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!"
@@ -70,18 +71,21 @@ let with_obs obs f =
     Printf.printf "wrote %s\n" path);
   r
 
-(* --cache-dir: enables the persistent on-disk cache for characterization
-   databases and reference cycle counts. Off unless given here or through
-   SFI_CACHE_DIR. *)
-let cache_dir_arg =
-  Arg.(value
-       & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist characterization databases and benchmark reference cycle \
-                 counts under $(docv) and reuse matching entries on later runs \
-                 (default: \\$SFI_CACHE_DIR, else disabled).")
+(* --cache-dir (or SFI_CACHE_DIR): the persistent cache directory for
+   `sfi cache` and for the commands that characterize or run campaigns.
+   Off unless given; an empty value means no cache. *)
+let cache_dir ~doc =
+  Term.(
+    const (function Some "" -> None | dir -> dir)
+    $ Arg.(value
+           & opt (some string) None
+           & info [ "cache-dir" ] ~docv:"DIR" ~env:(Cmd.Env.info "SFI_CACHE_DIR") ~doc))
 
-let apply_cache_dir dir = Option.iter (fun d -> Sfi_cache.set_dir (Some d)) dir
+let cache_dir_arg =
+  cache_dir
+    ~doc:"Persist characterization databases, benchmark reference cycle counts \
+          and fast-forward snapshot traces under $(docv) and reuse matching \
+          entries on later runs (default: disabled)."
 
 (* ---------- campaign spec flags ---------- *)
 

@@ -21,8 +21,6 @@ let with_obs = Common_flags.with_obs
 
 let cache_dir_arg = Common_flags.cache_dir_arg
 
-let apply_cache_dir = Common_flags.apply_cache_dir
-
 let fail = Common_flags.fail
 
 (* ---------- sfi experiments ---------- *)
@@ -43,7 +41,7 @@ let experiments_cmd =
         Sfi_core.Experiments.all
     else begin
       apply_jobs jobs;
-      apply_cache_dir cache_dir;
+      Sfi_cache.set_dir cache_dir;
       with_obs obs @@ fun () ->
       let scale = if paper then Sfi_core.Experiments.paper else Sfi_core.Experiments.fast in
       (* No nominal count here: each figure scales the policy template to
@@ -75,7 +73,7 @@ let flow_cmd =
     Common_flags.check_cycles char_cycles;
     Common_flags.check_vdd vdd;
     apply_jobs jobs;
-    apply_cache_dir cache_dir;
+    Sfi_cache.set_dir cache_dir;
     with_obs obs @@ fun () ->
     let config =
       {
@@ -217,7 +215,7 @@ let campaign_cmd =
       [ ("from", lo); ("to", hi); ("step", step) ];
     if lo > hi then fail "--from %g MHz is above --to %g MHz" lo hi;
     apply_jobs jobs;
-    apply_cache_dir cache_dir;
+    Sfi_cache.set_dir cache_dir;
     with_obs obs @@ fun () ->
     match Sfi_kernels.Registry.by_name bench_name with
     | None ->
@@ -470,19 +468,13 @@ let stats_cmd =
 (* ---------- sfi cache ---------- *)
 
 let cache_cmds =
-  let resolve dir =
-    match (match dir with Some _ -> dir | None -> Sfi_cache.dir ()) with
+  let resolve = function
     | Some d -> d
     | None ->
       prerr_endline "sfi cache: no cache directory (use --cache-dir or set SFI_CACHE_DIR)";
       exit 2
   in
-  let dir_arg =
-    Arg.(value
-         & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Cache directory to operate on (default: \\$SFI_CACHE_DIR).")
-  in
+  let dir_arg = Common_flags.cache_dir ~doc:"Cache directory to operate on." in
   let ls_cmd =
     let run dir =
       let dir = resolve dir in

@@ -2,21 +2,14 @@ let schema_version = 1
 
 (* ---------- configuration ---------- *)
 
-(* The CLI override sits above the environment so `--cache-dir` wins
-   even when SFI_CACHE_DIR is exported. *)
-let override : string option option Atomic.t = Atomic.make None
+(* The active cache directory; [None] disables caching. The library
+   reads no environment: the CLI resolves --cache-dir (or
+   SFI_CACHE_DIR through it) and sets it before any work. *)
+let current : string option Atomic.t = Atomic.make None
 
-let set_dir d = Atomic.set override (match d with None -> None | Some _ -> Some d)
+let set_dir d = Atomic.set current d
 
-let dir () =
-  match Atomic.get override with
-  | Some d -> d
-  | None -> (
-    match Sys.getenv_opt "SFI_CACHE_DIR" with
-    | Some d when d <> "" -> Some d
-    | _ -> None)
-
-let enabled () = dir () <> None
+let enabled () = Atomic.get current <> None
 
 (* ---------- observability ---------- *)
 
@@ -195,7 +188,7 @@ let rec mkdirs d =
   end
 
 let store ~namespace ~key v =
-  match dir () with
+  match Atomic.get current with
   | None -> ()
   | Some d ->
     let payload = Marshal.to_string v [] in
@@ -219,38 +212,80 @@ let reject_corrupt path =
   Sfi_obs.Counter.incr obs_corrupt;
   try Sys.remove path with Sys_error _ -> ()
 
+(* The decoded entry, or [None] when it is absent or fails validation
+   (counted as corrupt and removed). Hits and misses are the caller's
+   to count. *)
+let read_entry d ~namespace ~key =
+  let path = Filename.concat d (entry_file ~namespace ~key) in
+  match read_file path with
+  | None -> None
+  | Some content -> (
+    match decode_entry ~namespace ~key content with
+    | Error _ ->
+      reject_corrupt path;
+      None
+    | Ok payload -> (
+      (* The CRC already vouches for the bytes; this catches only a
+         payload written by an incompatible runtime. *)
+      match Marshal.from_string payload 0 with
+      | v -> Some v
+      | exception (Failure _ | Invalid_argument _) ->
+        reject_corrupt path;
+        None))
+
 let load ~namespace ~key =
-  match dir () with
+  match Atomic.get current with
   | None -> None
   | Some d ->
-    let path = Filename.concat d (entry_file ~namespace ~key) in
-    let result =
-      match read_file path with
-      | None -> None
-      | Some content -> (
-        match decode_entry ~namespace ~key content with
-        | Error _ ->
-          reject_corrupt path;
-          None
-        | Ok payload -> (
-          (* The CRC already vouches for the bytes; this catches only a
-             payload written by an incompatible runtime. *)
-          match Marshal.from_string payload 0 with
-          | v -> Some v
-          | exception (Failure _ | Invalid_argument _) ->
-            reject_corrupt path;
-            None))
-    in
+    let result = read_entry d ~namespace ~key in
     Sfi_obs.Counter.incr (match result with Some _ -> obs_hits | None -> obs_misses);
     result
 
-let memo ~namespace ~key f =
-  match load ~namespace ~key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    store ~namespace ~key v;
-    v
+let memo ~namespace ~key ~valid f =
+  match Atomic.get current with
+  | None -> f ()
+  | Some d -> (
+    match read_entry d ~namespace ~key with
+    | Some v when valid v ->
+      Sfi_obs.Counter.incr obs_hits;
+      v
+    | _ ->
+      Sfi_obs.Counter.incr obs_misses;
+      let v = f () in
+      store ~namespace ~key v;
+      v)
+
+(* ---------- in-process compute-once table ---------- *)
+
+(* A short table lock finds or allocates the key's cell; the value is
+   computed under the cell's own lock, so callers of one key wait for
+   the first while distinct keys compute in parallel. [Mutex.protect]
+   releases the cell on an exception and leaves it empty. *)
+module Once = struct
+  type 'a cell = { cell_lock : Mutex.t; mutable value : 'a option }
+
+  type 'a t = { table_lock : Mutex.t; cells : (string, 'a cell) Hashtbl.t }
+
+  let create () = { table_lock = Mutex.create (); cells = Hashtbl.create 8 }
+
+  let get t ~key f =
+    let cell =
+      Mutex.protect t.table_lock (fun () ->
+          match Hashtbl.find_opt t.cells key with
+          | Some c -> c
+          | None ->
+            let c = { cell_lock = Mutex.create (); value = None } in
+            Hashtbl.replace t.cells key c;
+            c)
+    in
+    Mutex.protect cell.cell_lock (fun () ->
+        match cell.value with
+        | Some v -> v
+        | None ->
+          let v = f () in
+          cell.value <- Some v;
+          v)
+end
 
 (* ---------- maintenance (sfi cache ls / verify / prune) ---------- *)
 

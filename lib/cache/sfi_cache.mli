@@ -1,11 +1,15 @@
-(** Persistent, content-addressed cache for the expensive pure phases.
+(** Compute once: the in-process and on-disk memo of the expensive pure
+    phases.
 
     DTA characterization — Monte-Carlo gate-level simulation per
     instruction class per voltage point — is a pure function of
     (sized netlist, cell library, Vdd model, voltage, trial count, RNG
-    seed, operand profiles). So is a benchmark's fault-free reference
-    cycle count. This store memoizes those results on disk across
-    process invocations:
+    seed, operand profiles). So are a benchmark's fault-free reference
+    cycle count and its fast-forward snapshot trace. This module is
+    where the rule "compute once per process, persist once per cache
+    directory" lives: {!Once} holds results for the process lifetime,
+    and {!memo} is the one disk path — a validated load, else compute
+    and store. On disk, entries are:
 
     - {b content-addressed}: the entry key is a 64-bit FNV-1a
       fingerprint of every input the result depends on, plus a schema
@@ -22,10 +26,11 @@
       and recomputed, never trusted — corruption is observable via the
       [cache.corrupt_rejected] counter.
 
-    Caching is {b off by default}: it activates only when a directory
-    is configured through {!set_dir} (the CLI's [--cache-dir]) or the
-    [SFI_CACHE_DIR] environment variable, so the tier-1 determinism
-    tests run the real computation unless a test opts in.
+    The disk cache is {b off by default}: it activates only when a
+    directory is configured through {!set_dir}. The library reads no
+    environment variable; the CLI's [--cache-dir] (or [SFI_CACHE_DIR]
+    through it) calls {!set_dir}, so the tier-1 determinism tests run
+    the real computation unless a test opts in.
 
     The obs counters ([cache.hits], [cache.misses], [cache.stores],
     [cache.corrupt_rejected], [cache.evictions]) are registered
@@ -40,12 +45,7 @@ val schema_version : int
 
 val set_dir : string option -> unit
 (** [set_dir (Some d)] enables caching in directory [d] (created on
-    first store), overriding the environment. [set_dir None] removes
-    the override, restoring the [SFI_CACHE_DIR] fallback. *)
-
-val dir : unit -> string option
-(** The active cache directory: the {!set_dir} override if any, else a
-    non-empty [SFI_CACHE_DIR], else [None] (caching disabled). *)
+    first store); [set_dir None] disables it. *)
 
 val enabled : unit -> bool
 
@@ -83,15 +83,38 @@ val store : namespace:string -> key:string -> 'a -> unit
     correctness dependency. *)
 
 val load : namespace:string -> key:string -> 'a option
-(** Loads and validates an entry. Returns [None] (counted as a miss)
-    when caching is disabled, the entry is absent, or it fails
-    validation (also counted as [cache.corrupt_rejected]; the bad file
-    is removed best-effort). The ['a] is trusted from the namespace +
-    fingerprint + schema version — callers must give each value type
-    its own namespace and re-check cheap invariants after load. *)
+(** Loads and validates an entry. Returns [None] when caching is
+    disabled (counting nothing), or as a counted miss when the entry is
+    absent or fails validation (also counted as
+    [cache.corrupt_rejected]; the bad file is removed best-effort). The
+    ['a] is trusted from the namespace + fingerprint + schema version —
+    callers must give each value type its own namespace and re-check
+    cheap invariants after load ({!memo}'s [valid]). *)
 
-val memo : namespace:string -> key:string -> (unit -> 'a) -> 'a
-(** [load] on hit; otherwise computes, [store]s and returns. *)
+val memo : namespace:string -> key:string -> valid:('a -> bool) -> (unit -> 'a) -> 'a
+(** The one disk path: [memo ~namespace ~key ~valid f] returns the
+    stored entry when it loads and passes the caller's post-load check
+    [valid] (a hit); otherwise (a miss, including an entry that fails
+    [valid]) it computes [f ()], stores it over any old entry and
+    returns it. A computation that raises stores nothing. With caching
+    disabled it is [f ()], counting nothing. *)
+
+(** The in-process compute-once table, keyed by a content key (e.g. the
+    same fingerprint {!memo} stores under):
+    - callers of one key block until the first has filled its cell, so
+      each value is computed once per process;
+    - distinct keys compute in parallel;
+    - a computation that raises leaves the cell empty, and the next
+      caller computes again.
+
+    Values are kept for the process lifetime. *)
+module Once : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val get : 'a t -> key:string -> (unit -> 'a) -> 'a
+end
 
 type entry_info = {
   file : string;       (** basename within the cache directory *)

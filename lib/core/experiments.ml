@@ -823,57 +823,53 @@ let bottlenecks ctx =
 
 (* ---------- registry ---------- *)
 
-let all =
+(* The one list of experiments: [all], [run_one] and [run] read it, so
+   an id cannot validate without running something. *)
+let experiments =
   [
-    ("table1", "benchmark properties (measured)");
-    ("table2", "timing error models & features");
-    ("fig1", "models B / B+ cliffs on the median benchmark");
-    ("fig2", "DTA timing-error probability CDFs");
-    ("fig3", "the realized simulation flow");
-    ("fig4", "MSE vs frequency for add16/add32/mul32 (model C)");
-    ("fig5", "median benchmark across Vdd and noise (model C)");
-    ("fig6", "benchmark comparison at 0.7 V, sigma 10 mV (model C)");
-    ("fig7", "error vs core-power trade-off (model C)");
-    ("model-a", "fixed-probability FI baseline (Sec. 3.1)");
-    ("ablation-sampling", "independent vs vector-correlated sampling");
-    ("ablation-sizing", "effect of slack redistribution on class onsets");
-    ("corners", "process/temperature corner characterizations");
-    ("quality-margins", "timing margins required per quality envelope");
-    ("bottlenecks", "reliability bottlenecks: onset profiles & critical paths");
-    ("extension-kernels", "crc32 and fir beyond the paper's benchmark set");
-    ("attack", "adversarial fault-attack campaign on the guarded AES kernel");
+    ("table1", "benchmark properties (measured)", table1);
+    ("table2", "timing error models & features", table2);
+    ("fig1", "models B / B+ cliffs on the median benchmark", fig1);
+    ("fig2", "DTA timing-error probability CDFs", fig2);
+    ("fig3", "the realized simulation flow", fig3);
+    ("fig4", "MSE vs frequency for add16/add32/mul32 (model C)", fig4);
+    ("fig5", "median benchmark across Vdd and noise (model C)", fig5);
+    ("fig6", "benchmark comparison at 0.7 V, sigma 10 mV (model C)", fig6);
+    ("fig7", "error vs core-power trade-off (model C)", fig7);
+    ("model-a", "fixed-probability FI baseline (Sec. 3.1)", model_a_demo);
+    ("ablation-sampling", "independent vs vector-correlated sampling", ablation_sampling);
+    ("ablation-sizing", "effect of slack redistribution on class onsets", ablation_sizing);
+    ("corners", "process/temperature corner characterizations", corners);
+    ("quality-margins", "timing margins required per quality envelope", quality_margins);
+    ("bottlenecks", "reliability bottlenecks: onset profiles & critical paths", bottlenecks);
+    ("extension-kernels", "crc32 and fir beyond the paper's benchmark set", extension_kernels);
+    ("attack", "adversarial fault-attack campaign on the guarded AES kernel", attack);
   ]
 
-let run_one ctx = function
-  | "table1" -> table1 ctx; true
-  | "table2" -> table2 ctx; true
-  | "fig1" -> fig1 ctx; true
-  | "fig2" -> fig2 ctx; true
-  | "fig3" -> fig3 ctx; true
-  | "fig4" -> fig4 ctx; true
-  | "fig5" -> fig5 ctx; true
-  | "fig6" -> fig6 ctx; true
-  | "fig7" -> fig7 ctx; true
-  | "model-a" -> model_a_demo ctx; true
-  | "ablation-sampling" -> ablation_sampling ctx; true
-  | "ablation-sizing" -> ablation_sizing ctx; true
-  | "corners" -> corners ctx; true
-  | "quality-margins" -> quality_margins ctx; true
-  | "bottlenecks" -> bottlenecks ctx; true
-  | "extension-kernels" -> extension_kernels ctx; true
-  | "attack" -> attack ctx; true
-  | _ -> false
+let all = List.map (fun (id, doc, _) -> (id, doc)) experiments
+
+let lookup id =
+  List.find_map (fun (id', _, f) -> if id' = id then Some f else None) experiments
+
+let run_one ctx id =
+  match lookup id with
+  | Some f ->
+    f ctx;
+    true
+  | None -> false
 
 let run ctx ids =
   let ids = if ids = [] then List.map fst all else ids in
-  (match List.filter (fun id -> not (List.mem_assoc id all)) ids with
+  let resolved = List.map (fun id -> (id, lookup id)) ids in
+  (match List.filter (fun (_, f) -> Option.is_none f) resolved with
   | [] -> ()
   | unknown ->
     invalid_arg
       (Printf.sprintf "unknown experiment id(s) %s (known: %s)"
-         (String.concat ", " unknown) (String.concat ", " (List.map fst all))));
+         (String.concat ", " (List.map fst unknown))
+         (String.concat ", " (List.map fst all))));
   List.iter
-    (fun id ->
+    (fun (id, f) ->
       Printf.printf "==== %s (%s scale, %d job%s) ====\n%!" id ctx.scale.label
         (Pool.default_jobs ())
         (if Pool.default_jobs () = 1 then "" else "s");
@@ -881,6 +877,6 @@ let run ctx ids =
          would hide any parallel speedup. *)
       let t0 = Unix.gettimeofday () in
       Sfi_obs.Span.time (Sfi_obs.Span.make ("experiment." ^ id)) (fun () ->
-          ignore (run_one ctx id : bool));
+          Option.iter (fun f -> f ctx) f);
       Printf.printf "---- %s done in %.1f s ----\n\n%!" id (Unix.gettimeofday () -. t0))
-    ids
+    resolved

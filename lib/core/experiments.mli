@@ -42,7 +42,8 @@ val make_ctx : ?spec:Sfi_fi.Campaign.Spec.t -> scale -> ctx
 val flow : ctx -> Flow.t
 
 val all : (string * string) list
-(** (experiment id, one-line description), in run order. *)
+(** (experiment id, one-line description), in run order. Read from the
+    same table as {!run_one} and {!run}, so every listed id runs. *)
 
 val run_one : ctx -> string -> bool
 (** Runs one experiment by id; [false] for unknown ids. *)

@@ -4,11 +4,10 @@ open Sfi_kernels
 module Spec = Sfi_util.Spec
 module Json = Sfi_obs.Json
 
-(* Observability. Trial, batch and point counts, the early-stop count,
-   the reference-cycle cache hit/miss split and the per-trial
-   kernel-cycles histogram are pure functions of the requested work
-   (deterministic); the per-benchmark wall spans are not and are
-   excluded from the determinism signature by construction. The
+(* Observability. Trial, batch and point counts, the early-stop count
+   and the per-trial kernel-cycles histogram are pure functions of the
+   requested work (deterministic); the per-benchmark wall spans are not
+   and are excluded from the determinism signature by construction. The
    resumed-trials counter depends on what a checkpoint file happens to
    hold, so it is ~det:false like the cache counters — note that under a
    checkpoint resume the executed-work counters (campaign.trials and the
@@ -25,10 +24,6 @@ let obs_batches = Sfi_obs.Counter.make "campaign.batches"
 let obs_early_stops = Sfi_obs.Counter.make "campaign.early_stops"
 
 let obs_resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials"
-
-let obs_ref_hits = Sfi_obs.Counter.make "campaign.reference_cycles.hits"
-
-let obs_ref_misses = Sfi_obs.Counter.make "campaign.reference_cycles.misses"
 
 let obs_trial_cycles = Sfi_obs.Hist.make "campaign.trial_kernel_cycles"
 
@@ -56,114 +51,27 @@ type point = {
   any_fault_possible : bool;
 }
 
-(* Disk key for a benchmark's fault-free cycle count: the loaded image,
-   memory geometry and the pipeline's penalty constants fully determine
-   it. The benchmark name is deliberately not part of the key — two
-   benchmarks with identical images share a cycle count. *)
-let add_bench_inputs fp (bench : Bench.t) =
-  let open Sfi_cache.Fingerprint in
-  add_int fp bench.Bench.mem_size;
-  let p = bench.Bench.program in
-  add_int fp p.Sfi_isa.Program.entry;
-  add_int fp p.Sfi_isa.Program.limit;
-  Array.iter
-    (fun (addr, v) ->
-      add_int fp addr;
-      add_int fp v)
-    p.Sfi_isa.Program.words;
-  add_int fp Cpu.branch_penalty;
-  add_int fp Cpu.load_use_penalty
+(* Fault-free cycle counts, computed once per process and, with a
+   cache directory, once per directory. Keyed by the image's content,
+   not the benchmark's name: [Registry.by_name ~seed] and the kernels'
+   [create ~n] build same-named benchmarks with different images. *)
+let reference_memo : int Sfi_cache.Once.t = Sfi_cache.Once.create ()
 
-let reference_fingerprint (bench : Bench.t) =
+let reference_cycles (bench : Bench.t) =
   let fp = Sfi_cache.Fingerprint.create "sfi-refcycles/1" in
-  add_bench_inputs fp bench;
-  Sfi_cache.Fingerprint.hex fp
+  Bench.add_fingerprint bench fp;
+  let key = Sfi_cache.Fingerprint.hex fp in
+  Sfi_cache.Once.get reference_memo ~key (fun () ->
+      Sfi_cache.memo ~namespace:"refcycles" ~key ~valid:(fun cycles -> cycles > 0)
+        (fun () -> (fst (Bench.run_fault_free bench)).Cpu.cycles))
 
-(* Programs by physical identity: [reference_cycles] runs on every
-   trial and its content key hashes the whole image, so the key is
-   computed once per [Program.t]. Ephemeron-keyed, so a program's entry
-   goes when the program does. *)
-module Program_memo = Ephemeron.K1.Make (struct
-  type t = Sfi_isa.Program.t
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-(* Fault-free cycle counts, cached per benchmark image so watchdog
-   budgets do not require a reference run per trial. The memo is keyed
-   by the image's content (the disk key), not by the benchmark's name:
-   [Registry.by_name ~seed] and the kernels' [create ~n] build
-   same-named benchmarks with different images. Trials of one point run
-   on several domains, so the cache is mutex-guarded — but with a
-   per-image once-cell, not one global lock held across the whole
-   fault-free run: the short table lock only finds or allocates the
-   image's cell, and the reference run itself is computed under that
-   cell's own lock, so concurrent first uses of *distinct* images
-   proceed in parallel while concurrent callers for the *same* image
-   still block until the first one has filled the cell. *)
-type ref_cell = { key : string; lock : Mutex.t; mutable cycles : int option }
-
-let reference_cycles =
-  let cells : (string, ref_cell) Hashtbl.t = Hashtbl.create 8 in
-  let by_program : (int * ref_cell) Program_memo.t = Program_memo.create 8 in
-  let table_lock = Mutex.create () in
-  let cell_of (bench : Bench.t) =
-    let program = bench.Bench.program in
-    match Program_memo.find_opt by_program program with
-    | Some (mem_size, c) when mem_size = bench.Bench.mem_size -> c
-    | _ ->
-      let key = reference_fingerprint bench in
-      let c =
-        match Hashtbl.find_opt cells key with
-        | Some c -> c
-        | None ->
-          let c = { key; lock = Mutex.create (); cycles = None } in
-          Hashtbl.replace cells key c;
-          c
-      in
-      Program_memo.replace by_program program (bench.Bench.mem_size, c);
-      c
-  in
-  fun (bench : Bench.t) ->
-    let cell = Mutex.protect table_lock (fun () -> cell_of bench) in
-    Mutex.protect cell.lock (fun () ->
-        match cell.cycles with
-        | Some cycles ->
-          Sfi_obs.Counter.incr obs_ref_hits;
-          cycles
-        | None ->
-          Sfi_obs.Counter.incr obs_ref_misses;
-          let cached =
-            if Sfi_cache.enabled () then
-              match (Sfi_cache.load ~namespace:"refcycles" ~key:cell.key : int option) with
-              | Some cycles when cycles > 0 -> Some cycles
-              | _ -> None
-            else None
-          in
-          let cycles =
-            match cached with
-            | Some cycles -> cycles
-            | None ->
-              let stats, _ = Bench.run_fault_free bench in
-              if Sfi_cache.enabled () then
-                Sfi_cache.store ~namespace:"refcycles" ~key:cell.key stats.Cpu.cycles;
-              stats.Cpu.cycles
-          in
-          cell.cycles <- Some cycles;
-          cycles)
-
-(* The trial watchdog: 3x the fault-free cycle count plus 64k slack.
-   Every trial asks for it once, so each trial's reference-cycle memo
-   hit is part of the det signature whichever engine runs it. *)
-let budget bench = (3 * reference_cycles bench) + 65536
+(* The trial watchdog: 3x the fault-free cycle count plus 64k slack. *)
+let budget ref_cycles = (3 * ref_cycles) + 65536
 
 (* One trial on its pre-split stream: fast-forwarded over [trace] when
    the point has one, else fully replayed from cycle 0. This is the one
    place a trial is counted, whichever engine ran it. *)
-let trial ~bench ~model ~freq_mhz ~trace rng =
-  let budget = budget bench in
+let trial ~bench ~model ~freq_mhz ~budget ~trace rng =
   let t =
     match trace with
     | Some trace -> Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng
@@ -182,7 +90,8 @@ let trial ~bench ~model ~freq_mhz ~trace rng =
   t
 
 let run_trial ~bench ~model ~freq_mhz ~seed =
-  trial ~bench ~model ~freq_mhz ~trace:None (Rng.of_int seed)
+  trial ~bench ~model ~freq_mhz ~budget:(budget (reference_cycles bench)) ~trace:None
+    (Rng.of_int seed)
 
 (* ---------- aggregation and the adaptive stopping rule ---------- *)
 
@@ -325,15 +234,13 @@ let batch_of_json ~expect = function
    the record layout). The adaptive ceiling and precision target are
    deliberately excluded: they only decide how many batches run, so a
    resume with a raised [max_trials] or a tightened [ci_target] still
-   reuses every batch already on disk. *)
-let add_model_inputs fp model = Model.add_fingerprint model fp
-
-(* The expensive model/bench part is hashed once per run/sweep; the
-   per-point key only appends the frequency to that prefix. *)
+   reuses every batch already on disk. The expensive model/bench part
+   is hashed once per run/sweep; the per-point key only appends the
+   frequency to that prefix. *)
 let checkpoint_prefix (spec : Spec.t) ~bench ~model =
   let fp = Sfi_cache.Fingerprint.create "sfi-point-ckpt/1" in
-  add_bench_inputs fp bench;
-  add_model_inputs fp model;
+  Bench.add_fingerprint bench fp;
+  Model.add_fingerprint model fp;
   Sfi_cache.Fingerprint.add_int fp spec.Spec.seed;
   Sfi_cache.Fingerprint.add_int fp (Spec.batch_size spec);
   Sfi_cache.Fingerprint.hex fp
@@ -358,9 +265,11 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   let root = Rng.of_int (spec.Spec.seed lxor 0x0F1) in
   let probe = Injector.create ~model ~freq_mhz ~rng:(Rng.copy root) () in
   let trials_requested = Spec.max_trials spec in
+  let ref_cycles = reference_cycles bench in
+  let budget = budget ref_cycles in
   if Injector.cannot_inject probe then begin
     (* Deterministic fault-free region: one run represents all trials. *)
-    let t = trial ~bench ~model ~freq_mhz ~trace:None (Rng.copy root) in
+    let t = trial ~bench ~model ~freq_mhz ~budget ~trace:None (Rng.copy root) in
     Sfi_obs.Counter.incr obs_batches;
     (aggregate ~freq_mhz ~any_fault_possible:false ~trials_requested [ t ], [| t |])
   end
@@ -370,8 +279,7 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
        reference run that does not exit cleanly — the point falls back
        to full replay, counted by [trace_for_model]. *)
     let trace =
-      Fastforward.trace_for_model ~bench ~model
-        ~stride:(Fastforward.stride_for ~ref_cycles:(reference_cycles bench))
+      Fastforward.trace_for_model ~bench ~model ~stride:(Fastforward.stride_for ~ref_cycles)
     in
     let max_trials = trials_requested in
     let batch = Spec.batch_size spec in
@@ -402,7 +310,9 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
           ts
         | None ->
           let ts =
-            Pool.map pool (trial ~bench ~model ~freq_mhz ~trace) (Array.sub rngs !n_done len)
+            Pool.map pool
+              (trial ~bench ~model ~freq_mhz ~budget ~trace)
+              (Array.sub rngs !n_done len)
           in
           (match ckpt with
           | Some (path, _, _) ->

@@ -24,8 +24,8 @@
     run does not exit cleanly — both counted, both bit-identical.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
-    (default: [Pool.default_jobs ()], i.e. the [SFI_JOBS] environment
-    variable or all cores). Results are bit-identical for every job
+    (default: [Pool.default_jobs ()], i.e. the CLI's [--jobs] or all
+    cores). Results are bit-identical for every job
     count: the per-trial RNG streams are split from the root seed in a
     fixed order before dispatch, batches dispatch in index order, the
     adaptive stopping rule is a pure function of the in-order results so
@@ -67,14 +67,14 @@ type point = {
 }
 
 val reference_cycles : Bench.t -> int
-(** The benchmark's fault-free cycle count, used for watchdog budgets.
-    Memoized for the process lifetime, keyed by image content — the
-    program image, memory geometry and pipeline penalty constants, not
-    the benchmark's name, so same-named benchmarks built from other
-    inputs get their own count and identical images share one. When the
-    persistent cache is enabled ({!Sfi_cache.set_dir} or
-    [SFI_CACHE_DIR]), the count is additionally stored on disk under the
-    same key in the ["refcycles"] namespace. *)
+(** The benchmark's fault-free cycle count, used for watchdog budgets:
+    computed once per process ({!Sfi_cache.Once}) and, when the
+    persistent cache is enabled ({!Sfi_cache.set_dir}), once per cache
+    directory ({!Sfi_cache.memo}, namespace ["refcycles"]). Keyed by
+    image content ({!Bench.add_fingerprint}), not the benchmark's name,
+    so same-named benchmarks built from other inputs get their own count
+    and identical images share one. A campaign point looks it up once,
+    not per trial. *)
 
 val run_trial :
   bench:Bench.t -> model:Model.t -> freq_mhz:float -> seed:int -> trial

@@ -96,12 +96,14 @@ let icontents b = Array.sub b.buf 0 b.len
 
 (* ---------- recording ---------- *)
 
+exception No_trace
+
 (* One interpreter pass ([Cpu.run_recording]) over the fault-free
    reference run, capturing a snapshot + dirty-page delta at every
    stride boundary and the full hook-call schedule (the recording hook
-   returns mask 0, so the run IS the reference run). Returns [None] when
-   the reference run does not exit cleanly — fast-forward then falls
-   back to full replay for this benchmark. *)
+   returns mask 0, so the run IS the reference run). Raises [No_trace]
+   when the reference run does not exit cleanly — fast-forward then
+   falls back to full replay for this benchmark. *)
 let record ~bench ~stride =
   let mem = Bench.fresh_memory bench in
   let shadow = Memory.copy mem in
@@ -134,41 +136,18 @@ let record ~bench ~stride =
   in
   Sfi_obs.Counter.incr obs_traces;
   Sfi_obs.Counter.add obs_snapshots !n_snaps;
-  if stats.Cpu.outcome <> Cpu.Exited then None
-  else
-    Some
-      {
-        stride;
-        trace_page_size = page_size;
-        snaps = Array.of_list (List.rev !snaps);
-        sched_cycle = icontents cycles;
-        sched_cls = icontents classes;
-        ref_stats = stats;
-        ref_output = Bench.read_output bench mem;
-      }
+  if stats.Cpu.outcome <> Cpu.Exited then raise No_trace;
+  {
+    stride;
+    trace_page_size = page_size;
+    snaps = Array.of_list (List.rev !snaps);
+    sched_cycle = icontents cycles;
+    sched_cls = icontents classes;
+    ref_stats = stats;
+    ref_output = Bench.read_output bench mem;
+  }
 
 (* ---------- the sfi-snap/1 cache codec ---------- *)
-
-(* Content key of a snapshot trace: the benchmark image and pipeline
-   constants (the same inputs that determine reference cycles) plus the
-   stride and page geometry. *)
-let trace_fingerprint (bench : Bench.t) ~stride =
-  let fp = Sfi_cache.Fingerprint.create "sfi-snap/1" in
-  let open Sfi_cache.Fingerprint in
-  add_int fp bench.Bench.mem_size;
-  let p = bench.Bench.program in
-  add_int fp p.Sfi_isa.Program.entry;
-  add_int fp p.Sfi_isa.Program.limit;
-  Array.iter
-    (fun (addr, v) ->
-      add_int fp addr;
-      add_int fp v)
-    p.Sfi_isa.Program.words;
-  add_int fp Cpu.branch_penalty;
-  add_int fp Cpu.load_use_penalty;
-  add_int fp stride;
-  add_int fp page_size;
-  hex fp
 
 (* Cheap post-load invariants per the cache contract (the namespace and
    fingerprint already bind the contents; this guards decode of a
@@ -180,52 +159,27 @@ let plausible t =
   && Array.length t.sched_cycle = Array.length t.sched_cls
   && t.ref_stats.Cpu.outcome = Cpu.Exited
 
-(* Per-(image, stride) in-process memo, mutex-guarded like
-   [Campaign.reference_cycles]: concurrent first uses of distinct images
-   record in parallel, same-image callers block until the first
-   recording lands. Keyed by the trace's content key, like the disk
-   entry, never by the benchmark's name: same-named benchmarks built
-   from other seeds or sizes must not replay each other's snapshots.
-   The key is recomputed per call, which is once per campaign point. *)
-let trace_for =
-  let cells : (string, Mutex.t * trace option option ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let table_lock = Mutex.create () in
-  fun ~(bench : Bench.t) ~stride ->
-    let key = trace_fingerprint bench ~stride in
-    let lock, cell =
-      Mutex.protect table_lock (fun () ->
-          match Hashtbl.find_opt cells key with
-          | Some c -> c
-          | None ->
-            let c = (Mutex.create (), ref None) in
-            Hashtbl.replace cells key c;
-            c)
-    in
-    Mutex.protect lock (fun () ->
-        match !cell with
-        | Some t -> t
-        | None ->
-          let cached =
-            if Sfi_cache.enabled () then
-              match (Sfi_cache.load ~namespace:"snap" ~key : trace option) with
-              | Some t when plausible t -> Some t
-              | _ -> None
-            else None
-          in
-          let t =
-            match cached with
-            | Some t -> Some t
-            | None ->
-              let t = record ~bench ~stride in
-              (match t with
-              | Some t when Sfi_cache.enabled () -> Sfi_cache.store ~namespace:"snap" ~key t
-              | _ -> ());
-              t
-          in
-          cell := Some t;
-          t)
+(* Traces per content key: the benchmark image and pipeline constants
+   (the inputs that determine reference cycles) plus the stride and page
+   geometry — never the benchmark's name, since same-named benchmarks
+   built from other seeds or sizes must not replay each other's
+   snapshots. Computed once per process; only a recorded trace is
+   stored on disk, a reference run that does not exit is remembered in
+   process as [None]. *)
+let traces : trace option Sfi_cache.Once.t = Sfi_cache.Once.create ()
+
+let trace_for ~(bench : Bench.t) ~stride =
+  let fp = Sfi_cache.Fingerprint.create "sfi-snap/1" in
+  Bench.add_fingerprint bench fp;
+  Sfi_cache.Fingerprint.add_int fp stride;
+  Sfi_cache.Fingerprint.add_int fp page_size;
+  let key = Sfi_cache.Fingerprint.hex fp in
+  Sfi_cache.Once.get traces ~key (fun () ->
+      match
+        Sfi_cache.memo ~namespace:"snap" ~key ~valid:plausible (fun () -> record ~bench ~stride)
+      with
+      | t -> Some t
+      | exception No_trace -> None)
 
 (* The two counted fallbacks to full replay: models the probe cannot
    soundly replay, and benchmarks whose reference run does not exit.
@@ -261,50 +215,18 @@ let skip_table probe =
       match Injector.skippable_gaussians probe cls with Some k -> k | None -> -1)
     class_of_index
 
-(* The bare probe, for statistical validation: where (and in which
-   class) would this trial's first fault land? Walks a copy of the
-   stream, so the caller's [rng] is untouched. *)
-let first_fault ~model ~freq_mhz ~trace ~rng =
-  let probe_rng = Rng.copy rng in
-  let probe = Injector.create ~count_obs:false ~model ~freq_mhz ~rng:probe_rng () in
-  let hook = Injector.hook probe in
-  let skip_tab = skip_table probe in
-  let pending = ref 0 in
-  let flush () =
-    if !pending > 0 then begin
-      Rng.skip_gaussians probe_rng !pending;
-      pending := 0
-    end
-  in
-  let n = Array.length trace.sched_cycle in
-  let rec go i =
-    if i >= n then None
-    else begin
-      let ci = trace.sched_cls.(i) in
-      let k = Array.unsafe_get skip_tab ci in
-      if k >= 0 then begin
-        pending := !pending + k;
-        go (i + 1)
-      end
-      else begin
-        flush ();
-        let c = trace.sched_cycle.(i) in
-        let cls = class_of_index.(ci) in
-        if hook ~cycle:c ~cls ~a:0 ~b:0 ~result:0 <> 0 then Some (c, cls)
-        else go (i + 1)
-      end
-    end
-  in
-  go 0
+(* The probe: a silent injector walking the recorded schedule against
+   a copy of the trial stream. Every hook call consumes exactly the
+   draws the full run's corresponding call would (the models ignore
+   cycle and operands), so the first nonzero mask found here IS the
+   trial's first fault, and the RNG copies taken at snapshot boundaries
+   are exactly the stream states a full run would carry into those
+   cycles. [fault_at] is the first fault's schedule index ([-1] for a
+   provably fault-free trial); [boundary.(j)] holds the stream state at
+   snapshot [j] for every [j < crossed]. *)
+type probe = { fault_at : int; crossed : int; boundary : Rng.t array }
 
-let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
-  (* The probe: a silent injector walking the recorded schedule against
-     a copy of the trial stream. Every hook call consumes exactly the
-     draws the full run's corresponding call would (the models ignore
-     cycle and operands), so the first nonzero mask found here IS the
-     trial's first fault, and the RNG copies taken at snapshot
-     boundaries are exactly the stream states a full run would carry
-     into those cycles. *)
+let probe ~model ~freq_mhz ~trace ~rng =
   let probe_rng = Rng.copy rng in
   let probe = Injector.create ~count_obs:false ~model ~freq_mhz ~rng:probe_rng () in
   let hook = Injector.hook probe in
@@ -320,7 +242,6 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
   let snaps = trace.snaps in
   let n_snaps = Array.length snaps in
   let boundary = Array.make n_snaps rng in
-  (* filled up to [next_snap) *)
   let next_snap = ref 0 in
   let fault_at = ref (-1) in
   let i = ref 0 in
@@ -352,7 +273,16 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
       if hook ~cycle:c ~cls ~a:0 ~b:0 ~result:0 <> 0 then fault_at := !i else incr i
     end
   done;
-  if !fault_at < 0 then begin
+  { fault_at = !fault_at; crossed = !next_snap; boundary }
+
+let first_fault ~model ~freq_mhz ~trace ~rng =
+  let p = probe ~model ~freq_mhz ~trace ~rng in
+  if p.fault_at < 0 then None
+  else Some (trace.sched_cycle.(p.fault_at), class_of_index.(trace.sched_cls.(p.fault_at)))
+
+let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
+  let p = probe ~model ~freq_mhz ~trace ~rng in
+  if p.fault_at < 0 then begin
     (* Provably fault-free: the trial is the reference run. *)
     Sfi_obs.Counter.incr obs_elided;
     Sfi_obs.Counter.add obs_cycles_elided trace.ref_stats.Cpu.cycles;
@@ -360,7 +290,7 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
       ~fault_events:0
   end
   else begin
-    (* First fault at schedule entry [!fault_at]: restore the nearest
+    (* First fault at schedule entry [p.fault_at]: restore the nearest
        preceding snapshot — [snaps.(0)] sits at cycle 0, so [j >= 0] —
        and simulate the suffix with a real injector seeded from the
        boundary stream state. The replayed window between the snapshot
@@ -368,14 +298,16 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
        0, all under the re-armed fi_on window the snapshot carries),
        then injects the same first fault and runs the divergent tail
        under the same absolute cycle budget as a full run. *)
-    let j = !next_snap - 1 in
+    let snaps = trace.snaps in
+    let j = p.crossed - 1 in
     let restore_cycle = Cpu.snapshot_cycle snaps.(j).state in
-    let injector = Injector.create ~model ~freq_mhz ~rng:boundary.(j) () in
+    let injector = Injector.create ~model ~freq_mhz ~rng:p.boundary.(j) () in
     let stats, trial =
       Trial.simulate ~bench ~injector ~budget ~resume:snaps.(j).state (fun mem ->
           for k = 0 to j do
             Array.iter
-              (fun (p, s) -> Memory.blit_from_string mem ~pos:(p * trace.trace_page_size) s)
+              (fun (page, s) ->
+                Memory.blit_from_string mem ~pos:(page * trace.trace_page_size) s)
               snaps.(k).pages
           done)
     in

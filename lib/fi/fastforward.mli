@@ -31,9 +31,13 @@ val stride_for : ref_cycles:int -> int
 
 val trace_for : bench:Bench.t -> stride:int -> trace option
 (** The benchmark's snapshot trace, recorded on first use (one
-    interpreter pass over the reference run) and memoized both
-    in-process and in {!Sfi_cache}. [None] when the reference run does
-    not exit cleanly — callers fall back to full replay. *)
+    interpreter pass over the reference run): computed once per process
+    ({!Sfi_cache.Once}) and, with a cache directory, once per directory
+    ({!Sfi_cache.memo}, namespace ["snap"]; entries failing the
+    post-load plausibility check are re-recorded). Keyed by image
+    content ({!Bench.add_fingerprint}) and stride. [None] when the
+    reference run does not exit cleanly — callers fall back to full
+    replay; only a recorded trace is stored on disk. *)
 
 val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace option
 (** {!trace_for}, gated on the model's fast-forward contract; [None]
@@ -52,7 +56,7 @@ val first_fault :
   trace:trace ->
   rng:Rng.t ->
   (int * Op_class.t) option
-(** The analytic first-fault sampler on its own, for statistical
+(** The probe {!run_trial} runs, on its own, for statistical
     validation: the cycle and instruction class of the trial's first
     injected fault, or [None] for a provably fault-free trial. Walks a
     copy of [rng]; the caller's stream is untouched. By the

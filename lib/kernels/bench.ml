@@ -29,6 +29,19 @@ let run_fault_free ?(max_cycles = 50_000_000) t =
   let stats = Cpu.run ~config mem ~entry:t.program.Sfi_isa.Program.entry in
   (stats, read_output t mem)
 
+let add_fingerprint t fp =
+  let open Sfi_cache.Fingerprint in
+  add_int fp t.mem_size;
+  add_int fp t.program.Sfi_isa.Program.entry;
+  add_int fp t.program.Sfi_isa.Program.limit;
+  Array.iter
+    (fun (addr, v) ->
+      add_int fp addr;
+      add_int fp v)
+    t.program.Sfi_isa.Program.words;
+  add_int fp Cpu.branch_penalty;
+  add_int fp Cpu.load_use_penalty
+
 let validate t =
   let stats, out = run_fault_free t in
   (match stats.Cpu.outcome with

@@ -38,6 +38,15 @@ val run_fault_free : ?max_cycles:int -> t -> Cpu.stats * U32.t array
     outputs. The golden outputs must match — checked by the test suite
     and asserted by {!validate}. *)
 
+val add_fingerprint : t -> Sfi_cache.Fingerprint.t -> unit
+(** Adds the benchmark's image to a content key: memory geometry, the
+    loaded program image and the pipeline penalty constants — every
+    input of a fault-free run. The name is deliberately left out, so
+    identical images share keys and same-named benchmarks built from
+    other inputs do not. The one image fingerprint behind the
+    [sfi-refcycles/1] and [sfi-snap/1] cache keys and the
+    [sfi-point-ckpt/1] checkpoint key. *)
+
 val validate : t -> Cpu.stats
 (** Runs fault-free and raises [Failure] if the outcome is not [Exited]
     or the outputs differ from [golden]. Returns the stats. *)

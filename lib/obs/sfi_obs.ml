@@ -302,11 +302,7 @@ let dls_key =
       Mutex.protect lock (fun () -> shards := s :: !shards);
       s)
 
-let enabled_ref =
-  ref
-    (match Sys.getenv_opt "SFI_OBS" with
-    | Some ("1" | "true" | "on" | "yes") -> true
-    | _ -> false)
+let enabled_ref = ref false
 
 let enabled () = !enabled_ref
 

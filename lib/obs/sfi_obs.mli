@@ -10,9 +10,10 @@
     (pool steal counts, wall-time spans) are tagged [det = false] and
     excluded from {!det_signature}.
 
-    Disabled (the default unless [SFI_OBS=1]), every increment is a
-    single flag test; enabled, it is an allocation-free int-array
-    read-modify-write, safe inside the zero-allocation DTA drain. *)
+    Disabled (the default; the CLI enables it under [--obs]), every
+    increment is a single flag test; enabled, it is an allocation-free
+    int-array read-modify-write, safe inside the zero-allocation DTA
+    drain. *)
 
 (** Minimal JSON reader/writer (no dependencies) used for the JSONL
     snapshot format and the golden-file tests. *)
@@ -42,9 +43,8 @@ module Json : sig
 end
 
 val enabled : unit -> bool
-(** Whether metrics are being recorded. Initially true iff the
-    [SFI_OBS] environment variable is ["1"], ["true"], ["on"] or
-    ["yes"]. *)
+(** Whether metrics are being recorded. Initially false; the library
+    reads no environment variable. *)
 
 val set_enabled : bool -> unit
 

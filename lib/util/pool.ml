@@ -157,21 +157,9 @@ let parallel_init t n f =
 
 let override = Atomic.make 0 (* 0 = no override *)
 
-let env_jobs () =
-  match Sys.getenv_opt "SFI_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | _ -> None)
-
 let default_jobs () =
   let o = Atomic.get override in
-  if o >= 1 then o
-  else
-    match env_jobs () with
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
+  if o >= 1 then o else Domain.recommended_domain_count ()
 
 let set_default_jobs n =
   if n < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";

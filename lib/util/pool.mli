@@ -44,8 +44,10 @@ val parallel_init : t -> int -> (int -> 'a) -> 'a array
 
 val default_jobs : unit -> int
 (** Job count used when no explicit [~jobs] is given: the
-    {!set_default_jobs} override if set, else the [SFI_JOBS] environment
-    variable, else [Domain.recommended_domain_count ()]. *)
+    {!set_default_jobs} override if set, else
+    [Domain.recommended_domain_count ()]. The library reads no
+    environment variable; the CLI's [--jobs] (or [SFI_JOBS] through it)
+    sets the override. *)
 
 val set_default_jobs : int -> unit
 (** Process-wide override of {!default_jobs} (e.g. from a [--jobs] CLI

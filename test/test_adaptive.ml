@@ -54,7 +54,6 @@ let points_equal ps qs =
 let test_fixed_pins_deterministic () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   let spec = Spec.(default |> with_trials 12 |> with_seed 9 |> with_jobs 2) in
   let first, sig_first =
     with_obs (fun () -> Campaign.run spec ~bench ~model ~freq_mhz:707.)
@@ -97,7 +96,6 @@ let test_fixed_fills_ceiling () =
    the ceiling. *)
 let test_adaptive_early_stop () =
   let bench = Lazy.force bench in
-  ignore (Campaign.reference_cycles bench : int);
   Sfi_obs.reset ();
   let spec =
     Spec.(default |> with_adaptive ~batch:8 ~max_trials:64 ~ci_target:0.3)
@@ -110,7 +108,6 @@ let test_adaptive_early_stop () =
 
 let test_adaptive_escalates_to_ceiling () =
   let bench = Lazy.force bench in
-  ignore (Campaign.reference_cycles bench : int);
   Sfi_obs.reset ();
   let spec =
     Spec.(default |> with_adaptive ~batch:8 ~max_trials:24 ~ci_target:0.01)
@@ -124,7 +121,6 @@ let test_adaptive_escalates_to_ceiling () =
 let test_adaptive_jobs_determinism () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   List.iter
     (fun seed ->
       let spec jobs =
@@ -184,7 +180,6 @@ let ckpt_spec path =
 let test_checkpoint_kill_and_resume () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   with_ckpt @@ fun path ->
   Sfi_obs.reset ();
   let full = Campaign.run (ckpt_spec path) ~bench ~model ~freq_mhz:707. in
@@ -208,7 +203,6 @@ let test_checkpoint_kill_and_resume () =
 let test_checkpoint_corrupt_record_recomputed () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   with_ckpt @@ fun path ->
   let full = Campaign.run (ckpt_spec path) ~bench ~model ~freq_mhz:707. in
   (* Flip one byte in the middle of the first record: the CRC trailer
@@ -228,7 +222,6 @@ let test_checkpoint_corrupt_record_recomputed () =
 let test_checkpoint_torn_tail_recomputed () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   with_ckpt @@ fun path ->
   let full = Campaign.run (ckpt_spec path) ~bench ~model ~freq_mhz:707. in
   (* A kill mid-write leaves a torn final line: cut the file in the
@@ -245,7 +238,6 @@ let test_checkpoint_sweep_resume () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
   let freqs = [ 650.; 707.; 800. ] in
-  ignore (Campaign.reference_cycles bench : int);
   with_ckpt @@ fun path ->
   let full = Campaign.run_sweep (ckpt_spec path) ~bench ~model ~freqs_mhz:freqs in
   (* Kill mid-sweep: keep roughly the first half of the records (which
@@ -262,7 +254,6 @@ let test_checkpoint_sweep_resume () =
 let test_checkpoint_keyed_by_seed () =
   let bench = Lazy.force bench in
   let model = model_a 0.01 in
-  ignore (Campaign.reference_cycles bench : int);
   with_ckpt @@ fun path ->
   ignore (Campaign.run (ckpt_spec path) ~bench ~model ~freq_mhz:707.);
   Sfi_obs.reset ();

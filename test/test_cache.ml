@@ -9,9 +9,6 @@
 open Sfi_timing
 open Sfi_core
 
-(* Isolate from any ambient SFI_CACHE_DIR and record counters. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let counter name = Sfi_obs.Counter.make ~det:false name
@@ -141,7 +138,7 @@ let test_disabled_noop () =
     ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int option) = None);
   let calls = ref 0 in
   let v =
-    Sfi_cache.memo ~namespace:"ns" ~key:"k" (fun () ->
+    Sfi_cache.memo ~namespace:"ns" ~key:"k" ~valid:(fun _ -> true) (fun () ->
         incr calls;
         7)
   in
@@ -161,10 +158,27 @@ let test_corruption_rejected () =
   Alcotest.(check int) "rejection counted" (r0 + 1) (value c_corrupt);
   Alcotest.(check bool) "bad file removed" false (Sys.file_exists path);
   (* memo recomputes and repopulates *)
-  let v = Sfi_cache.memo ~namespace:"ns" ~key:"k" (fun () -> [| 9 |]) in
+  let v =
+    Sfi_cache.memo ~namespace:"ns" ~key:"k" ~valid:(fun _ -> true) (fun () -> [| 9 |])
+  in
   Alcotest.(check bool) "recomputed" true (v = [| 9 |]);
   Alcotest.(check bool) "repopulated" true
-    ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int array option) = Some [| 9 |])
+    ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int array option) = Some [| 9 |]);
+  (* An intact entry failing the caller's post-load check is a miss:
+     recomputed and overwritten, not counted as corrupt. *)
+  let h0 = value c_hits and m0 = value c_misses and s0 = value c_stores in
+  let v =
+    Sfi_cache.memo ~namespace:"ns" ~key:"k"
+      ~valid:(fun a -> Array.length a = 2)
+      (fun () -> [| 2; 7 |])
+  in
+  Alcotest.(check bool) "invalid entry recomputed" true (v = [| 2; 7 |]);
+  Alcotest.(check (triple int int int))
+    "invalid entry is a miss, then stored" (h0, m0 + 1, s0 + 1)
+    (value c_hits, value c_misses, value c_stores);
+  Alcotest.(check int) "not counted as corrupt" (r0 + 1) (value c_corrupt);
+  Alcotest.(check bool) "entry overwritten" true
+    ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int array option) = Some [| 2; 7 |])
 
 let test_truncation_rejected () =
   with_temp_cache @@ fun dir ->
@@ -284,9 +298,6 @@ let test_campaign_cold_warm () =
     let p = Sfi_fi.Campaign.run spec ~bench ~model ~freq_mhz:(fsta *. 1.15) in
     (p, Flow.char_db flow ~vdd:0.7)
   in
-  (* Fill the in-process reference-cycles memo before the measured
-     phases so both phases see identical (det) hit/miss counts. *)
-  ignore (Sfi_fi.Campaign.reference_cycles bench : int);
   with_temp_cache @@ fun dir ->
   Sfi_obs.reset ();
   let p_cold, db_cold = phase () in
@@ -302,10 +313,6 @@ let test_campaign_cold_warm () =
     (sig_cold = sig_warm);
   ignore dir
 
-let c_ref_hits = Sfi_obs.Counter.make "campaign.reference_cycles.hits"
-
-let c_ref_misses = Sfi_obs.Counter.make "campaign.reference_cycles.misses"
-
 let test_reference_cycles_disk () =
   with_temp_cache @@ fun dir ->
   (* An image no other test in this binary builds: the in-process memo
@@ -319,16 +326,54 @@ let test_reference_cycles_disk () =
   in
   Alcotest.(check int) "refcycles entry stored" 1 (List.length on_disk);
   (* A renamed alias of the same image is the same memo entry: same
-     count, a memo hit, and neither a disk load nor a reference run
-     (both happen only on a memo miss). *)
-  let h0 = value c_hits and m0 = value c_misses in
-  let rh0 = value c_ref_hits and rm0 = value c_ref_misses in
+     count, and neither a disk load nor a store (both happen only when
+     the in-process memo computes). *)
+  let before = (value c_hits, value c_misses, value c_stores) in
   let alias = { bench with Sfi_kernels.Bench.name = "median-alias" } in
   let n2 = Sfi_fi.Campaign.reference_cycles alias in
   Alcotest.(check int) "alias shares the count" n1 n2;
-  Alcotest.(check int) "alias is a memo hit" (rh0 + 1) (value c_ref_hits);
-  Alcotest.(check int) "alias is no memo miss" rm0 (value c_ref_misses);
-  Alcotest.(check (pair int int)) "no disk load" (h0, m0) (value c_hits, value c_misses)
+  Alcotest.(check (triple int int int)) "no disk load or store" before
+    (value c_hits, value c_misses, value c_stores)
+
+(* Domains asking at once for a fresh image's reference cycles wait for
+   one computation: one disk miss and one store, and every domain gets
+   the same count. *)
+let test_reference_cycles_once () =
+  with_temp_cache @@ fun dir ->
+  let bench = Sfi_kernels.Median.create ~n:13 ~seed:5 () in
+  let n_domains = 4 in
+  let arrived = Atomic.make 0 in
+  let m0 = value c_misses and s0 = value c_stores in
+  let ask () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < n_domains do
+      Domain.cpu_relax ()
+    done;
+    Sfi_fi.Campaign.reference_cycles bench
+  in
+  let counts = List.map Domain.join (List.init n_domains (fun _ -> Domain.spawn ask)) in
+  let stats, _ = Sfi_kernels.Bench.run_fault_free bench in
+  List.iter
+    (Alcotest.(check int) "every domain gets the count" stats.Sfi_sim.Cpu.cycles)
+    counts;
+  Alcotest.(check int) "one computation missed the disk" (m0 + 1) (value c_misses);
+  Alcotest.(check int) "one computation stored" (s0 + 1) (value c_stores);
+  Alcotest.(check int) "one refcycles entry" 1
+    (List.length
+       (List.filter (fun e -> e.Sfi_cache.namespace = "refcycles") (Sfi_cache.scan ~dir)))
+
+(* A computation that raises leaves its cell empty: the next caller
+   computes again, and other keys are unaffected. *)
+let test_once_raise_leaves_empty () =
+  let once = Sfi_cache.Once.create () in
+  let calls = ref 0 in
+  let get key f = Sfi_cache.Once.get once ~key (fun () -> incr calls; f ()) in
+  Alcotest.check_raises "first computation raises" Exit (fun () ->
+      ignore (get "a" (fun () -> raise Exit) : int));
+  Alcotest.(check int) "recomputed after the raise" 1 (get "a" (fun () -> 1));
+  Alcotest.(check int) "then memoized" 1 (get "a" (fun () -> 2));
+  Alcotest.(check int) "distinct key" 3 (get "b" (fun () -> 3));
+  Alcotest.(check int) "three computations" 3 !calls
 
 let () =
   Alcotest.run "sfi_cache"
@@ -358,5 +403,12 @@ let () =
             test_campaign_cold_warm;
           Alcotest.test_case "reference cycles shared on disk" `Quick
             test_reference_cycles_disk;
+        ] );
+      ( "once",
+        [
+          Alcotest.test_case "reference cycles computed once" `Quick
+            test_reference_cycles_once;
+          Alcotest.test_case "a raise leaves the cell empty" `Quick
+            test_once_raise_leaves_empty;
         ] );
     ]

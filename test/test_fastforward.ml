@@ -26,9 +26,6 @@ open Sfi_fi
 module Spec = Campaign.Spec
 module Ref_campaign = Sfi_oracle.Ref_campaign
 
-(* Isolate from any ambient cache environment. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
@@ -229,8 +226,6 @@ let test_jobs_parity () =
   in
   let median = Option.get (Registry.by_name "median") in
   let median_17 = Median.create ~n:17 () in
-  (* An image's first reference-cycle lookup is a det-counted miss. *)
-  List.iter (fun b -> ignore (Campaign.reference_cycles b : int)) [ median; median_17 ];
   check "model A point" (fun jobs ->
       [
         Campaign.run
@@ -386,7 +381,6 @@ let test_snap_version_bump_rejected () =
 let test_cold_warm_det_signature () =
   with_temp_cache @@ fun _dir ->
   let bench = Option.get (Registry.by_name "mat_mult_8bit") in
-  ignore (Campaign.reference_cycles bench : int);
   let model = model_a 0.006 in
   let spec = spec ~trials:8 ~seed:13 in
   let cold, sig_cold =

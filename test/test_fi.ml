@@ -356,9 +356,7 @@ let point_equal (p : Campaign.point) (q : Campaign.point) =
   && p.Campaign.any_fault_possible = q.Campaign.any_fault_possible
 
 (* Runs [f] with observability counters reset + enabled and returns
-   (result, det signature of the work done). The first call warms the
-   campaign's reference-cycle cache outside the measured region so the
-   hit/miss counters are identical across compared runs. *)
+   (result, det signature of the work done). *)
 let with_obs_signature f =
   Sfi_obs.reset ();
   Sfi_obs.set_enabled true;
@@ -371,9 +369,6 @@ let with_obs_signature f =
 let test_campaign_jobs_determinism () =
   let bench = Lazy.force small_median in
   let model = model_c 0.010 in
-  (* Warm the reference-cycle cache so both instrumented runs see the
-     same cache hit/miss counts. *)
-  ignore (Campaign.run (spec ~trials:1 ()) ~bench ~model ~freq_mhz:900.);
   List.iter
     (fun seed ->
       List.iter
@@ -404,7 +399,6 @@ let test_campaign_sweep_jobs_determinism () =
   let bench = Lazy.force small_median in
   let model = model_c 0.010 in
   let freqs = [ 880.; 940.; 1000. ] in
-  ignore (Campaign.run (spec ~trials:1 ()) ~bench ~model ~freq_mhz:880.);
   let serial, sig1 =
     with_obs_signature (fun () ->
         Campaign.run_sweep (spec ~trials:6 ~seed:5 ~jobs:1 ()) ~bench ~model

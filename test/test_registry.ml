@@ -26,9 +26,6 @@ open Sfi_fi
 module Json = Sfi_obs.Json
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache environment. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let c_unsupported = Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
@@ -238,7 +235,6 @@ let truncate_to_lines path k =
 
 let test_mixed_checkpoint_resume () =
   let bench = Option.get (Registry.by_name "median") in
-  ignore (Campaign.reference_cycles bench : int);
   (* One shared checkpoint file for a built-in and two attack models:
      records are keyed by the model fingerprint, so each sweep must
      find exactly its own batches. The 0.01 target never converges, so
