@@ -219,20 +219,17 @@ let campaign_cmd =
     with_obs obs @@ fun () ->
     match Sfi_kernels.Registry.by_name bench_name with
     | None ->
-      Printf.eprintf "unknown benchmark %s (try: %s)\n" bench_name
-        (String.concat ", " Sfi_kernels.Registry.names);
-      exit 1
+      fail "unknown benchmark %s (try: %s)" bench_name
+        (String.concat ", " Sfi_kernels.Registry.names)
     | Some bench ->
-      let config = { Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles } in
-      let flow = Sfi_core.Flow.create ~config () in
-      let sigma = sigma_mv /. 1000. in
       let params =
         match Common_flags.parse_model_params model_params with
         | Ok ps -> ps
-        | Error e ->
-          Printf.eprintf "sfi: %s\n" e;
-          exit 1
+        | Error e -> fail "%s" e
       in
+      let config = { Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles } in
+      let flow = Sfi_core.Flow.create ~config () in
+      let sigma = sigma_mv /. 1000. in
       (* --prob keeps its historic meaning as model A's parameter; an
          explicit --model-param p=... wins. *)
       let params =
@@ -243,9 +240,7 @@ let campaign_cmd =
       let model =
         match Sfi_core.Flow.model_by_key ~params flow ~key:model_name ~vdd ~sigma with
         | Ok m -> m
-        | Error e ->
-          Printf.eprintf "sfi: %s\n" e;
-          exit 1
+        | Error e -> fail "%s" e
       in
       let spec = spec_flags ~fixed_trials:trials () in
       let rec freqs f = if f > hi +. 1e-9 then [] else f :: freqs (f +. step) in
@@ -610,11 +605,10 @@ let trace_cmd =
         Printf.printf "%08x:  %s\n" pc (Sfi_isa.Insn.to_string insn)
       end
     in
-    let config =
-      { Sfi_sim.Cpu.default_config with Sfi_sim.Cpu.trace = Some trace;
-        Sfi_sim.Cpu.max_cycles = 10_000_000 }
+    let config = { Sfi_sim.Cpu.default_config with Sfi_sim.Cpu.max_cycles = 10_000_000 } in
+    let stats =
+      Sfi_sim.Cpu.run_reference ~config ~trace mem ~entry:program.Sfi_isa.Program.entry
     in
-    let stats = Sfi_sim.Cpu.run ~config mem ~entry:program.Sfi_isa.Program.entry in
     Printf.printf "... %d instructions retired in %d cycles\n" stats.Sfi_sim.Cpu.instret
       stats.Sfi_sim.Cpu.cycles
   in

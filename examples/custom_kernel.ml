@@ -88,7 +88,6 @@ let () =
         Sfi_sim.Memory.load_program mem program;
         let config =
           {
-            Sfi_sim.Cpu.default_config with
             Sfi_sim.Cpu.fault_hook = Some (Sfi_fi.Injector.hook injector);
             Sfi_sim.Cpu.max_cycles = 100_000;
           }

@@ -593,7 +593,6 @@ let extension_kernels ctx =
       let injector = Injector.create ~model ~freq_mhz:probe_freq ~rng () in
       let config =
         {
-          Sfi_sim.Cpu.default_config with
           Sfi_sim.Cpu.fault_hook = Some (Injector.hook injector);
           Sfi_sim.Cpu.max_cycles = 10_000_000;
         }

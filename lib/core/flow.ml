@@ -146,7 +146,7 @@ let model_by_key ?(params = []) ?(profile = Characterize.uniform32) t ~key ~vdd 
       (Printf.sprintf "unknown model %S (registered: %s)" key
          (String.concat ", " (Sfi_fi.Model.Registry.keys ())))
   | Some entry ->
-    let resources =
+    let resources () =
       {
         Sfi_fi.Model.vdd;
         noise = Noise.create ~sigma ();
@@ -161,7 +161,15 @@ let model_by_key ?(params = []) ?(profile = Characterize.uniform32) t ~key ~vdd 
            else None);
       }
     in
-    Sfi_fi.Model.Registry.make ~params entry resources
+    (* [make] rejects unknown or mistyped parameters before it calls
+       [build], so resolving the resources inside [build] keeps a bad
+       parameter from paying for STA or characterization first. *)
+    let build ~resources:_ ~params =
+      entry.Sfi_fi.Model.Registry.build ~resources:(resources ()) ~params
+    in
+    Sfi_fi.Model.Registry.make ~params
+      { entry with Sfi_fi.Model.Registry.build }
+      Sfi_fi.Model.default_resources
 
 let summary t =
   let buf = Buffer.create 512 in

@@ -445,14 +445,5 @@ module Point_json = struct
       (("schema", Json.String schema)
       :: (meta @ [ ("points", Json.List (List.map of_point points)) ]))
 
-  let to_sweep j =
-    (match Option.bind (Json.member "schema" j) Json.to_string_opt with
-    | Some s when s = schema -> ()
-    | Some s -> invalid_arg (Printf.sprintf "Point_json: unsupported schema %s" s)
-    | None -> invalid_arg "Point_json: missing schema");
-    match Json.member "points" j with
-    | Some (Json.List ps) -> List.map to_point ps
-    | _ -> invalid_arg "Point_json: missing points list"
-
   let to_string j = Json.to_string j
 end

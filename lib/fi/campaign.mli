@@ -20,8 +20,9 @@
     through {!Fastforward}: a provably fault-free trial is resolved
     without simulation, a faulty one simulates only the suffix after its
     first fault. A point falls back to full replay from cycle 0 only
-    for a {!Model.cycle_dependent} model or a benchmark whose reference
-    run does not exit cleanly — both counted, both bit-identical.
+    for a {!Model.cycle_dependent} model ([skip], [opcode], [state]) or
+    a benchmark whose reference run does not exit cleanly — both
+    counted, both bit-identical.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
     (default: [Pool.default_jobs ()], i.e. the CLI's [--jobs] or all
@@ -123,9 +124,6 @@ module Point_json : sig
 
   val of_sweep : ?meta:(string * Sfi_obs.Json.t) list -> point list -> Sfi_obs.Json.t
   (** [{"schema": "sfi-point/1", <meta...>, "points": [...]}]. *)
-
-  val to_sweep : Sfi_obs.Json.t -> point list
-  (** Raises [Invalid_argument] on a missing or unsupported schema. *)
 
   val to_string : Sfi_obs.Json.t -> string
 end

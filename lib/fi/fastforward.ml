@@ -5,11 +5,13 @@ open Sfi_kernels
 (* ZOFI-style fault-free fast-forward (DESIGN.md §13).
 
    A trial's execution is deterministic and identical to the fault-free
-   reference run until its first injected fault: the fault-model hooks
-   depend only on the instruction class and the trial's private RNG
-   stream, never on operand values, so the whole fault decision sequence
-   of a trial is a pure function of (reference hook-call schedule, trial
-   RNG stream). That makes two eliminations sound:
+   reference run until its first injected fault, so until then its hooks
+   fire at the recorded cycles. The hooks of the models served here
+   depend only on the instruction class, the cycle number and the
+   trial's private RNG stream, never on operand values, so the whole
+   fault decision sequence of a trial is a pure function of (reference
+   hook-call schedule, trial RNG stream). That makes two eliminations
+   sound:
 
    - {e analytic trials}: replay the recorded schedule against the
      trial's RNG (the "probe"); if no hook returns a nonzero mask, the
@@ -216,14 +218,16 @@ let skip_table probe =
     class_of_index
 
 (* The probe: a silent injector walking the recorded schedule against
-   a copy of the trial stream. Every hook call consumes exactly the
-   draws the full run's corresponding call would (the models ignore
-   cycle and operands), so the first nonzero mask found here IS the
-   trial's first fault, and the RNG copies taken at snapshot boundaries
-   are exactly the stream states a full run would carry into those
-   cycles. [fault_at] is the first fault's schedule index ([-1] for a
-   provably fault-free trial); [boundary.(j)] holds the stream state at
-   snapshot [j] for every [j < crossed]. *)
+   a copy of the trial stream, each call with its recorded cycle and
+   zero operands. Every hook call consumes exactly the draws the full
+   run's corresponding call would and, up to the first fault, sees the
+   cycle the full run's call sees (the models ignore operands), so the
+   first nonzero mask found here IS the trial's first fault, and the
+   RNG copies taken at snapshot boundaries are exactly the stream
+   states a full run would carry into those cycles. [fault_at] is the
+   first fault's schedule index ([-1] for a provably fault-free trial);
+   [boundary.(j)] holds the stream state at snapshot [j] for every
+   [j < crossed]. *)
 type probe = { fault_at : int; crossed : int; boundary : Rng.t array }
 
 let probe ~model ~freq_mhz ~trace ~rng =

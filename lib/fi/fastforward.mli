@@ -1,9 +1,10 @@
 (** Snapshot fast-forward, the campaign's trial engine (DESIGN.md §13).
 
     A trial is bit-identical to the fault-free reference run until its
-    first injected fault: the fault-model hooks depend only on the
-    instruction class and the trial's private RNG stream. Recording the
-    reference run's hook-call schedule plus sparse architectural
+    first injected fault, and the hooks of the models served here
+    depend only on the instruction class, the cycle number and the
+    trial's private RNG stream. Recording the reference run's hook-call
+    schedule (cycle and class of every call) plus sparse architectural
     snapshots therefore lets a campaign
 
     - resolve provably fault-free trials analytically (no simulation),
@@ -43,10 +44,12 @@ val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace opti
 (** {!trace_for}, gated on the model's fast-forward contract; [None]
     sends the campaign point to full replay, and each such fallback is
     counted (det:false):
-    - a {!Model.cycle_dependent} model (every attack family) bumps
+    - a {!Model.cycle_dependent} model ([skip], [opcode], [state]) bumps
       [fastforward.model_unsupported] without recording a trace: the
-      probe's schedule replay assumes masks ignore cycle numbers,
-      operand values and pre-run state, so it would be unsound;
+      probe replays each recorded call with its cycle and zero
+      operands, which is unsound for masks that depend on operand
+      values, per-trial state the probe does not replay or pre-run
+      state;
     - a benchmark whose reference run does not exit cleanly bumps
       [fastforward.no_trace]. *)
 

@@ -631,7 +631,7 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
       {
         key = "glitch";
         features = features_glitch;
-        cycle_dependent = true;
+        cycle_dependent = false;
         params;
         fingerprint =
           (fun fp ->
@@ -670,10 +670,11 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
               trial_start = no_trial_start;
               cannot_inject = cannot;
               skippable_gaussians =
-                (* The hook consumes no randomness, but its outcome
-                   depends on the cycle number, which the fast-forward
-                   probe does not model — [cycle_dependent] keeps the
-                   probe away entirely. *)
+                (* The hook consumes no randomness and its mask depends
+                   on the cycle alone, which the fast-forward probe
+                   replays from the recorded schedule: every call the
+                   window can reach runs in the probe, so its first
+                   nonzero mask is the trial's first fault. *)
                 (if cannot then fun _ -> Some 0 else fun _ -> None);
             });
       }
@@ -822,6 +823,8 @@ let merge_params ~key ~defaults ~params =
     | [] -> Ok ()
     | (name, v) :: rest -> (
       match List.assoc_opt name defaults with
+      | None when defaults = [] ->
+        Error (Printf.sprintf "model %s takes no parameters (got %S)" key name)
       | None ->
         Error
           (Printf.sprintf "model %s: unknown parameter %S (expected: %s)" key name
@@ -1019,7 +1022,7 @@ let () =
       doc = "voltage glitch in attacker-chosen cycle windows (attack)";
       version = 1;
       features = features_glitch;
-      cycle_dependent = true;
+      cycle_dependent = false;
       wants_arrivals = true;
       wants_db = false;
       default_params =

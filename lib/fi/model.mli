@@ -43,8 +43,11 @@
     {b Fast-forward contract.} [skippable_gaussians] declares, per
     instruction class, whether a hook call is a provable no-op
     consuming exactly [k] standard-normal draws ({!Fastforward}'s probe
-    batches those into one RNG jump). Models whose masks depend on the
-    cycle number or the operand values — every attack family — declare
+    batches those into one RNG jump). The probe replays each recorded
+    hook call with its recorded cycle and zero operands, so a mask may
+    depend on the cycle ([glitch]'s window) but not on operand values
+    ([opcode]), on per-trial state the probe does not replay ([skip]'s
+    EX latch) or on pre-run state ([state]'s flips). Those three declare
     {!cycle_dependent}[ = true]; the fast-forward engine refuses to
     probe them (counted, never silent) and falls back to full replay. *)
 
@@ -94,10 +97,12 @@ val features : t -> features
 (** The Table 2 row for the model. *)
 
 val cycle_dependent : t -> bool
-(** [true] when the mask depends on the cycle number or operand values,
-    or the model perturbs pre-run state — i.e. the fast-forward probe's
-    schedule replay would be unsound. All attack families are
-    cycle-dependent; the built-ins are not. *)
+(** [true] when the fast-forward probe's schedule replay would be
+    unsound: the mask depends on operand values or on per-trial state
+    the probe does not replay, or the model perturbs pre-run state. A
+    mask that depends on the cycle alone replays exactly (the probe
+    passes each call its recorded cycle). [skip], [opcode] and [state]
+    are cycle-dependent; the built-ins and [glitch] are not. *)
 
 val params : t -> (string * Sfi_obs.Json.t) list
 (** Canonical parameter assoc (defaults merged in registration order).

@@ -74,11 +74,7 @@ let simulate ~(bench : Bench.t) ~injector ~budget ?resume prepare =
   with_trial_memory bench @@ fun mem ->
   prepare mem;
   let config =
-    {
-      Cpu.default_config with
-      Cpu.max_cycles = budget;
-      Cpu.fault_hook = Some (Injector.hook injector);
-    }
+    { Cpu.max_cycles = budget; Cpu.fault_hook = Some (Injector.hook injector) }
   in
   let stats =
     Cpu.run ~config ?resume mem ~entry:bench.Bench.program.Sfi_isa.Program.entry

@@ -67,8 +67,6 @@ let op_class = function
   | Sw (_, _, _) | Sh (_, _, _) | Sb (_, _, _)
   | Nop _ -> None
 
-let is_alu t = op_class t <> None
-
 let writes = function
   | Add (d, _, _) | Sub (d, _, _) | And (d, _, _) | Or (d, _, _) | Xor (d, _, _)
   | Mul (d, _, _) | Sll (d, _, _) | Srl (d, _, _) | Sra (d, _, _)
@@ -91,15 +89,6 @@ let reads = function
   | Sw (_, a, b) | Sh (_, a, b) | Sb (_, a, b) -> [ a; b ]
   | Jr r | Jalr r -> [ r ]
   | Movhi (_, _) | J _ | Jal _ | Bf _ | Bnf _ | Nop _ -> []
-
-let is_control = function
-  | J _ | Jal _ | Jr _ | Jalr _ | Bf _ | Bnf _ -> true
-  | _ -> false
-
-let is_memory = function
-  | Lwz (_, _, _) | Lhz (_, _, _) | Lbz (_, _, _)
-  | Sw (_, _, _) | Sh (_, _, _) | Sb (_, _, _) -> true
-  | _ -> false
 
 let cmp_name = function
   | Eq -> "eq"

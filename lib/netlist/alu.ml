@@ -12,16 +12,6 @@ type t = {
   aux_low : Circuit.net array;
 }
 
-let unit_tag_of_class = function
-  | Op_class.Add | Op_class.Sub -> "addsub"
-  | Op_class.Mul -> "mul"
-  | Op_class.Sll -> "sll"
-  | Op_class.Srl -> "srl"
-  | Op_class.Sra -> "sra"
-  | Op_class.And_ -> "and"
-  | Op_class.Or_ -> "or"
-  | Op_class.Xor_ -> "xor"
-
 let build ?(lib = Cell_lib.default) () =
   let b = B.create () in
   let a_in = B.input_vec b "a" width in
@@ -95,7 +85,3 @@ let build ?(lib = Cell_lib.default) () =
   let circuit = Circuit.freeze b ~lib in
   let aux_low = Array.concat [ fwd_mem; fwd_wb; [| bp_mem; bp_wb |] ] in
   { circuit; a = a_in; b = b_in; selects = Array.of_list selects; result; aux_low }
-
-let select_net t c =
-  let _, net = Array.to_list t.selects |> List.find (fun (c', _) -> c' = c) in
-  net

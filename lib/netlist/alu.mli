@@ -42,8 +42,3 @@ type t = private {
 val build : ?lib:Cell_lib.t -> unit -> t
 (** Generates a fresh ALU netlist with nominal (pre-sizing) delays from
     [lib] (default {!Cell_lib.default}). *)
-
-val unit_tag_of_class : Op_class.t -> string
-(** The sizing tag of the unit a class exercises. *)
-
-val select_net : t -> Op_class.t -> Circuit.net

@@ -45,8 +45,6 @@ module Builder = struct
       t.tag <- t.n_tags;
       t.n_tags <- t.n_tags + 1
 
-  let current_tag t = List.nth t.tags (t.n_tags - 1 - t.tag)
-
   let fresh_net t =
     let n = t.next_net in
     t.next_net <- n + 1;

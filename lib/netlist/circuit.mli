@@ -22,8 +22,6 @@ module Builder : sig
   (** Sets the unit tag applied to subsequently created gates. The initial
       tag is ["top"]. *)
 
-  val current_tag : t -> string
-
   val input : t -> string -> net
   (** Declares a named primary input and returns its net. *)
 

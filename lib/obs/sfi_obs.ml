@@ -363,8 +363,6 @@ let reset () =
       Array.fill base.cells 0 (Array.length base.cells) 0;
       List.iter (fun s -> Array.fill s.cells 0 (Array.length s.cells) 0) !shards)
 
-let shard_count () = Mutex.protect lock (fun () -> List.length !shards)
-
 (* ---------- metric front-ends ---------- *)
 
 module Counter = struct

@@ -108,9 +108,6 @@ val retire_current_domain : unit -> unit
 val reset : unit -> unit
 (** Zeroes every shard and the retained base (registrations remain). *)
 
-val shard_count : unit -> int
-(** Live (unretired) shards; for tests. *)
-
 type value =
   | Counter_v of int
   | Hist_v of { count : int; sum : int; buckets : (int * int) list }

@@ -8,15 +8,9 @@ let load_use_penalty = 1
 type fault_hook =
   cycle:int -> cls:Op_class.t -> a:U32.t -> b:U32.t -> result:U32.t -> U32.t
 
-type config = {
-  max_cycles : int;
-  fault_hook : fault_hook option;
-  fi_always_on : bool;
-  trace : (pc:int -> Insn.t -> unit) option;
-}
+type config = { max_cycles : int; fault_hook : fault_hook option }
 
-let default_config =
-  { max_cycles = 50_000_000; fault_hook = None; fi_always_on = false; trace = None }
+let default_config = { max_cycles = 50_000_000; fault_hook = None }
 
 type outcome = Exited | Watchdog | Trapped of string
 
@@ -98,9 +92,8 @@ type state = {
      the run that compiled it *)
   mutable max_cycles : int;
   mutable fault_hook : fault_hook option;
-  mutable fi_always_on : bool;
-  (* fixed for the state's lifetime: the per-domain cached states are
-     untraced, a traced run gets a private state *)
+  (* fixed for the state's lifetime: only a [run_reference] state
+     traces, and only the interpreter reads it *)
   trace : (pc:int -> Insn.t -> unit) option;
   (* unboxed decode cache: one Uop quad per instruction word, slot 0
      u_unfilled until first fetched and re-u_unfilled by stores *)
@@ -153,7 +146,6 @@ type state = {
      the head closure of its compiled closure chain *)
   mutable threads : (int -> unit) array;
   mutable n_blocks : int;
-  mutable blocks_hooked : bool; (* fault-hook presence the cached blocks were built for *)
   mutable in_use : bool; (* a run is executing on this state *)
 }
 
@@ -429,7 +421,7 @@ let exec_uop st op x y z =
     (* nops *)
     if op = Uop.u_nop_exit then raise (Exit_sim Exited)
     else if op = Uop.u_nop_kernel_begin then st.fi_on <- true
-    else if op = Uop.u_nop_kernel_end then st.fi_on <- st.fi_always_on;
+    else if op = Uop.u_nop_kernel_end then st.fi_on <- false;
     st.pc <- st.pc + 4
   end;
   st.cycle <- st.cycle + 1;
@@ -568,12 +560,12 @@ let abort_block st code entry_pc cyc_done i =
   st.n_compiled_insns <- st.n_compiled_insns + retired;
   raise_notrace Block_aborted
 
-(* Fault-injection slow path of an ALU micro-op: same hook signature,
-   argument values and call stream as [alu_result]. [cyc] is the live
-   cycle count the closure chain threads through its argument
-   (st.cycle is stale inside a block). The retired-class counters are
-   NOT bumped here — they are booked per block from the static
-   totals. *)
+(* The fault hook of an ALU micro-op inside the fi window: same hook
+   signature, argument values and call stream as [alu_result], and the
+   clean result for a run without a hook. [cyc] is the live cycle count
+   the closure chain threads through its argument (st.cycle is stale
+   inside a block). The retired-class counters are NOT bumped here —
+   they are booked per block from the static totals. *)
 let[@inline] hooked st cls a b clean cyc =
   match st.fault_hook with
   | Some h ->
@@ -594,20 +586,14 @@ let[@inline] hooked st cls a b clean cyc =
 
    A block lives as long as the words it covers are unchanged, across
    runs (see [validate]), so the closures capture only the block's own
-   code and the state; per-run values — the hook, the watchdog budget,
-   [fi_always_on] — are read from state fields. The builder specializes
-   on what stays fixed for the lifetime of a block:
+   code and the state; per-run values — the hook and the watchdog
+   budget — are read from state fields, and every micro-op has exactly
+   one closure whatever the run. An ALU closure calls [hooked] only
+   when [st.blk_fi0], the fi-window flag at block entry, is set
+   (constant across a block because kernel markers terminate blocks).
+   The builder specializes on what stays fixed for the lifetime of a
+   block:
 
-   - the presence of a fault hook ([start] flushes the blocks when it
-     flips): absent, and the ALU closures are the bare operation;
-     present, and the hook call gates on [st.blk_fi0], the fi-window
-     flag at block entry (constant across a block because kernel
-     markers terminate blocks);
-   - [st.trace] (fixed per state): absent, no per-instruction check at
-     all; present, the decoded [Insn.t] is captured at build time
-     (sound because any store into a covered word flushes the whole
-     cache, so a live block's words cannot have changed since
-     compile);
    - the static interlock verdict (bit [wait_flag], see
      [compile_block]) becomes a captured boolean, so non-stalling
      instructions skip the ready-table probes;
@@ -686,259 +672,133 @@ let thread_of_block st code =
     let body =
       match op with
       (* --- ALU register-register: x=rD y=rA z=rB --- *)
-      | 2 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.add (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.add a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a b r cyc else r);
-            k (cyc + 1))
-      | 3 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.sub (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.sub a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a b r cyc else r);
-            k (cyc + 1))
-      | 4 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.mul (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.mul a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a b r cyc else r);
-            k (cyc + 1))
-      | 5 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.shift_left (reg st y) (reg st z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.shift_left a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a b r cyc else r);
-            k (cyc + 1))
-      | 6 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.shift_right_logical (reg st y) (reg st z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.shift_right_logical a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a b r cyc else r);
-            k (cyc + 1))
-      | 7 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.shift_right_arith (reg st y) (reg st z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.shift_right_arith a (b land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a b r cyc else r);
-            k (cyc + 1))
-      | 8 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.logand (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.logand a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a b r cyc else r);
-            k (cyc + 1))
-      | 9 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.logor (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.logor a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a b r cyc else r);
-            k (cyc + 1))
-      | 10 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            set_reg st x (U32.logxor (reg st y) (reg st z));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
-            let a = reg st y and b = reg st z in
-            let r = U32.logxor a b in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a b r cyc else r);
-            k (cyc + 1))
+      | 2 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.add a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a b r cyc else r);
+          k (cyc + 1)
+      | 3 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.sub a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a b r cyc else r);
+          k (cyc + 1)
+      | 4 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.mul a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a b r cyc else r);
+          k (cyc + 1)
+      | 5 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.shift_left a (b land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a b r cyc else r);
+          k (cyc + 1)
+      | 6 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.shift_right_logical a (b land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a b r cyc else r);
+          k (cyc + 1)
+      | 7 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.shift_right_arith a (b land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a b r cyc else r);
+          k (cyc + 1)
+      | 8 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.logand a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a b r cyc else r);
+          k (cyc + 1)
+      | 9 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.logor a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a b r cyc else r);
+          k (cyc + 1)
+      | 10 ->
+        fun cyc ->
+          let cyc = if wf then waitc st z (waitc st y cyc) else cyc in
+          let a = reg st y and b = reg st z in
+          let r = U32.logxor a b in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a b r cyc else r);
+          k (cyc + 1)
       (* --- ALU register-immediate: x=rD y=rA z=imm32 --- *)
-      | 11 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.add (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.add a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a z r cyc else r);
-            k (cyc + 1))
-      | 12 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.sub (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.sub a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a z r cyc else r);
-            k (cyc + 1))
-      | 13 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.mul (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.mul a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a z r cyc else r);
-            k (cyc + 1))
-      | 14 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.shift_left (reg st y) (z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.shift_left a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a z r cyc else r);
-            k (cyc + 1))
-      | 15 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.shift_right_logical (reg st y) (z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.shift_right_logical a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a z r cyc else r);
-            k (cyc + 1))
-      | 16 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.shift_right_arith (reg st y) (z land 31));
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.shift_right_arith a (z land 31) in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a z r cyc else r);
-            k (cyc + 1))
-      | 17 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.logand (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.logand a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a z r cyc else r);
-            k (cyc + 1))
-      | 18 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.logor (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.logor a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a z r cyc else r);
-            k (cyc + 1))
-      | 19 -> (
-        match st.fault_hook with
-        | None ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            set_reg st x (U32.logxor (reg st y) z);
-            k (cyc + 1)
-        | Some _ ->
-          fun cyc ->
-            let cyc = if wf then waitc st y cyc else cyc in
-            let a = reg st y in
-            let r = U32.logxor a z in
-            set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a z r cyc else r);
-            k (cyc + 1))
+      | 11 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.add a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Add a z r cyc else r);
+          k (cyc + 1)
+      | 12 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.sub a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sub a z r cyc else r);
+          k (cyc + 1)
+      | 13 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.mul a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Mul a z r cyc else r);
+          k (cyc + 1)
+      | 14 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.shift_left a (z land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sll a z r cyc else r);
+          k (cyc + 1)
+      | 15 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.shift_right_logical a (z land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Srl a z r cyc else r);
+          k (cyc + 1)
+      | 16 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.shift_right_arith a (z land 31) in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Sra a z r cyc else r);
+          k (cyc + 1)
+      | 17 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.logand a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.And_ a z r cyc else r);
+          k (cyc + 1)
+      | 18 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.logor a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Or_ a z r cyc else r);
+          k (cyc + 1)
+      | 19 ->
+        fun cyc ->
+          let cyc = if wf then waitc st y cyc else cyc in
+          let a = reg st y in
+          let r = U32.logxor a z in
+          set_reg st x (if st.blk_fi0 then hooked st Op_class.Xor_ a z r cyc else r);
+          k (cyc + 1)
       (* --- compares (not ALU endpoints: no fault injection) --- *)
       | 20 ->
         let cmp = Array.unsafe_get Uop.cmp_table x in
@@ -1090,31 +950,18 @@ let thread_of_block st code =
           k (cyc + 1)
       | 38 ->
         fun cyc ->
-          st.fi_on <- st.fi_always_on;
+          st.fi_on <- false;
           st.pc <- fall_pc;
           k (cyc + 1)
       | _ ->
         (* u_illegal (or, unreachably, u_unfilled): traps at fetch,
-           exactly like the interpreter, before the trace hook runs *)
+           exactly like the interpreter *)
         let msg = Printf.sprintf "illegal instruction at 0x%x" pc in
         fun cyc ->
           st.blk_i <- i;
           st.blk_before <- cyc;
           st.cycle <- cyc;
           raise (Exit_sim (Trapped msg))
-    in
-    let body =
-      match st.trace with
-      | None -> body
-      | Some f ->
-        if op = Uop.u_illegal then body
-        else (
-          match Encode.decode (Memory.read_u32 st.mem pc) with
-          | Some insn ->
-            fun cyc ->
-              f ~pc insn;
-              body cyc
-          | None -> body)
     in
     next := body
   done;
@@ -1409,7 +1256,6 @@ let make_state ~compiled ~trace mem =
     ready = padded 32;
     max_cycles = 0;
     fault_hook = None;
-    fi_always_on = false;
     trace;
     utab = Array.make (n_words * 4) Uop.u_unfilled;
     raw = Array.make n_words (-1);
@@ -1421,7 +1267,6 @@ let make_state ~compiled ~trace mem =
     blocks = (if compiled then Array.make 64 [||] else [||]);
     threads = (if compiled then Array.make 64 (fun (_ : int) -> ()) else [||]);
     n_blocks = 0;
-    blocks_hooked = false;
     aborted = false;
     in_use = false;
     blk_i = 0;
@@ -1447,7 +1292,7 @@ let start st (config : config) mem ~entry =
   st.flag <- false;
   st.cycle <- 0;
   st.instret <- 0;
-  st.fi_on <- config.fi_always_on;
+  st.fi_on <- false;
   st.kernel_cycles <- 0;
   st.kernel_instret <- 0;
   st.alu_retired <- 0;
@@ -1457,7 +1302,6 @@ let start st (config : config) mem ~entry =
   st.taken_branches <- 0;
   st.max_cycles <- config.max_cycles;
   st.fault_hook <- config.fault_hook;
-  st.fi_always_on <- config.fi_always_on;
   st.aborted <- false;
   st.n_blocks_compiled <- 0;
   st.n_block_hits <- 0;
@@ -1465,16 +1309,10 @@ let start st (config : config) mem ~entry =
   st.n_invalidations <- 0;
   st.n_compiled_insns <- 0;
   st.n_fallbacks <- 0;
-  validate st;
-  (* hook presence is compiled into the ALU closures *)
-  let hooked = Option.is_some config.fault_hook in
-  if st.compiled && hooked <> st.blocks_hooked then begin
-    if st.n_blocks > 0 then flush_blocks st;
-    st.blocks_hooked <- hooked
-  end
+  validate st
 
-(* The per-domain cache: one untraced compiled-engine state per memory
-   size, created on first use. Domains never share a state, so the
+(* The per-domain cache: one compiled-engine state per memory size,
+   created on first use. Domains never share a state, so the
    cache needs no lock; [in_use] catches re-entrant runs on one domain. *)
 let domain_states : state list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -1504,29 +1342,25 @@ let execute st config ?resume mem ~entry =
 
 let run ?(config = default_config) ?resume mem ~entry =
   check_size "Cpu.run" (Memory.size mem);
-  let private_state () = make_state ~compiled:true ~trace:config.trace mem in
-  if Option.is_some config.trace then execute (private_state ()) config ?resume mem ~entry
+  let st = cached_state mem in
+  if st.in_use then
+    (* re-entrant: a hook of the run that holds this domain's state is
+       running the ISS *)
+    execute (make_state ~compiled:true ~trace:None mem) config ?resume mem ~entry
   else begin
-    let st = cached_state mem in
-    if st.in_use then
-      (* re-entrant: a hook or trace callback of the run that holds
-         this domain's state is running the ISS *)
-      execute (private_state ()) config ?resume mem ~entry
-    else begin
-      st.in_use <- true;
-      match execute st config ?resume mem ~entry with
-      | stats ->
-        st.in_use <- false;
-        stats
-      | exception e ->
-        st.in_use <- false;
-        raise e
-    end
+    st.in_use <- true;
+    match execute st config ?resume mem ~entry with
+    | stats ->
+      st.in_use <- false;
+      stats
+    | exception e ->
+      st.in_use <- false;
+      raise e
   end
 
-let run_reference ?(config = default_config) ?resume mem ~entry =
+let run_reference ?(config = default_config) ?trace ?resume mem ~entry =
   check_size "Cpu.run_reference" (Memory.size mem);
-  execute (make_state ~compiled:false ~trace:config.trace mem) config ?resume mem ~entry
+  execute (make_state ~compiled:false ~trace mem) config ?resume mem ~entry
 
 (* Interpreter-only run that hands a snapshot of the pre-instruction
    state to [on_snapshot] at every [stride]-cycle boundary (cycle 0
@@ -1541,7 +1375,7 @@ let run_reference ?(config = default_config) ?resume mem ~entry =
 let run_recording ?(config = default_config) ~stride ~on_snapshot mem ~entry =
   if stride <= 0 then invalid_arg "Cpu.run_recording: stride must be positive";
   check_size "Cpu.run_recording" (Memory.size mem);
-  let st = make_state ~compiled:false ~trace:config.trace mem in
+  let st = make_state ~compiled:false ~trace:None mem in
   start st config mem ~entry;
   let next = ref 0 in
   try

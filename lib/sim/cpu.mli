@@ -32,14 +32,16 @@
     pre-resolved micro-ops ({!Sfi_isa.Uop}) are grouped into cached
     basic blocks executed without per-instruction
     fetch/decode/watchdog overhead, with store-driven invalidation for
-    self-modifying code. The {e interpreter} — one micro-op fetched from
-    an unboxed decode table per cycle — is its slow path near the
-    watchdog and after a store rewrote a cached block, the engine of
-    {!run_recording}, and the reference the compiled engine is pinned to
-    ({!run_reference}: same {!stats}, same fault-hook call sequence,
-    checked by differential tests). Decodes and blocks persist across
-    runs in a per-domain cache, validated by content at run entry (see
-    {!run}). See DESIGN.md §12 for the cycle-exactness argument. *)
+    self-modifying code. Each micro-op compiles to one closure, whether
+    or not the run has a fault hook. The {e interpreter} — one micro-op
+    fetched from an unboxed decode table per cycle — is its slow path
+    near the watchdog and after a store rewrote a cached block, the
+    engine of {!run_recording} and of instruction tracing, and the
+    reference the compiled engine is pinned to ({!run_reference}: same
+    {!stats}, same fault-hook call sequence, checked by differential
+    tests). Decodes and blocks persist across runs in a per-domain
+    cache, validated by content at run entry (see {!run}). See
+    DESIGN.md §12 for the cycle-exactness argument. *)
 
 open Sfi_util
 
@@ -58,13 +60,11 @@ type fault_hook =
 type config = {
   max_cycles : int;        (** watchdog: exceeded -> [Watchdog] outcome *)
   fault_hook : fault_hook option;
-  fi_always_on : bool;     (** inject outside kernel markers too *)
-  trace : (pc:int -> Sfi_isa.Insn.t -> unit) option;
-      (** called before every retired instruction (debugging aid) *)
+      (** called inside the kernel markers only; [None] runs fault-free *)
 }
 
 val default_config : config
-(** 50M-cycle watchdog, no fault hook, no trace. *)
+(** 50M-cycle watchdog, no fault hook. *)
 
 type outcome =
   | Exited                 (** reached [l.nop 0x1] *)
@@ -109,11 +109,12 @@ val run : ?config:config -> ?resume:snapshot -> Memory.t -> entry:int -> stats
     and a changed word inside a compiled block drops every block.
     Whatever the memory holds — another program, trial-start flips, a
     snapshot restore, code an earlier run's faulted store rewrote — a
-    run is therefore exactly a run on a cold state. A run with
-    [config.trace], and a run started from inside another run's hook or
-    trace callback on the same domain, gets a private cold state; the
-    shared one is released even when the hook raises. The returned
-    {!stats} share nothing with the state.
+    run is therefore exactly a run on a cold state. The blocks do not
+    depend on [config]: a run with a fault hook reuses the blocks a run
+    without one compiled, and the other way round. A run started from
+    inside another run's hook on the same domain gets a private cold
+    state; the shared one is released even when the hook raises. The
+    returned {!stats} share nothing with the state.
 
     [resume] starts from a {!snapshot} instead of the reset state
     ([entry] is then ignored): given the same memory contents the
@@ -123,12 +124,20 @@ val run : ?config:config -> ?resume:snapshot -> Memory.t -> entry:int -> stats
     count. *)
 
 val run_reference :
-  ?config:config -> ?resume:snapshot -> Memory.t -> entry:int -> stats
+  ?config:config ->
+  ?trace:(pc:int -> Sfi_isa.Insn.t -> unit) ->
+  ?resume:snapshot ->
+  Memory.t ->
+  entry:int ->
+  stats
 (** Like {!run}, on the interpreter alone and a private cold state:
     every instruction is fetched, checked and dispatched one at a time.
     Bit-identical to {!run} — stats, memory and fault-hook call stream —
     and slower; it is the reference the differential tests and the
-    speed gates hold the compiled engine to. *)
+    speed gates hold the compiled engine to. [trace] (a debugging aid,
+    used by [sfi trace]) is called with the pc and the decoded
+    instruction before every instruction that passes the fetch checks,
+    in execution order; an illegal word traps without a call. *)
 
 val run_recording :
   ?config:config ->

@@ -50,5 +50,3 @@ val equal_range : t -> t -> pos:int -> len:int -> bool
 
 val read_u32_array : t -> addr:int -> count:int -> U32.t array
 (** Bulk read of consecutive words (for collecting benchmark outputs). *)
-
-val write_u32_array : t -> addr:int -> U32.t array -> unit

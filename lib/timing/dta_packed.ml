@@ -466,8 +466,6 @@ let cycle t =
 
 let value t net ~lane = (t.words.(net) lsr lane) land 1 = 1
 
-let value_word t net = t.words.(net)
-
 let read_lane_vec t nets ~lane = Bitsim.read_lane t.words nets ~lane
 
 let settle_time t net ~lane =
@@ -477,7 +475,5 @@ let settle_time t net ~lane =
     if t.w_gen.(wi) = t.gen && (t.w_mask.(wi) lsr lane) land 1 = 1 then
       t.w_time.((wi * Bitsim.lanes) + lane) *. 0x1p32
     else 0.
-
-let words_evaluated t = t.words_evaled
 
 let lane_events t = t.lane_events

@@ -48,8 +48,6 @@ val cycle : t -> unit
 
 val value : t -> Circuit.net -> lane:int -> bool
 
-val value_word : t -> Circuit.net -> int
-
 val read_lane_vec : t -> Circuit.net array -> lane:int -> int
 (** Lane [lane] of a net vector as an integer, LSB first. *)
 
@@ -58,10 +56,6 @@ val settle_time : t -> Circuit.net -> lane:int -> float
     most recent {!cycle}, 0. if it did not change — bit-identical to
     {!Dta.settle_time} of that lane's scalar run. Raises
     [Invalid_argument] if the net is not watched. *)
-
-val words_evaluated : t -> int
-(** Packed gate evaluations (distinct (gate, trigger time) pairs)
-    since [create]. *)
 
 val lane_events : t -> int
 (** Scalar-equivalent events: total lane bits across trigger masks.

@@ -12,8 +12,6 @@ let of_points pts =
   check pts;
   { xs = Array.of_list (List.map fst pts); ys = Array.of_list (List.map snd pts) }
 
-let anchors t = Array.map2 (fun x y -> (x, y)) t.xs t.ys
-
 (* Index of the segment [i, i+1] used for abscissa [x]; clamps to the
    boundary segments for out-of-range queries. *)
 let segment t x =

@@ -16,9 +16,6 @@ val slope_at : t -> float -> float
 (** Local slope of the segment containing [x] (nearest segment outside the
     range). *)
 
-val anchors : t -> (float * float) array
-(** The anchor points, sorted by [x]. *)
-
 val inverse_eval : t -> float -> float
 (** [inverse_eval t y] solves [eval t x = y] for a strictly monotone curve
     (in either direction). Raises [Invalid_argument] if the curve is not

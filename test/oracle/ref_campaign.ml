@@ -8,11 +8,7 @@ let trial ~(bench : Bench.t) ~model ~freq_mhz ~budget rng =
   let mem = Bench.fresh_memory bench in
   ignore (Injector.trial_start injector mem : int);
   let config =
-    {
-      Cpu.default_config with
-      Cpu.max_cycles = budget;
-      Cpu.fault_hook = Some (Injector.hook injector);
-    }
+    { Cpu.max_cycles = budget; Cpu.fault_hook = Some (Injector.hook injector) }
   in
   let stats = Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry in
   let finished = stats.Cpu.outcome = Cpu.Exited in

@@ -4,10 +4,10 @@ open Sfi_sim
 
 (* Differential tests pinning the compiled basic-block engine
    ([Cpu.run]) to the reference interpreter ([Cpu.run_reference]): same
-   cycles, same stats, same fault-hook call stream, same trace
-   ordering, same outcomes — on the paths where the two implementations
-   genuinely diverge in mechanism (block caching, batched accounting,
-   threaded-code chaining). *)
+   cycles, same stats, same fault-hook call stream, same outcomes — on
+   the paths where the two implementations genuinely diverge in
+   mechanism (block caching, batched accounting, threaded-code
+   chaining). *)
 
 (* ---------- helpers ---------- *)
 
@@ -175,18 +175,13 @@ target: .word 0xffffffff
 
 (* ---------- trace-hook ordering ---------- *)
 
+(* Tracing runs on the interpreter ([Cpu.run_reference ~trace]): one
+   call per fetched instruction, in execution order, with the
+   instruction at that pc, and the traced run retires exactly what the
+   untraced compiled run does. *)
 let test_trace_order_parity () =
-  let run engine =
-    let traced = ref [] in
-    let config =
-      {
-        Cpu.default_config with
-        Cpu.trace = Some (fun ~pc insn -> traced := (pc, Insn.to_string insn) :: !traced);
-      }
-    in
-    let stats, _ =
-      run_asm engine ~config
-        {|
+  let src =
+    {|
         l.addi r1, r0, 5
 loop:   l.addi r2, r2, 1
         l.addi r1, r1, -1
@@ -197,38 +192,41 @@ loop:   l.addi r2, r2, 1
 sub:    l.addi r3, r0, 9
         l.jr   r9
       |}
-    in
-    (stats, List.rev !traced)
   in
-  let si, ti = run Interp in
-  let sc, tc = run Compiled in
-  check_stats_equal "trace order" si sc;
-  if ti <> tc then Alcotest.fail "trace order: per-instruction (pc, insn) streams differ"
+  let program = Asm.assemble_exn src in
+  let mem = Memory.create ~size:4096 in
+  Memory.load_program mem program;
+  let traced = ref [] in
+  let st =
+    Cpu.run_reference
+      ~trace:(fun ~pc insn -> traced := (pc, insn) :: !traced)
+      mem ~entry:program.Program.entry
+  in
+  let sc, _ = run_asm Compiled src in
+  check_stats_equal "trace order" st sc;
+  let loop = List.concat (List.init 5 (fun _ -> [ 4; 8; 12; 16 ])) in
+  Alcotest.(check (list int)) "traced pcs" ((0 :: loop) @ [ 20; 28; 32; 24 ])
+    (List.rev_map fst !traced);
+  List.iter
+    (fun (pc, insn) ->
+      if Encode.decode (Memory.read_u32 mem pc) <> Some insn then
+        Alcotest.failf "trace order: wrong instruction at 0x%x" pc)
+    !traced
 
 let test_trace_illegal_not_traced () =
-  (* An illegal word traps at fetch; neither engine may call the trace
-     hook for it (the compiled engine captures decoded insns at block
-     build time, so the skip must be deliberate there). *)
-  let run engine =
-    let traced = ref [] in
-    let config =
-      { Cpu.default_config with Cpu.trace = Some (fun ~pc _ -> traced := pc :: !traced) }
-    in
-    let program = Program.of_insns [ Insn.Addi (1, 0, 1); Insn.Nop 0 ] in
-    let mem = Memory.create ~size:4096 in
-    Memory.load_program mem program;
-    Memory.write_u32 mem 8 0xFFFF_FFFF;
-    let stats = run_on engine ~config mem ~entry:0 in
-    (stats, List.rev !traced)
-  in
-  let si, ti = run Interp in
-  let sc, tc = run Compiled in
-  check_stats_equal "illegal trace" si sc;
-  (match si.Cpu.outcome with
+  (* An illegal word traps at fetch, before the trace hook runs. *)
+  let program = Program.of_insns [ Insn.Addi (1, 0, 1); Insn.Nop 0 ] in
+  let mem = Memory.create ~size:4096 in
+  Memory.load_program mem program;
+  Memory.write_u32 mem 8 0xFFFF_FFFF;
+  let untraced = Memory.copy mem in
+  let traced = ref [] in
+  let st = Cpu.run_reference ~trace:(fun ~pc _ -> traced := pc :: !traced) mem ~entry:0 in
+  check_stats_equal "illegal trace" st (Cpu.run untraced ~entry:0);
+  (match st.Cpu.outcome with
   | Cpu.Trapped _ -> ()
   | _ -> Alcotest.fail "expected trap");
-  Alcotest.(check (list int)) "traced pcs" ti tc;
-  Alcotest.(check bool) "illegal pc not traced" false (List.mem 8 ti)
+  Alcotest.(check (list int)) "traced pcs" [ 0; 4 ] (List.rev !traced)
 
 (* ---------- outcomes ---------- *)
 
@@ -456,8 +454,7 @@ let image src = image_of (Asm.assemble_exn src)
    stream misaligned by one call derails the rest of the run. *)
 let sparse_mask ~cycle ~cls:_ ~a ~b:_ ~result = if cycle mod 7 = 3 then (a lxor result) land 0xF else 0
 
-let observe ?(engine = Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on = false)
-    ?(prepare = ignore) (img, entry) =
+let observe ?(engine = Compiled) ?(max_cycles = 20_000) ?mask ?(prepare = ignore) (img, entry) =
   let mem = Memory.copy img in
   prepare mem;
   let calls = ref [] in
@@ -468,7 +465,7 @@ let observe ?(engine = Compiled) ?(max_cycles = 20_000) ?mask ?(fi_always_on = f
         mask ~cycle ~cls ~a ~b ~result)
       mask
   in
-  let config = { Cpu.default_config with Cpu.max_cycles; fault_hook; fi_always_on } in
+  let config = { Cpu.max_cycles; fault_hook } in
   let stats = run_on engine ~config mem ~entry in
   { stats; mem_after = Memory.sub_string mem ~pos:0 ~len:(Memory.size mem); calls = List.rev !calls }
 
@@ -609,6 +606,7 @@ let test_cache_faulted_store_undecoded () =
     Asm.assemble_exn
       (Printf.sprintf
          {|
+        l.nop   0x10
         l.movhi r2, hi(0x%08x)
         l.ori   r2, r2, lo(0x%08x)
         l.addi  r1, r0, 0x300
@@ -617,6 +615,7 @@ let test_cache_faulted_store_undecoded () =
         l.nop
 target: l.addi  r3, r0, 1
         l.sw    0x100(r0), r3
+        l.nop   0x11
         l.nop   0x1
       |}
          patch patch)
@@ -626,7 +625,7 @@ target: l.addi  r3, r0, 1
     if result = 0x300 then 0x300 lxor target else 0
   in
   let img = image_of program in
-  let faulted () = observe ~mask:redirect ~fi_always_on:true img in
+  let faulted () = observe ~mask:redirect img in
   Alcotest.(check int) "the faulted run executes the patch" 7 (word_at (faulted ()).mem_after 0x100);
   check_cached "faulted store" faulted;
   check_cached "pristine run after it" (fun () -> observe img);
@@ -638,41 +637,59 @@ let test_cache_watchdog_shrinking () =
     image_of
       (Program.of_insns
          [
-           Insn.Addi (1, 0, 1); Insn.Addi (2, 0, 2); Insn.Mul (3, 1, 2);
-           Insn.Lwz (4, 0x100, 0); Insn.Add (5, 4, 3); Insn.J (-5);
+           Insn.Nop Insn.nop_kernel_begin; Insn.Addi (1, 0, 1); Insn.Addi (2, 0, 2);
+           Insn.Mul (3, 1, 2); Insn.Lwz (4, 0x100, 0); Insn.Add (5, 4, 3); Insn.J (-5);
          ])
   in
   List.iter
     (fun mask ->
       for max_cycles = 40 downto 1 do
         check_cached (Printf.sprintf "budget %d" max_cycles) (fun () ->
-            observe ~max_cycles ?mask ~fi_always_on:true img)
+            observe ~max_cycles ?mask img)
       done)
     [ None; Some sparse_mask ]
 
 let test_cache_alternating_configs () =
   let img = image src_loop in
   (* another image first, so the first compiled run below builds its
-     blocks without a hook and the second must flush them *)
+     blocks without a hook and the second runs them with one *)
   check_cached "other image" (fun () -> observe (image src_calls));
   List.iteri
-    (fun i (engine, hooked, fi_always_on) ->
+    (fun i (engine, hooked) ->
       let mask = if hooked then Some sparse_mask else None in
       check_cached
-        (Printf.sprintf "run %d: %s, hook %b, fi_always_on %b" i (engine_name engine) hooked
-           fi_always_on)
-        (fun () -> observe ~engine ?mask ~fi_always_on img))
+        (Printf.sprintf "run %d: %s, hook %b" i (engine_name engine) hooked)
+        (fun () -> observe ~engine ?mask img))
     [
-      (Compiled, false, false); (Compiled, true, false); (Interp, true, true);
-      (Compiled, true, true); (Compiled, false, true); (Interp, false, false);
-      (Compiled, true, false); (Interp, true, false); (Compiled, false, false);
+      (Compiled, false); (Compiled, true); (Interp, true); (Compiled, true);
+      (Compiled, false); (Interp, false); (Compiled, true); (Interp, true);
+      (Compiled, false);
     ]
 
-(* A run started from inside another run's hook or trace callback must
-   be transparent to both: the outer run observes what it observes
-   without the nesting, and the nested run what it observes alone.
-   (Comparing with a fresh domain alone would not do: there both runs
-   would share that domain's state in the same way.) *)
+let c_block_flushes = Sfi_obs.Counter.make ~det:false "cpu.block_flushes"
+
+(* Blocks do not depend on the run's hook: a run with a hook executes
+   the blocks a run without one compiled on this domain, compiling and
+   flushing none, and observes what it observes on a fresh domain. *)
+let test_cache_hook_after_hookless () =
+  let img = image src_loop in
+  with_obs (fun () ->
+      ignore (observe img : observed);
+      let b0 = Sfi_obs.Counter.value c_blocks_compiled
+      and f0 = Sfi_obs.Counter.value c_block_flushes in
+      let hooked = observe ~mask:sparse_mask img in
+      Alcotest.(check int) "blocks compiled by the hooked run" b0
+        (Sfi_obs.Counter.value c_blocks_compiled);
+      Alcotest.(check int) "block flushes by the hooked run" f0
+        (Sfi_obs.Counter.value c_block_flushes);
+      if hooked <> uncached (fun () -> observe ~mask:sparse_mask img) then
+        Alcotest.fail "hooked run: differs from the same run on an uncached state")
+
+(* A run started from inside another run's hook must be transparent to
+   both: the outer run observes what it observes without the nesting,
+   and the nested run what it observes alone. (Comparing with a fresh
+   domain alone would not do: there both runs would share that
+   domain's state in the same way.) *)
 let test_cache_nested_runs () =
   let outer = image src_loop and inner = image src_calls in
   let alone_outer = observe ~mask:sparse_mask outer
@@ -690,22 +707,7 @@ let test_cache_nested_runs () =
   if o <> alone_outer then Alcotest.fail "hook nesting: the outer run changed";
   if n <> Some alone_inner then Alcotest.fail "hook nesting: the nested run changed";
   check_cached "nested run from a hook" from_hook;
-  check_cached "run after the nesting" (fun () -> observe ~mask:sparse_mask outer);
-  let traced ~nest () =
-    let nested = ref None and pcs = ref [] in
-    let trace ~pc _ =
-      pcs := pc :: !pcs;
-      if nest && pc = 12 && !nested = None then nested := Some (observe ~mask:sparse_mask inner)
-    in
-    let mem = Memory.copy (fst outer) in
-    let config = { Cpu.default_config with Cpu.trace = Some trace } in
-    let stats = Cpu.run ~config mem ~entry:(snd outer) in
-    ((stats, Memory.sub_string mem ~pos:0 ~len:(Memory.size mem), List.rev !pcs), !nested)
-  in
-  let o, n = traced ~nest:true () in
-  if o <> fst (traced ~nest:false ()) then Alcotest.fail "trace nesting: the outer run changed";
-  if n <> Some alone_inner then Alcotest.fail "trace nesting: the nested run changed";
-  check_cached "nested run from a trace callback" (traced ~nest:true)
+  check_cached "run after the nesting" (fun () -> observe ~mask:sparse_mask outer)
 
 let test_cache_hook_raises () =
   let img = image src_loop in
@@ -914,6 +916,8 @@ let () =
             test_cache_faulted_store_undecoded;
           Alcotest.test_case "watchdog budget shrinking" `Quick test_cache_watchdog_shrinking;
           Alcotest.test_case "alternating configs" `Quick test_cache_alternating_configs;
+          Alcotest.test_case "hooked run after a hook-less one" `Quick
+            test_cache_hook_after_hookless;
           Alcotest.test_case "nested runs" `Quick test_cache_nested_runs;
           Alcotest.test_case "hook raises" `Quick test_cache_hook_raises;
           Alcotest.test_case "class_counts unshared" `Quick test_cache_class_counts_unshared;

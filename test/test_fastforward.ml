@@ -155,7 +155,12 @@ let test_no_trace_falls_back () =
 
 (* At a rare-fault operating point most trials are provably fault-free:
    fast-forward must elide them (no simulation at all) and still agree
-   with full replay bit for bit. *)
+   with full replay bit for bit. Second input: a glitch offset scan on
+   aes shaped like the attack experiment's (len 2, 60 mV, 0.98 x f_STA).
+   Glitch draws nothing and its mask depends on the cycle alone, which
+   the probe replays from the recorded schedule, so a window that
+   catches an ALU op in the kernel restores and one that does not
+   elides. *)
 let test_elision_parity () =
   let bench = Option.get (Registry.by_name "median") in
   let model = model_a 2e-7 in
@@ -165,7 +170,33 @@ let test_elision_parity () =
   Alcotest.(check bool) "point equals full replay" true
     (point_equal p (Ref_campaign.run ~trials:24 ~seed:3 ~bench ~model ~freq_mhz:700.));
   Alcotest.(check bool) "some trials elided" true (elided > 0);
-  Alcotest.(check int) "elided + restored = trials" 24 (elided + restores)
+  Alcotest.(check int) "elided + restored = trials" 24 (elided + restores);
+  let flow = Lazy.force flow_400 in
+  let freq_mhz = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 0.98 in
+  let aes = Option.get (Registry.by_name "aes") in
+  let ref_cycles = Campaign.reference_cycles aes in
+  let scan = 8 in
+  Sfi_obs.reset ();
+  for i = 0 to scan - 1 do
+    let start = ref_cycles * (2 + (6 * i)) / (6 * scan) in
+    let params =
+      Sfi_obs.Json.[ ("start", Int start); ("len", Int 2); ("drop_mv", Float 60.) ]
+    in
+    let model =
+      match Sfi_core.Flow.model_by_key ~params flow ~key:"glitch" ~vdd:0.7 ~sigma:0.010 with
+      | Ok m -> m
+      | Error msg -> Alcotest.failf "glitch: %s" msg
+    in
+    let _, trials = Campaign.run_detailed (spec ~trials:2 ~seed:11) ~bench:aes ~model ~freq_mhz in
+    let _, expect = Ref_campaign.run_detailed ~trials:2 ~seed:11 ~bench:aes ~model ~freq_mhz in
+    Alcotest.(check bool)
+      (Printf.sprintf "glitch at cycle %d: trials equal full replay" start)
+      true (trials_equal trials expect)
+  done;
+  Alcotest.(check int) "glitch: no fallback" 0 (value c_unsupported);
+  Alcotest.(check int) "glitch: elided + restored = trials" (2 * scan)
+    (value c_elided + value c_restores);
+  Alcotest.(check bool) "glitch: some trials restored" true (value c_restores > 0)
 
 (* Model C drives the probe's draw-batching fast path: classes proved
    fault-free by the per-class worst-case bound are jumped over with

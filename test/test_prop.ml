@@ -348,9 +348,7 @@ let prop_snapshot_roundtrip =
         calls := (cycle, Op_class.index cls, a, b, result) :: !calls;
         0
       in
-      let config =
-        { Cpu.default_config with Cpu.max_cycles = 5_000; Cpu.fault_hook = Some hook }
-      in
+      let config = { Cpu.max_cycles = 5_000; Cpu.fault_hook = Some hook } in
       let snaps = ref [] in
       let full_mem = load_insns insns in
       let full_stats =
@@ -406,9 +404,7 @@ let full_first_fault ~rng =
     else 0
   in
   let budget = (3 * Sfi_fi.Campaign.reference_cycles bench) + 65536 in
-  let config =
-    { Cpu.default_config with Cpu.max_cycles = budget; Cpu.fault_hook = Some hook }
-  in
+  let config = { Cpu.max_cycles = budget; Cpu.fault_hook = Some hook } in
   let mem = Bench.fresh_memory bench in
   match
     Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry

@@ -129,6 +129,11 @@ let test_param_codec_errors () =
     (Model.of_key "glitch" ~params:[ ("len", Json.Int (-1)) ] ~resources:r);
   expect_error "glitch below threshold voltage"
     (Model.of_key "glitch" ~params:[ ("drop_mv", Json.Float 400.) ] ~resources:r);
+  (match Model.of_key "C" ~params:[ ("bogus", Json.Int 1) ] ~resources:r with
+  | Error e ->
+    Alcotest.(check string) "parameter for a model that takes none"
+      "model C takes no parameters (got \"bogus\")" e
+  | Ok _ -> Alcotest.fail "parameter for model C accepted");
   (match Model.of_key "nope" ~resources:r with
   | Error e ->
     Alcotest.(check bool) "unknown model error lists keys" true
@@ -182,17 +187,28 @@ let test_draw_count_contract () =
 
 (* ---------- fast-forward gating for cycle-dependent models ---------- *)
 
+(* Glitch's mask depends on the cycle alone, which the probe replays
+   from the recorded schedule, so it fast-forwards like the built-ins;
+   skip (its EX latch), opcode (operand-dependent masks) and state
+   (trial-start flips) do not. *)
 let test_attack_models_cycle_dependent () =
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " cycle-dependent") true
         (Model.cycle_dependent (model key)))
-    [ "glitch"; "skip"; "opcode"; "state" ];
+    [ "skip"; "opcode"; "state" ];
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " not cycle-dependent") false
         (Model.cycle_dependent (model key)))
-    [ "A"; "B"; "B+"; "C"; "C-corr" ]
+    [ "A"; "B"; "B+"; "C"; "C-corr"; "glitch" ];
+  List.iter
+    (fun (e : Model.Registry.entry) ->
+      Alcotest.(check bool)
+        (e.Model.Registry.key ^ ": entry agrees with its model")
+        e.Model.Registry.cycle_dependent
+        (Model.cycle_dependent (model e.Model.Registry.key)))
+    (Model.Registry.entries ())
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))

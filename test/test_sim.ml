@@ -395,18 +395,6 @@ let test_cpu_compares_not_faulted () =
   in
   Alcotest.(check int) "no hook calls" 0 !calls
 
-let test_cpu_fi_always_on () =
-  let calls = ref 0 in
-  let hook ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ =
-    incr calls;
-    0
-  in
-  let config =
-    { Cpu.default_config with Cpu.fault_hook = Some hook; Cpu.fi_always_on = true }
-  in
-  let _ = run_insns ~config [ Insn.Addi (1, 0, 1); Insn.Nop Insn.nop_exit ] in
-  Alcotest.(check int) "hook without markers" 1 !calls
-
 let test_cpu_wrapped_store_corrupts_code () =
   (* A store through a wrapped wild pointer lands inside the image: the
      self-modifying path must invalidate the decode cache. *)
@@ -461,14 +449,13 @@ target: l.addi  r3, r3, 1            # patched to +10 after first pass
 
 let test_cpu_trace_hook () =
   let traced = ref [] in
-  let config =
-    {
-      Cpu.default_config with
-      Cpu.trace = Some (fun ~pc insn -> traced := (pc, insn) :: !traced);
-    }
+  let program =
+    Program.of_insns [ Insn.Addi (1, 0, 1); Insn.Addi (2, 0, 2); Insn.Nop Insn.nop_exit ]
   in
+  let mem = Memory.create ~size:4096 in
+  Memory.load_program mem program;
   let _ =
-    run_insns ~config [ Insn.Addi (1, 0, 1); Insn.Addi (2, 0, 2); Insn.Nop Insn.nop_exit ]
+    Cpu.run_reference ~trace:(fun ~pc insn -> traced := (pc, insn) :: !traced) mem ~entry:0
   in
   let traced = List.rev !traced in
   Alcotest.(check int) "three instructions traced" 3 (List.length traced);
@@ -538,7 +525,6 @@ let () =
           Alcotest.test_case "kernel markers" `Quick test_cpu_kernel_markers_gate_fi;
           Alcotest.test_case "mask applied" `Quick test_cpu_fault_mask_applied;
           Alcotest.test_case "compares not faulted" `Quick test_cpu_compares_not_faulted;
-          Alcotest.test_case "fi always on" `Quick test_cpu_fi_always_on;
           Alcotest.test_case "self-modifying store" `Quick test_cpu_wrapped_store_corrupts_code;
           Alcotest.test_case "aliased store invalidates decode" `Quick
             test_cpu_aliased_store_invalidates_decode;
