@@ -99,18 +99,23 @@ let flow_cmd =
 
 (* ---------- sfi asm ---------- *)
 
+(* The assembler front end of [asm], [run] and [trace]: an error in
+   FILE prints FILE:LINE: MESSAGE on stderr and exits 1. *)
+let assemble_file file =
+  match Sfi_isa.Asm.assemble (read_file file) with
+  | Ok program -> program
+  | Error e ->
+    Printf.eprintf "%s:%d: %s\n" file e.Sfi_isa.Asm.line e.Sfi_isa.Asm.message;
+    exit 1
+
 let asm_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    match Sfi_isa.Asm.assemble (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s:%d: %s\n" file e.Sfi_isa.Asm.line e.Sfi_isa.Asm.message;
-      exit 1
-    | Ok program ->
-      print_string (Sfi_isa.Program.disassemble program);
-      Printf.printf "# entry 0x%x, image limit 0x%x, %d initialized words\n"
-        program.Sfi_isa.Program.entry program.Sfi_isa.Program.limit
-        (Array.length program.Sfi_isa.Program.words)
+    let program = assemble_file file in
+    print_string (Sfi_isa.Program.disassemble program);
+    Printf.printf "# entry 0x%x, image limit 0x%x, %d initialized words\n"
+      program.Sfi_isa.Program.entry program.Sfi_isa.Program.limit
+      (Array.length program.Sfi_isa.Program.words)
   in
   Cmd.v
     (Cmd.info "asm" ~doc:"Assemble an OR1K-subset source file and print the listing.")
@@ -148,7 +153,7 @@ let run_cmd =
           | _ -> fail "bad --dump spec %S (expected ADDR:COUNT)" spec)
         dump
     in
-    let program = Sfi_isa.Asm.assemble_exn (read_file file) in
+    let program = assemble_file file in
     let mem = Sfi_sim.Memory.create ~size:mem_size in
     Sfi_sim.Memory.load_program mem program;
     let config = { Sfi_sim.Cpu.default_config with Sfi_sim.Cpu.max_cycles } in
@@ -595,7 +600,7 @@ let trace_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let limit = Arg.(value & opt int 50 & info [ "n" ] ~doc:"Instructions to trace.") in
   let run file limit =
-    let program = Sfi_isa.Asm.assemble_exn (read_file file) in
+    let program = assemble_file file in
     let mem = Sfi_sim.Memory.create ~size:65536 in
     Sfi_sim.Memory.load_program mem program;
     let remaining = ref limit in

@@ -429,14 +429,20 @@ module Span = struct
       bump t 1 ns
     end
 
+  (* Stamps are nanoseconds since module initialisation, so they fit an
+     int at full precision; 0 marks a stamp taken while disabled. *)
+  let epoch = Unix.gettimeofday ()
+
+  let start () =
+    if !enabled_ref then 1 + int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9) else 0
+
+  let stop t t0 = if t0 > 0 then add_ns t (start () - t0)
+
   let time t f =
     if not !enabled_ref then f ()
     else begin
-      let t0 = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          add_ns t (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
-        f
+      let t0 = start () in
+      Fun.protect ~finally:(fun () -> stop t t0) f
     end
 
   let count t = (read_cells t).(0)

@@ -95,6 +95,17 @@ module Span : sig
       span so the signature stays a pure function of the work. *)
 
   val time : t -> (unit -> 'a) -> 'a
+
+  val start : unit -> int
+  (** A start stamp for {!stop}: a positive wall-clock reading in ns
+      when enabled, 0 when disabled. Allocation-free when disabled. *)
+
+  val stop : t -> int -> unit
+  (** [stop t t0] adds one call of the wall time since [t0 = start ()].
+      A no-op for a stamp taken while disabled, and allocation-free when
+      disabled; together with {!start} it times a region without the
+      closure {!time} takes. *)
+
   val add_ns : t -> int -> unit
   val count : t -> int
   val total_ns : t -> int

@@ -46,6 +46,13 @@ let obs_batches = Sfi_obs.Counter.make ~det:false "bitsim.batches"
 
 let obs_lanes = Sfi_obs.Counter.make ~det:false "bitsim.lanes"
 
+(* Wall time of each class's sweep tasks, summed over the domains that
+   ran them. *)
+let obs_class_spans =
+  Array.of_list
+    (List.map (fun cls -> Sfi_obs.Span.make ("characterize.class." ^ Op_class.name cls))
+       Op_class.all)
+
 type class_db = {
   cls : Op_class.t;
   profile_name : string;
@@ -90,91 +97,85 @@ let finish ~(profile : operand_profile) cls cycle_arrivals max_settle =
     max_settle;
   }
 
-(* The kernel: ⌈cycles/lanes⌉ sweeps of [Bitsim.lanes] trials.
+(* The kernel: ⌈cycles/lanes⌉ sweeps of [Bitsim.lanes] trials per
+   class, one pool task per sweep.
 
    A class's characterization is defined as a *chain* of DTA cycles —
    trial [k]'s events are launched by the operand transition from trial
    [k-1]'s settled state (the one-cycle-per-trial reference kernel the
-   tests check this one against). To replicate that chain lane-parallel,
-   each sweep (1) samples its lane operands in plain index order, so the
-   RNG stream is identical to the chain's, (2) stages every lane's
-   *predecessor* operands (lane l gets lane l-1's pair; lane 0 continues
-   from the previous sweep) and settles them with one functional [prime]
-   pass — valid because the settled state of an acyclic circuit is a
-   pure function of its inputs — and (3) stages the new operands and
-   runs one masked-event [cycle], which plays out every lane's
-   transition bit-identically to its place in the chain. Inactive lanes
-   of the final partial sweep carry a = b = 0 on both sides of the
-   transition and stay inert. *)
-let characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t) cls =
-  Sfi_obs.Counter.incr obs_classes;
-  Sfi_obs.Counter.add obs_trials cycles;
-  let lanes = Bitsim.lanes in
+   tests check this one against). The chain's operands are sampled up
+   front in trial order ([sample_chain]), so the RNG stream is the
+   chain's. Sweep [j] then replays trials [63j, 63j + active) on any DTA
+   instance: it (1) stages every select word, (2) stages every lane's
+   *predecessor* operands (lane l gets trial 63j + l - 1's pair; lane 0
+   of sweep 0 starts from a = b = 0) and settles them with one
+   functional [prime] pass — valid because the settled state of an
+   acyclic circuit is a pure function of its inputs, so nothing carries
+   over from whatever the instance ran before — and (3) stages the new
+   operands and runs one masked-event [cycle], which plays out every
+   lane's transition bit-identically to its place in the chain.
+   Inactive lanes of a class's final partial sweep carry a = b = 0 on
+   both sides of the transition and stay inert. The sweep writes its
+   rows of [cycle_arrivals] by index and returns its max settle. *)
+let sample_chain ~cycles ~rng (profile : operand_profile) =
+  let a = Array.make cycles 0 and b = Array.make cycles 0 in
+  for k = 0 to cycles - 1 do
+    let x, y = profile.sample rng in
+    a.(k) <- x;
+    b.(k) <- y
+  done;
+  (a, b)
+
+let sweep dta (alu : Alu.t) cls (a_ops, b_ops) cycle_arrivals ~first =
   let width = Alu.width in
   let endpoints = alu.Alu.result in
-  let dta =
-    Dta_packed.create ~vdd ~vdd_model ~lib ~watch:endpoints alu.Alu.circuit
-  in
-  (* Selects are constant across trials: stage once (all lanes), applied
-     by the first [prime]; the select settling is not recorded. *)
+  let active = min Bitsim.lanes (Array.length a_ops - first) in
+  Sfi_obs.Counter.incr obs_batches;
+  Sfi_obs.Counter.add obs_lanes active;
   Array.iter
     (fun (c', net) ->
       Dta_packed.set_input_word dta net (if c' = cls then Bitsim.full_mask else 0))
     alu.Alu.selects;
-  let cycle_arrivals = Array.make_matrix cycles width 0. in
-  let max_settle = ref 0. in
-  let a_ops = Array.make lanes 0 and b_ops = Array.make lanes 0 in
+  let carry_a = if first = 0 then 0 else a_ops.(first - 1) in
+  let carry_b = if first = 0 then 0 else b_ops.(first - 1) in
+  let mask = Bitsim.lane_mask ~active in
   let new_a = Array.make width 0 and new_b = Array.make width 0 in
-  let carry_a = ref 0 and carry_b = ref 0 in
-  let k = ref 0 in
-  while !k < cycles do
-    let active = min lanes (cycles - !k) in
-    Sfi_obs.Counter.incr obs_batches;
-    Sfi_obs.Counter.add obs_lanes active;
+  (* Bit-plane words of the new operands, and — as their lane-shift
+     plus the predecessor trial's bit — of each lane's predecessor
+     operands. *)
+  for i = 0 to width - 1 do
+    let wa = ref 0 and wb = ref 0 in
     for l = 0 to active - 1 do
-      let a, b = profile.sample rng in
-      a_ops.(l) <- a;
-      b_ops.(l) <- b
+      wa := !wa lor (((a_ops.(first + l) lsr i) land 1) lsl l);
+      wb := !wb lor (((b_ops.(first + l) lsr i) land 1) lsl l)
     done;
-    let mask = Bitsim.lane_mask ~active in
-    (* Bit-plane words of the new operands, and — as their lane-shift
-       plus the previous sweep's carry — of each lane's predecessor
-       operands. *)
-    for i = 0 to width - 1 do
-      let wa = ref 0 and wb = ref 0 in
-      for l = 0 to active - 1 do
-        wa := !wa lor (((a_ops.(l) lsr i) land 1) lsl l);
-        wb := !wb lor (((b_ops.(l) lsr i) land 1) lsl l)
-      done;
-      new_a.(i) <- !wa;
-      new_b.(i) <- !wb;
-      Dta_packed.set_input_word dta alu.Alu.a.(i)
-        (((!wa lsl 1) lor ((!carry_a lsr i) land 1)) land mask);
-      Dta_packed.set_input_word dta alu.Alu.b.(i)
-        (((!wb lsl 1) lor ((!carry_b lsr i) land 1)) land mask)
-    done;
-    Dta_packed.prime dta;
-    for i = 0 to width - 1 do
-      Dta_packed.set_input_word dta alu.Alu.a.(i) new_a.(i);
-      Dta_packed.set_input_word dta alu.Alu.b.(i) new_b.(i)
-    done;
-    Dta_packed.cycle dta;
-    for l = 0 to active - 1 do
-      let got = Dta_packed.read_lane_vec dta endpoints ~lane:l in
-      let expect = Op_class.apply cls a_ops.(l) b_ops.(l) in
-      if got <> expect then functional_mismatch cls a_ops.(l) b_ops.(l) got expect;
-      let row = cycle_arrivals.(!k + l) in
-      for e = 0 to width - 1 do
-        let s = Dta_packed.settle_time dta endpoints.(e) ~lane:l in
-        row.(e) <- s;
-        if s > !max_settle then max_settle := s
-      done
-    done;
-    carry_a := a_ops.(active - 1);
-    carry_b := b_ops.(active - 1);
-    k := !k + active
+    new_a.(i) <- !wa;
+    new_b.(i) <- !wb;
+    Dta_packed.set_input_word dta alu.Alu.a.(i)
+      (((!wa lsl 1) lor ((carry_a lsr i) land 1)) land mask);
+    Dta_packed.set_input_word dta alu.Alu.b.(i)
+      (((!wb lsl 1) lor ((carry_b lsr i) land 1)) land mask)
   done;
-  finish ~profile cls cycle_arrivals !max_settle
+  Dta_packed.prime dta;
+  for i = 0 to width - 1 do
+    Dta_packed.set_input_word dta alu.Alu.a.(i) new_a.(i);
+    Dta_packed.set_input_word dta alu.Alu.b.(i) new_b.(i)
+  done;
+  Dta_packed.cycle dta;
+  let max_settle = ref 0. in
+  for l = 0 to active - 1 do
+    let a = a_ops.(first + l) and b = b_ops.(first + l) in
+    let got = Dta_packed.read_lane_vec dta endpoints ~lane:l in
+    let expect = Op_class.apply cls a b in
+    if got <> expect then functional_mismatch cls a b got expect;
+    let row = cycle_arrivals.(first + l) in
+    for e = 0 to width - 1 do
+      let s = Dta_packed.settle_time dta endpoints.(e) ~lane:l in
+      row.(e) <- s;
+      if s > !max_settle then max_settle := s
+    done
+  done;
+  !max_settle
 
 (* Content fingerprint of everything the characterization result depends
    on. The circuit's [base_delay] array already folds in sizing, process
@@ -214,21 +215,64 @@ let fingerprint ~cycles ~seed ~setup_ps ~vdd_model ~lib
   List.iter (fun cls -> add_string fp (profile_for cls).profile_name) Op_class.all;
   hex fp
 
+(* Chains first, in class order, then one pool task per (class, sweep).
+   Neither the operands nor the sweep boundaries depend on scheduling,
+   each sweep writes only its own rows, and a class's [max_settle] is a
+   max over its sweeps, so the database is bit-identical for every job
+   count. A task borrows a DTA instance from the run's free list (an
+   instance does not depend on the class: the selects are inputs). The
+   calling domain creates one instance per executor before dispatch, so
+   the free list is never empty and no instance outlives the run. *)
 let compute ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu =
   let root = Rng.of_int seed in
-  (* Split the per-class RNGs from the root seed in class order before
-     dispatch; each class then runs on its own DTA instance, so the
-     characterization is bit-identical for every job count. *)
-  let tagged =
-    List.rev (List.fold_left (fun acc cls -> (cls, Rng.split root) :: acc) [] Op_class.all)
+  let classes = Array.of_list Op_class.all in
+  let n_classes = Array.length classes in
+  (* [Array.init] applies its function in order: the per-class streams
+     are split from the root in class order. *)
+  let rngs = Array.init n_classes (fun _ -> Rng.split root) in
+  let chains =
+    Array.mapi (fun ci cls -> sample_chain ~cycles ~rng:rngs.(ci) (profile_for cls)) classes
+  in
+  Sfi_obs.Counter.add obs_classes n_classes;
+  Sfi_obs.Counter.add obs_trials (n_classes * cycles);
+  let arrivals = Array.map (fun _ -> Array.make_matrix cycles Alu.width 0.) classes in
+  let sweeps = (cycles + Bitsim.lanes - 1) / Bitsim.lanes in
+  let n_tasks = n_classes * sweeps in
+  let lock = Mutex.create () in
+  (* Task [i] is sweep [i mod sweeps] of class [i / sweeps]. *)
+  let task free i =
+    let ci = i / sweeps in
+    let t0 = Sfi_obs.Span.start () in
+    let dta =
+      Mutex.protect lock (fun () ->
+          let dta = List.hd !free in
+          free := List.tl !free;
+          dta)
+    in
+    let settle =
+      sweep dta alu classes.(ci) chains.(ci) arrivals.(ci)
+        ~first:((i mod sweeps) * Bitsim.lanes)
+    in
+    Mutex.protect lock (fun () -> free := dta :: !free);
+    Sfi_obs.Span.stop obs_class_spans.(ci) t0;
+    settle
   in
   let classes =
     Pool.using ?jobs (fun pool ->
-        Pool.map pool
-          (fun (cls, rng) ->
-            characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib
-              ~profile:(profile_for cls) alu cls)
-          (Array.of_list tagged))
+        let free =
+          ref
+            (List.init (min (Pool.jobs pool) n_tasks) (fun _ ->
+                 Dta_packed.create ~vdd ~vdd_model ~lib ~watch:alu.Alu.result
+                   alu.Alu.circuit))
+        in
+        let settles = Pool.parallel_init pool n_tasks (task free) in
+        Pool.parallel_init pool n_classes (fun ci ->
+            let max_settle = ref 0. in
+            for i = ci * sweeps to ((ci + 1) * sweeps) - 1 do
+              max_settle := Float.max !max_settle settles.(i)
+            done;
+            finish ~profile:(profile_for classes.(ci)) classes.(ci) arrivals.(ci)
+              !max_settle))
   in
   let max_settle =
     Array.fold_left (fun acc (c : class_db) -> Float.max acc c.max_settle) 0. classes

@@ -72,19 +72,28 @@ val run :
     would indicate a broken netlist or simulator).
 
     The kernel is {!Dta_packed}: ⌈cycles/lanes⌉ bit-parallel sweeps of
-    {!Sfi_netlist.Bitsim.lanes} trials. A class's trials form one chain,
-    each launched from the previous trial's settled state; lane operands
-    are sampled in trial order, so the RNG stream is the chain's. The
-    tests pin the database bit-identical to a scalar reference kernel
-    that runs the chain one event-driven DTA cycle per trial.
+    {!Sfi_netlist.Bitsim.lanes} trials per class. A class's trials form
+    one chain, each launched from the previous trial's settled state.
+    Each class's RNG stream is split from [seed] in class order, and its
+    whole operand chain is sampled in trial order before any sweep is
+    dispatched, so the stream is the chain's. The tests pin the database
+    bit-identical to a scalar reference kernel that runs the chain one
+    event-driven DTA cycle per trial.
 
-    Classes are characterized in parallel on a domain pool, each on its
-    own DTA instance with a pre-split RNG stream — the database is
-    bit-identical for every job count. The worker count is [spec]'s
+    Every sweep of every class is one task on a domain pool. A sweep
+    covers a fixed range of trials, starts from the operands of the
+    trial before it (the chain's carry), writes its own rows of
+    [cycle_arrivals] and reports its max settle; a class's [max_settle]
+    is the max over its sweeps. Neither the operands nor the sweep
+    boundaries depend on scheduling, so the database is byte-identical
+    for every job count. Tasks borrow DTA instances from a free list
+    kept for the run: the calling domain creates one per executor before
+    dispatch, and none outlives the run. The worker count is [spec]'s
     [jobs] field when a {!Sfi_util.Spec.t} is given (its other fields
     are ignored here: the characterization seed stays [seed], so chardb
     cache fingerprints do not depend on campaign specs), otherwise
-    [Sfi_util.Pool.default_jobs ()]. *)
+    [Sfi_util.Pool.default_jobs ()]. With observability on, the span
+    [characterize.class.<name>] sums each class's sweep time. *)
 
 val class_db : t -> Op_class.t -> class_db
 

@@ -37,7 +37,26 @@ open Sfi_netlist
 
    Settle times are tracked per lane only for a [watch] subset of nets
    (default: the primary outputs — the only timing endpoints), read off
-   the watched nets' completed waveforms. *)
+   the watched nets' completed waveforms.
+
+   The waveform arena is paged. Pages of [page_size] entries are
+   allocated on demand and kept for the instance's life. A net's region
+   lives in one page: a region that would cross a page end moves whole
+   to the next page, and a region longer than a page gets an oversized
+   page. Walkers read each input's region from that input's page, and
+   no page is reallocated during a cycle. The footprint is the largest
+   cycle's transitions (up to ~616 k for a 63-lane uniform32 mul sweep)
+   plus the page tails that moves leave behind, with no growth garbage.
+
+   An instance holds no per-class state: the ALU's class selects are
+   inputs, and [prime] settles every net from the staged inputs alone.
+   [Characterize] therefore runs each 63-lane sweep of a class's trial
+   chain as its own pool task, on whichever instance the task borrows,
+   staging the selects and the sweep's predecessor operands (the
+   chain's carry) before [prime]. Measured on a 2-core host at 2000
+   cycles per class: a serial characterization peaks at 47 MB VmHWM
+   instead of 65 MB, and at two jobs the run mostly takes 0.83–1.02 s
+   at 60 MB instead of 1.75–1.87 s at 68 MB with one task per class. *)
 
 type t = {
   circuit : Circuit.t;
@@ -46,19 +65,28 @@ type t = {
       (* per net, one value bit per lane; during [cycle] this holds the
          cycle-START state (commits are deferred to the end of the
          pass so every gate walk starts from a consistent snapshot) *)
-  (* Per-cycle waveform arena: net [n]'s transitions are the contiguous
-     entries [net_off.(n) .. net_off.(n) + net_len.(n) - 1] of
-     [tr_key]/[tr_mask] (valid iff [net_gen.(n)] is current), sorted by
+  (* Per-cycle waveform arena, in pages allocated on demand and kept
+     for the instance's life: net [n]'s transitions are the contiguous
+     entries [net_off.(n) .. net_off.(n) + net_len.(n) - 1] of page
+     [net_page.(n)] (valid iff [net_gen.(n)] is current), sorted by
      key. Contiguity holds because a net's transitions are appended
      only while its single driver gate (or the input-staging loop) is
-     being processed. *)
-  mutable tr_key : float array; (* scaled times, like [delay] *)
-  mutable tr_mask : int array;
-  mutable tr_n : int;
+     being processed; a region that would cross a page end moves whole
+     to the next page ([move_region]). A page's arrays are never
+     reallocated, so a walker reads each input's region from that
+     input's page while the output region is appended. *)
+  mutable page_key : float array array; (* scaled times, like [delay] *)
+  mutable page_mask : int array array;
+  mutable n_pages : int;
+  mutable cur : int; (* the page being filled *)
+  mutable cur_key : float array; (* [page_key.(cur)] *)
+  mutable cur_mask : int array; (* [page_mask.(cur)] *)
+  mutable fill : int; (* entries used in the current page *)
+  net_page : int array;
   net_off : int array;
   net_len : int array;
   net_gen : int array;
-  mutable touched : int array; (* nets with transitions this cycle *)
+  touched : int array; (* nets with transitions this cycle *)
   mutable touched_n : int;
   mutable gen : int;
   (* Per-lane settle times for watched nets: [watch_ix] maps a net to a
@@ -86,6 +114,14 @@ let obs_words = Sfi_obs.Counter.make ~det:false "bitsim.words"
 
 let obs_lane_events = Sfi_obs.Counter.make ~det:false "bitsim.lane_events"
 
+(* Waveform regions moved to the next arena page because they would
+   have crossed a page end (a property of the stimulus and [page_size];
+   ~det:false like the work counters above). *)
+let obs_page_moves = Sfi_obs.Counter.make ~det:false "bitsim.page_moves"
+
+(* Entries per standard arena page (16 bytes each: a key and a mask). *)
+let page_size = 4096
+
 let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
     ?(lib = Cell_lib.default) ?watch (c : Circuit.t) =
   let kind_factor =
@@ -110,17 +146,23 @@ let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
   let watch_ix = Array.make c.Circuit.n_nets (-1) in
   Array.iteri (fun w net -> watch_ix.(net) <- w) watch_nets;
   let n_watch = Array.length watch_nets in
+  let first_key = Array.make page_size 0. and first_mask = Array.make page_size 0 in
   {
     circuit = c;
     delay;
     words;
-    tr_key = Array.make 4096 0.;
-    tr_mask = Array.make 4096 0;
-    tr_n = 0;
+    page_key = Array.make 16 first_key;
+    page_mask = Array.make 16 first_mask;
+    n_pages = 1;
+    cur = 0;
+    cur_key = first_key;
+    cur_mask = first_mask;
+    fill = 0;
+    net_page = Array.make c.Circuit.n_nets 0;
     net_off = Array.make c.Circuit.n_nets 0;
     net_len = Array.make c.Circuit.n_nets 0;
     net_gen = Array.make c.Circuit.n_nets 0;
-    touched = Array.make 1024 0;
+    touched = Array.make c.Circuit.n_nets 0;
     touched_n = 0;
     gen = 0;
     watch_ix;
@@ -161,36 +203,61 @@ let prime t =
   t.staged_n <- 0;
   Bitsim.eval_levels t.circuit t.words
 
-(* Appends one transition to [net]'s waveform. Input-region readers may
-   cache the arena arrays across a growth here: the old arrays keep
-   their contents, and a net's region is fully written before any
-   consumer gate runs (topological order). *)
+(* Makes page [at] a fresh page of [capacity] entries. A page already
+   in that slot (unused this cycle: slots above [cur] are) moves to a
+   new slot at the end, so every page allocated stays in the arena. *)
+let add_page t ~at capacity =
+  if t.n_pages = Array.length t.page_key then begin
+    let n = t.n_pages in
+    let nk = Array.make (2 * n) t.cur_key and nm = Array.make (2 * n) t.cur_mask in
+    Array.blit t.page_key 0 nk 0 n;
+    Array.blit t.page_mask 0 nm 0 n;
+    t.page_key <- nk;
+    t.page_mask <- nm
+  end;
+  t.page_key.(t.n_pages) <- t.page_key.(at);
+  t.page_mask.(t.n_pages) <- t.page_mask.(at);
+  t.page_key.(at) <- Array.make capacity 0.;
+  t.page_mask.(at) <- Array.make capacity 0;
+  t.n_pages <- t.n_pages + 1
+
+(* The current page is full in the middle of [net]'s region: move the
+   region (the page's tail) whole to the start of the next page, which
+   is allocated on first use. A region that fills a page by itself gets
+   an oversized page of twice its length in that slot. *)
+let move_region t net =
+  let off = t.net_off.(net) and len = t.net_len.(net) in
+  let next = t.cur + 1 in
+  if next = t.n_pages || Array.length t.page_key.(next) <= len then
+    add_page t ~at:next (if len < page_size then page_size else 2 * len);
+  let nk = t.page_key.(next) and nm = t.page_mask.(next) in
+  if len > 0 then begin
+    Array.blit t.cur_key off nk 0 len;
+    Array.blit t.cur_mask off nm 0 len;
+    Sfi_obs.Counter.incr obs_page_moves
+  end;
+  t.net_page.(net) <- next;
+  t.net_off.(net) <- 0;
+  t.cur <- next;
+  t.cur_key <- nk;
+  t.cur_mask <- nm;
+  t.fill <- len
+
+(* Appends one transition to [net]'s waveform. *)
 let append_transition t net key mask =
-  (if t.tr_n = Array.length t.tr_key then begin
-     let n = t.tr_n in
-     let nk = Array.make (2 * n) 0. and nm = Array.make (2 * n) 0 in
-     Array.blit t.tr_key 0 nk 0 n;
-     Array.blit t.tr_mask 0 nm 0 n;
-     t.tr_key <- nk;
-     t.tr_mask <- nm
-   end);
-  t.tr_key.(t.tr_n) <- key;
-  t.tr_mask.(t.tr_n) <- mask;
-  if t.net_gen.(net) = t.gen then t.net_len.(net) <- t.net_len.(net) + 1
-  else begin
+  if t.net_gen.(net) <> t.gen then begin
     t.net_gen.(net) <- t.gen;
-    t.net_off.(net) <- t.tr_n;
-    t.net_len.(net) <- 1;
-    if t.touched_n = Array.length t.touched then begin
-      let n = t.touched_n in
-      let nt = Array.make (2 * n) 0 in
-      Array.blit t.touched 0 nt 0 n;
-      t.touched <- nt
-    end;
+    t.net_page.(net) <- t.cur;
+    t.net_off.(net) <- t.fill;
+    t.net_len.(net) <- 0;
     t.touched.(t.touched_n) <- net;
     t.touched_n <- t.touched_n + 1
   end;
-  t.tr_n <- t.tr_n + 1
+  if t.fill = Array.length t.cur_key then move_region t net;
+  t.cur_key.(t.fill) <- key;
+  t.cur_mask.(t.fill) <- mask;
+  t.fill <- t.fill + 1;
+  t.net_len.(net) <- t.net_len.(net) + 1
 
 (* The per-gate waveform walks, specialized by arity (a segment's kind
    fixes the arity, so [cycle] picks the walker once per segment):
@@ -202,7 +269,8 @@ let append_transition t net key mask =
    key (bit patterns of nonnegative doubles stay below 2^62). *)
 
 let walk1 t code gi n1 o1 e1 =
-  let tk = t.tr_key and tm = t.tr_mask in
+  let pg = Array.unsafe_get t.net_page n1 in
+  let tk = Array.unsafe_get t.page_key pg and tm = Array.unsafe_get t.page_mask pg in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
   let a = ref (Array.unsafe_get t.words n1) in
@@ -234,7 +302,10 @@ let walk1 t code gi n1 o1 e1 =
   t.lane_events <- t.lane_events + !lanes_hit
 
 let walk2 t code gi n1 o1 e1 n2 o2 e2 =
-  let tk = t.tr_key and tm = t.tr_mask in
+  let pg1 = Array.unsafe_get t.net_page n1 in
+  let pg2 = Array.unsafe_get t.net_page n2 in
+  let tk1 = Array.unsafe_get t.page_key pg1 and tm1 = Array.unsafe_get t.page_mask pg1 in
+  let tk2 = Array.unsafe_get t.page_key pg2 and tm2 = Array.unsafe_get t.page_mask pg2 in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
   let a = ref (Array.unsafe_get t.words n1)
@@ -244,25 +315,25 @@ let walk2 t code gi n1 o1 e1 n2 o2 e2 =
   let q1 = ref o1 and q2 = ref o2 in
   let evals = ref 0 and lanes_hit = ref 0 in
   while !p1 < e1 || !p2 < e2 do
-    let k1 = if !p1 < e1 then Array.unsafe_get tk !p1 else infinity in
-    let k2 = if !p2 < e2 then Array.unsafe_get tk !p2 else infinity in
+    let k1 = if !p1 < e1 then Array.unsafe_get tk1 !p1 else infinity in
+    let k2 = if !p2 < e2 then Array.unsafe_get tk2 !p2 else infinity in
     let u = if k1 < k2 then k1 else k2 in
     let tmask = ref 0 in
     if k1 = u then begin
-      tmask := Array.unsafe_get tm !p1;
+      tmask := Array.unsafe_get tm1 !p1;
       incr p1
     end;
     if k2 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm !p2;
+      tmask := !tmask lor Array.unsafe_get tm2 !p2;
       incr p2
     end;
     let tau = u +. d in
-    while !q1 < e1 && Array.unsafe_get tk !q1 <= tau do
-      a := !a lxor Array.unsafe_get tm !q1;
+    while !q1 < e1 && Array.unsafe_get tk1 !q1 <= tau do
+      a := !a lxor Array.unsafe_get tm1 !q1;
       incr q1
     done;
-    while !q2 < e2 && Array.unsafe_get tk !q2 <= tau do
-      b := !b lxor Array.unsafe_get tm !q2;
+    while !q2 < e2 && Array.unsafe_get tk2 !q2 <= tau do
+      b := !b lxor Array.unsafe_get tm2 !q2;
       incr q2
     done;
     incr evals;
@@ -290,7 +361,12 @@ let walk2 t code gi n1 o1 e1 n2 o2 e2 =
   t.lane_events <- t.lane_events + !lanes_hit
 
 let walk3 t code gi n1 o1 e1 n2 o2 e2 n3 o3 e3 =
-  let tk = t.tr_key and tm = t.tr_mask in
+  let pg1 = Array.unsafe_get t.net_page n1 in
+  let pg2 = Array.unsafe_get t.net_page n2 in
+  let pg3 = Array.unsafe_get t.net_page n3 in
+  let tk1 = Array.unsafe_get t.page_key pg1 and tm1 = Array.unsafe_get t.page_mask pg1 in
+  let tk2 = Array.unsafe_get t.page_key pg2 and tm2 = Array.unsafe_get t.page_mask pg2 in
+  let tk3 = Array.unsafe_get t.page_key pg3 and tm3 = Array.unsafe_get t.page_mask pg3 in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
   let a = ref (Array.unsafe_get t.words n1)
@@ -301,35 +377,35 @@ let walk3 t code gi n1 o1 e1 n2 o2 e2 n3 o3 e3 =
   let q1 = ref o1 and q2 = ref o2 and q3 = ref o3 in
   let evals = ref 0 and lanes_hit = ref 0 in
   while !p1 < e1 || !p2 < e2 || !p3 < e3 do
-    let k1 = if !p1 < e1 then Array.unsafe_get tk !p1 else infinity in
-    let k2 = if !p2 < e2 then Array.unsafe_get tk !p2 else infinity in
-    let k3 = if !p3 < e3 then Array.unsafe_get tk !p3 else infinity in
+    let k1 = if !p1 < e1 then Array.unsafe_get tk1 !p1 else infinity in
+    let k2 = if !p2 < e2 then Array.unsafe_get tk2 !p2 else infinity in
+    let k3 = if !p3 < e3 then Array.unsafe_get tk3 !p3 else infinity in
     let u = if k1 < k2 then (if k1 < k3 then k1 else k3)
             else if k2 < k3 then k2 else k3 in
     let tmask = ref 0 in
     if k1 = u then begin
-      tmask := Array.unsafe_get tm !p1;
+      tmask := Array.unsafe_get tm1 !p1;
       incr p1
     end;
     if k2 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm !p2;
+      tmask := !tmask lor Array.unsafe_get tm2 !p2;
       incr p2
     end;
     if k3 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm !p3;
+      tmask := !tmask lor Array.unsafe_get tm3 !p3;
       incr p3
     end;
     let tau = u +. d in
-    while !q1 < e1 && Array.unsafe_get tk !q1 <= tau do
-      a := !a lxor Array.unsafe_get tm !q1;
+    while !q1 < e1 && Array.unsafe_get tk1 !q1 <= tau do
+      a := !a lxor Array.unsafe_get tm1 !q1;
       incr q1
     done;
-    while !q2 < e2 && Array.unsafe_get tk !q2 <= tau do
-      b := !b lxor Array.unsafe_get tm !q2;
+    while !q2 < e2 && Array.unsafe_get tk2 !q2 <= tau do
+      b := !b lxor Array.unsafe_get tm2 !q2;
       incr q2
     done;
-    while !q3 < e3 && Array.unsafe_get tk !q3 <= tau do
-      cv := !cv lxor Array.unsafe_get tm !q3;
+    while !q3 < e3 && Array.unsafe_get tk3 !q3 <= tau do
+      cv := !cv lxor Array.unsafe_get tm3 !q3;
       incr q3
     done;
     incr evals;
@@ -356,12 +432,11 @@ let walk3 t code gi n1 o1 e1 n2 o2 e2 n3 o3 e3 =
 (* After a watched net's waveform is complete: the settle time of every
    lane that toggled is its last toggle time (a forward overwrite —
    entries are in increasing key order). *)
-let record_settles t wi off len =
+let record_settles t wi tk tm off len =
   if t.w_gen.(wi) <> t.gen then begin
     t.w_gen.(wi) <- t.gen;
     t.w_mask.(wi) <- 0
   end;
-  let tk = t.tr_key and tm = t.tr_mask in
   let base = wi * Bitsim.lanes in
   for j = off to off + len - 1 do
     let mask = Array.unsafe_get tm j in
@@ -377,7 +452,10 @@ let record_settles t wi off len =
 
 let cycle t =
   t.gen <- t.gen + 1;
-  t.tr_n <- 0;
+  t.cur <- 0;
+  t.cur_key <- t.page_key.(0);
+  t.cur_mask <- t.page_mask.(0);
+  t.fill <- 0;
   t.touched_n <- 0;
   let words0 = t.words_evaled and lanes0 = t.lane_events in
   (* Primary-input transitions launch at t = 0 (key 0 = bits of 0.0),
@@ -449,15 +527,17 @@ let cycle t =
      its toggles; watched nets also record per-lane settle times. *)
   for i = 0 to t.touched_n - 1 do
     let n = Array.unsafe_get t.touched i in
+    let pg = Array.unsafe_get t.net_page n in
+    let tm = Array.unsafe_get t.page_mask pg in
     let off = Array.unsafe_get t.net_off n in
     let len = Array.unsafe_get t.net_len n in
     let acc = ref 0 in
     for j = off to off + len - 1 do
-      acc := !acc lxor Array.unsafe_get t.tr_mask j
+      acc := !acc lxor Array.unsafe_get tm j
     done;
     Array.unsafe_set t.words n (Array.unsafe_get t.words n lxor !acc);
     let wi = Array.unsafe_get t.watch_ix n in
-    if wi >= 0 then record_settles t wi off len
+    if wi >= 0 then record_settles t wi (Array.unsafe_get t.page_key pg) tm off len
   done;
   if Sfi_obs.enabled () then begin
     Sfi_obs.Counter.add obs_words (t.words_evaled - words0);

@@ -206,41 +206,154 @@ let profile_for cls =
 
 let db_bytes (db : Characterize.t) = Marshal.to_string db []
 
+(* Runs [f] with observability on and returns its result with the
+   value the counter [name] reached. *)
+let counting name f =
+  let c = Sfi_obs.Counter.make ~det:false name in
+  Sfi_obs.reset ();
+  Sfi_obs.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Sfi_obs.set_enabled false) f in
+  (r, Sfi_obs.Counter.value c)
+
+(* Chains are sampled before dispatch and every sweep is its own pool
+   task, so the database is the reference's at every job count. The
+   cycle count gives each class several sweeps and a partial last one.
+   At jobs 1 the run's one DTA instance serves every class, which pins
+   the re-staging of the select words before each sweep. *)
 let test_packed_db_bit_identical () =
   let alu = Lazy.force sized_alu in
-  let scalar = Ref_characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
-  let packed = Characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
-  (* Bit-identity of the full database: every per-class CDF, the raw
-     cycle_arrivals matrices and the settle maxima, via the marshalled
-     bytes (floats compared representation-exact). *)
-  Alcotest.(check bool) "class_db bit-identical across kernels" true
-    (db_bytes scalar = db_bytes packed);
-  (* And spot-check semantics, so a Marshal quirk could not hide a
-     real difference. *)
+  let cycles = (3 * Bitsim.lanes) + 5 in
+  let scalar = Ref_characterize.run ~cycles ~seed:97 ~profile_for ~vdd:0.7 alu in
   List.iter
-    (fun cls ->
-      let s = Characterize.class_db scalar cls in
-      let p = Characterize.class_db packed cls in
-      Alcotest.(check string) "profile" s.Characterize.profile_name
-        p.Characterize.profile_name;
-      Alcotest.(check bool) "max_settle" true
-        (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
-      Alcotest.(check bool) "cycle_arrivals" true
-        (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
-    Op_class.all
+    (fun jobs ->
+      let packed =
+        Characterize.run ~cycles ~seed:97 ~profile_for
+          ~spec:(Spec.with_jobs jobs Spec.default) ~vdd:0.7 alu
+      in
+      (* Bit-identity of the full database: every per-class CDF, the raw
+         cycle_arrivals matrices and the settle maxima, via the
+         marshalled bytes (floats compared representation-exact). *)
+      Alcotest.(check bool)
+        (Printf.sprintf "class_db bit-identical across kernels at jobs %d" jobs)
+        true
+        (db_bytes scalar = db_bytes packed);
+      (* And spot-check semantics, so a Marshal quirk could not hide a
+         real difference. *)
+      List.iter
+        (fun cls ->
+          let s = Characterize.class_db scalar cls in
+          let p = Characterize.class_db packed cls in
+          Alcotest.(check string) "profile" s.Characterize.profile_name
+            p.Characterize.profile_name;
+          Alcotest.(check bool) "max_settle" true
+            (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
+          Alcotest.(check bool) "cycle_arrivals" true
+            (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
+        Op_class.all)
+    [ 1; 2; 4 ]
 
 (* The packed kernel must survive a partial final sweep (cycles not a
-   multiple of lanes is the common case) and a single-trial run. *)
+   multiple of lanes is the common case) and a single-trial run. A full
+   uniform32 sweep of the mul class appends far more transitions than
+   an arena page holds, so from [Bitsim.lanes] cycles on, waveform
+   regions reach page ends and move whole to the next page. *)
 let test_packed_partial_batches () =
   let alu = Lazy.force sized_alu in
   List.iter
     (fun cycles ->
+      let packed, moves =
+        counting "bitsim.page_moves" (fun () ->
+            Characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical at %d cycles" cycles)
         true
-        (db_bytes (Ref_characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)
-        = db_bytes (Characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)))
+        (db_bytes (Ref_characterize.run ~cycles ~seed:5 ~vdd:0.7 alu) = db_bytes packed);
+      if cycles >= Bitsim.lanes then
+        Alcotest.(check bool)
+          (Printf.sprintf "regions moved to the next page at %d cycles" cycles)
+          true (moves > 0))
     [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
+
+(* ---------- paged waveform arena ---------- *)
+
+(* A net with more transitions in one cycle than any arena page holds:
+   an XOR tree over [leaves] inputs, each input behind one buffer whose
+   delay puts its toggle [spacing] after the previous input's. The
+   spacing exceeds every tree path's delay spread plus a gate delay, so
+   no toggles merge and the root's waveform has one entry per toggling
+   input, a region that outgrows a page. The first cycle (every input
+   rises in every lane) gives the root an oversized page at the end of
+   the arena. The second (the first half of the inputs falls in random
+   lanes) appends about half as much before the root, so the root's
+   region fills a standard page mid-arena and must displace the next
+   one with an oversized page. *)
+let test_region_longer_than_page () =
+  let leaves = 1 lsl 14 in
+  let b = B.create () in
+  let ins = Array.init leaves (fun i -> B.input b (Printf.sprintf "i%d" i)) in
+  let bufs = Array.map (fun n -> B.gate b Cell.Buf [| n |]) ins in
+  let rec tree = function
+    | [ n ] -> n
+    | nets ->
+      let rec pair = function
+        | x :: y :: rest -> B.gate b Cell.Xor2 [| x; y |] :: pair rest
+        | rest -> rest
+      in
+      tree (pair nets)
+  in
+  let root = tree (Array.to_list bufs) in
+  let tail = B.gate b Cell.Buf [| root |] in
+  B.output b "root" root;
+  B.output b "tail" tail;
+  let c = Circuit.freeze b ~lib:Cell_lib.default in
+  let d_max = Array.fold_left Float.max 0. c.Circuit.base_delay in
+  (* Four times the delay of 16 levels: the tree's 14, the leaf buffer
+     and the root's reader. *)
+  let spacing = 4. *. 16. *. d_max in
+  let leaf_of_gate = Hashtbl.create leaves in
+  Array.iteri (fun i n -> Hashtbl.replace leaf_of_gate c.Circuit.driver.(n) i) bufs;
+  Circuit.scale_gate_delays c (fun gi ->
+      match Hashtbl.find_opt leaf_of_gate gi with
+      | Some i -> float_of_int (i + 1) *. spacing /. c.Circuit.base_delay.(gi)
+      | None -> 1.);
+  let watch = [| root; tail |] in
+  let packed = Dta_packed.create ~watch c in
+  let rng = Rng.of_int 3 in
+  let rise = Array.map (fun _ -> Bitsim.full_mask) ins in
+  let fall =
+    Array.mapi
+      (fun i w -> if i < leaves / 2 then Int64.to_int (Rng.int64 rng) land w else w)
+      rise
+  in
+  let scalars = List.map (fun lane -> (lane, Dta.create c)) [ 0; 31; Bitsim.lanes - 1 ] in
+  let step words =
+    Array.iteri (fun i n -> Dta_packed.set_input_word packed n words.(i)) ins;
+    Dta_packed.cycle packed;
+    List.iter
+      (fun (lane, scalar) ->
+        Array.iteri (fun i n -> Dta.set_input scalar n ((words.(i) lsr lane) land 1 = 1)) ins;
+        Dta.cycle scalar;
+        Array.iter
+          (fun n ->
+            let what = Printf.sprintf "lane %d net %d" lane n in
+            Alcotest.(check bool) (what ^ " value") (Dta.value scalar n)
+              (Dta_packed.value packed n ~lane);
+            Alcotest.(check bool) (what ^ " settle bit-equal") true
+              (Float.equal (Dta.settle_time scalar n) (Dta_packed.settle_time packed n ~lane)))
+          watch)
+      scalars
+  in
+  let (), moves =
+    counting "bitsim.page_moves" (fun () ->
+        step rise;
+        (* Every input rose: the root toggles once per leaf, the last
+           time after the last leaf's buffer. *)
+        Alcotest.(check bool) "root settles after the last leaf" true
+          (Dta_packed.settle_time packed root ~lane:0 > float_of_int leaves *. spacing);
+        step fall)
+  in
+  Alcotest.(check bool) "regions moved to the next page" true (moves > 0)
 
 let () =
   Alcotest.run "sfi_bitsim"
@@ -261,4 +374,7 @@ let () =
             test_packed_db_bit_identical;
           Alcotest.test_case "partial final sweep" `Quick test_packed_partial_batches;
         ] );
+      ( "paged-arena",
+        [ Alcotest.test_case "region longer than a page" `Quick test_region_longer_than_page ]
+      );
     ]

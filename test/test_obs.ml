@@ -81,6 +81,43 @@ let test_span_accumulates () =
   Alcotest.(check int) "two entries" 2 (Sfi_obs.Span.count s);
   Alcotest.(check bool) "non-negative total" true (Sfi_obs.Span.total_ns s >= 1500)
 
+(* A stamp pair times one region; a stamp taken while disabled adds
+   nothing even if recording was switched on in between. *)
+let test_span_start_stop () =
+  let s = Sfi_obs.Span.make "test.stamp_span" in
+  let t0 = Sfi_obs.Span.start () in
+  Alcotest.(check bool) "enabled stamp is positive" true (t0 > 0);
+  Sfi_obs.Span.stop s t0;
+  Alcotest.(check int) "one call" 1 (Sfi_obs.Span.count s);
+  Alcotest.(check bool) "non-negative total" true (Sfi_obs.Span.total_ns s >= 0);
+  Sfi_obs.set_enabled false;
+  let t1 = Sfi_obs.Span.start () in
+  Alcotest.(check int) "disabled stamp is 0" 0 t1;
+  Sfi_obs.set_enabled true;
+  Sfi_obs.Span.stop s t1;
+  Alcotest.(check int) "disabled stamp not recorded" 1 (Sfi_obs.Span.count s)
+
+(* Timing a region with a stamp pair costs nothing while disabled: the
+   characterization kernel times every sweep task this way. *)
+let test_span_stamps_allocation_free () =
+  match Sys.backend_type with
+  | Sys.Native ->
+    let s = Sfi_obs.Span.make "test.stamp_alloc" in
+    Sfi_obs.set_enabled false;
+    let run () =
+      for _ = 1 to 10_000 do
+        Sfi_obs.Span.stop s (Sfi_obs.Span.start ())
+      done
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    let dw = Gc.minor_words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "disabled start/stop allocated %.0f minor words" dw)
+      true (dw < 16.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* ---------- det signature ---------- *)
 
 let test_det_signature_contents () =
@@ -239,7 +276,12 @@ let () =
         ] );
       ( "hist",
         [ t "bucket laws" test_hist_bucket_laws; t "observe" test_hist_observe ] );
-      ("span", [ t "accumulates" test_span_accumulates ]);
+      ( "span",
+        [
+          t "accumulates" test_span_accumulates;
+          t "start/stop stamps" test_span_start_stop;
+          t "disabled stamps are allocation-free" test_span_stamps_allocation_free;
+        ] );
       ("signature", [ t "det contents" test_det_signature_contents ]);
       ( "pool",
         [
