@@ -625,7 +625,6 @@ let trace_cmd =
 
 let models_cmd =
   let run () =
-    let yn b = if b then "yes" else "no" in
     let t =
       Sfi_util.Table.create ~title:"registered fault models"
         [
@@ -633,7 +632,6 @@ let models_cmd =
           ("description", Sfi_util.Table.Left);
           ("technique", Sfi_util.Table.Left);
           ("timing data", Sfi_util.Table.Left);
-          ("cycle-dep", Sfi_util.Table.Left);
           ("params (defaults)", Sfi_util.Table.Left);
         ]
     in
@@ -658,7 +656,6 @@ let models_cmd =
             e.Sfi_fi.Model.Registry.doc;
             e.Sfi_fi.Model.Registry.features.Sfi_fi.Model.technique;
             e.Sfi_fi.Model.Registry.features.Sfi_fi.Model.timing_data;
-            yn e.Sfi_fi.Model.Registry.cycle_dependent;
             params;
           ])
       (Sfi_fi.Model.Registry.entries ());

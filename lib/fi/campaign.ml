@@ -69,8 +69,9 @@ let reference_cycles (bench : Bench.t) =
 let budget ref_cycles = (3 * ref_cycles) + 65536
 
 (* One trial on its pre-split stream: fast-forwarded over [trace] when
-   the point has one, else fully replayed from cycle 0. This is the one
-   place a trial is counted, whichever engine ran it. *)
+   the point has one, else fully replayed from cycle 0 (no trace, or the
+   representative run of a fault-free point). This is the one place a
+   trial is counted, whichever path ran it. *)
 let trial ~bench ~model ~freq_mhz ~budget ~trace rng =
   let t =
     match trace with
@@ -80,9 +81,9 @@ let trial ~bench ~model ~freq_mhz ~budget ~trace rng =
       snd
         (Trial.simulate ~bench ~injector ~budget (fun mem ->
              (* Per-trial state hook: architectural-state attack models
-                flip bits in the freshly reset image here; every built-in
-                is a no-op that draws nothing, so the RNG stream (and
-                thus every historic result) is unchanged. *)
+                flip bits in the freshly reset image here; a model
+                without one draws nothing, so the RNG stream (and thus
+                every historic result) is unchanged. *)
              ignore (Injector.trial_start injector mem : int)))
   in
   Sfi_obs.Counter.incr obs_trials;
@@ -275,9 +276,9 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   end
   else begin
     (* Fast-forward: one snapshot trace per benchmark, shared by every
-       trial of every point. Without one — a cycle-dependent model, or a
-       reference run that does not exit cleanly — the point falls back
-       to full replay, counted by [trace_for_model]. *)
+       trial of every point and every model. Without one — a reference
+       run that does not exit cleanly — the point falls back to full
+       replay, counted by [trace_for_model]. *)
     let trace =
       Fastforward.trace_for_model ~bench ~model ~stride:(Fastforward.stride_for ~ref_cycles)
     in
@@ -406,39 +407,6 @@ module Point_json = struct
         ("mean_error", num p.mean_error);
         ("any_fault_possible", Json.Bool p.any_fault_possible);
       ]
-
-  let float_field name j =
-    match Json.member name j with
-    | Some Json.Null -> nan
-    | Some v -> (
-      match Json.to_float v with
-      | Some f -> f
-      | None -> invalid_arg (Printf.sprintf "Point_json: field %s is not a number" name))
-    | None -> invalid_arg (Printf.sprintf "Point_json: missing field %s" name)
-
-  let int_field name j =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Point_json: missing int field %s" name)
-
-  let to_point j =
-    let any_fault_possible =
-      match Option.bind (Json.member "any_fault_possible" j) Json.to_bool with
-      | Some b -> b
-      | None -> invalid_arg "Point_json: missing field any_fault_possible"
-    in
-    {
-      freq_mhz = float_field "freq_mhz" j;
-      trials = int_field "trials" j;
-      trials_requested = int_field "trials_requested" j;
-      finished_rate = float_field "finished_rate" j;
-      correct_rate = float_field "correct_rate" j;
-      ci_low = float_field "ci_low" j;
-      ci_high = float_field "ci_high" j;
-      fi_per_kcycle = float_field "fi_per_kcycle" j;
-      mean_error = float_field "mean_error" j;
-      any_fault_possible;
-    }
 
   let of_sweep ?(meta = []) points =
     Json.Obj

@@ -16,13 +16,14 @@
 
     When the injector proves that no fault can occur at the operating
     point (the grayed-out "n/a" regions of the paper's figures), a single
-    fault-free run stands in for all trials. Every other trial runs
-    through {!Fastforward}: a provably fault-free trial is resolved
-    without simulation, a faulty one simulates only the suffix after its
-    first fault. A point falls back to full replay from cycle 0 only
-    for a {!Model.cycle_dependent} model ([skip], [opcode], [state]) or
-    a benchmark whose reference run does not exit cleanly — both
-    counted, both bit-identical.
+    fault-free run stands in for all trials. Every other trial, for
+    every registered model, runs through {!Fastforward}: a provably
+    fault-free trial is resolved without simulation, a faulty one
+    simulates only the suffix from just before its first possible
+    fault. Full replay from cycle 0 remains only for that single
+    representative run and for a benchmark whose reference run does
+    not exit cleanly (counted on [fastforward.no_trace]); both are
+    bit-identical.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
     (default: [Pool.default_jobs ()], i.e. the CLI's [--jobs] or all
@@ -79,9 +80,9 @@ val reference_cycles : Bench.t -> int
 
 val run_trial :
   bench:Bench.t -> model:Model.t -> freq_mhz:float -> seed:int -> trial
-(** One full-replay trial from cycle 0 with its own RNG stream — the
-    engine a point falls back to when it cannot fast-forward; watchdog
-    set to 3x the fault-free cycle count (+64k slack). *)
+(** One full-replay trial from cycle 0 with its own RNG stream — what a
+    point runs without a snapshot trace; watchdog set to 3x the
+    fault-free cycle count (+64k slack). *)
 
 val run : Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point
 (** Evaluates one point under the spec's trial policy, seed, job count
@@ -118,9 +119,6 @@ module Point_json : sig
   (** ["sfi-point/1"]. *)
 
   val of_point : point -> Sfi_obs.Json.t
-
-  val to_point : Sfi_obs.Json.t -> point
-  (** Raises [Invalid_argument] on missing or mistyped fields. *)
 
   val of_sweep : ?meta:(string * Sfi_obs.Json.t) list -> point list -> Sfi_obs.Json.t
   (** [{"schema": "sfi-point/1", <meta...>, "points": [...]}]. *)

@@ -6,24 +6,31 @@ open Sfi_kernels
 
    A trial's execution is deterministic and identical to the fault-free
    reference run until its first injected fault, so until then its hooks
-   fire at the recorded cycles. The hooks of the models served here
-   depend only on the instruction class, the cycle number and the
-   trial's private RNG stream, never on operand values, so the whole
-   fault decision sequence of a trial is a pure function of (reference
-   hook-call schedule, trial RNG stream). That makes two eliminations
-   sound:
+   fire at the recorded cycles with the recorded classes. Each model
+   answers, per hook call and without operands, whether the call may
+   inject ([Model.instance.may_inject]), consuming exactly the draws the
+   real call would; [false] means the real call returns mask 0 whatever
+   its operands. That makes two eliminations sound:
 
-   - {e analytic trials}: replay the recorded schedule against the
-     trial's RNG (the "probe"); if no hook returns a nonzero mask, the
-     trial is provably the reference run and its result is assembled
-     from the cached reference stats and outputs without touching the
-     ISS at all;
-   - {e suffix trials}: otherwise, restore the sparse snapshot nearest
-     before the first-fault cycle and simulate only the suffix, with the
-     real injector seeded from the RNG state captured at that snapshot
-     boundary, so the suffix re-fires the boundary-to-fault hooks with
-     the same draws (masks 0), injects the same first fault, and then
-     diverges exactly as the full run would.
+   - {e analytic trials}: ask the recorded schedule against a copy of
+     the trial's RNG (the "probe"); if no call may inject, the trial is
+     provably the reference run and its result is assembled from the
+     cached reference stats and outputs without touching the ISS at all;
+   - {e suffix trials}: otherwise, restore the last snapshot at or
+     before the schedule entry that precedes the first call that may
+     inject, and simulate only the suffix, with the real model seeded
+     from the RNG state captured at that snapshot boundary, so the
+     suffix re-fires the boundary-to-fault hooks with the same draws
+     (masks 0), reaches the same first call, and from there runs
+     exactly as the full run would. Restoring before the previous entry
+     rather than before the call itself lets the suffix rebuild
+     per-trial state that call reads: [skip]'s EX latch holds the
+     result of the call before its trigger.
+
+   A model with a trial-start edit ([state]) has no hook call to find:
+   its trials restart from snapshot 0 (cycle 0, no page deltas), where
+   the edit runs on the trial's own stream before the run continues.
+   That is full replay through the one engine — no probe, no elision.
 
    Bit-identity hinges on draw accounting: the probe consumes exactly
    the draws the full run would, and a snapshot boundary at cycle [s]
@@ -183,58 +190,46 @@ let trace_for ~(bench : Bench.t) ~stride =
       | t -> Some t
       | exception No_trace -> None)
 
-(* The two counted fallbacks to full replay: models the probe cannot
-   soundly replay, and benchmarks whose reference run does not exit.
-   How the trace was (not) obtained is elided-work metadata, det:false
-   like the rest of the family. *)
-let obs_model_unsupported =
-  Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
-
+(* The one counted fallback to full replay: a benchmark whose reference
+   run does not exit. How the trace was (not) obtained is elided-work
+   metadata, det:false like the rest of the family. *)
 let obs_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
 
-let trace_for_model ~bench ~model ~stride =
-  if Model.cycle_dependent model then begin
-    Sfi_obs.Counter.incr obs_model_unsupported;
-    None
-  end
-  else begin
-    let t = trace_for ~bench ~stride in
-    if Option.is_none t then Sfi_obs.Counter.incr obs_no_trace;
-    t
-  end
+let trace_for_model ~bench ~model:_ ~stride =
+  let t = trace_for ~bench ~stride in
+  if Option.is_none t then Sfi_obs.Counter.incr obs_no_trace;
+  t
 
 (* ---------- the fast-forwarded trial ---------- *)
 
-(* Per-class-index gaussian-skip table for a probe injector: [k >= 0]
-   means a hook call for that class is a provable no-op consuming
-   exactly [k] gaussians, [-1] means it must actually run. Consecutive
-   skippable schedule entries are batched into one
-   [Rng.skip_gaussians] jump — draw-for-draw equivalent, minus the
-   per-call threshold math and transcendentals. *)
-let skip_table probe =
-  Array.map
-    (fun cls ->
-      match Injector.skippable_gaussians probe cls with Some k -> k | None -> -1)
-    class_of_index
+(* The probe's model instance, on a private copy of the trial stream. *)
+let probe_instance ~model ~freq_mhz ~rng =
+  let rng = Rng.copy rng in
+  (Model.instantiate model ~count_obs:false ~freq_mhz ~rng, rng)
 
-(* The probe: a silent injector walking the recorded schedule against
-   a copy of the trial stream, each call with its recorded cycle and
-   zero operands. Every hook call consumes exactly the draws the full
-   run's corresponding call would and, up to the first fault, sees the
-   cycle the full run's call sees (the models ignore operands), so the
-   first nonzero mask found here IS the trial's first fault, and the
-   RNG copies taken at snapshot boundaries are exactly the stream
-   states a full run would carry into those cycles. [fault_at] is the
-   first fault's schedule index ([-1] for a provably fault-free trial);
+(* The probe: the instance walks the recorded schedule, asked
+   [may_inject] for each call with its recorded cycle and class. Every
+   call consumes exactly the draws the full run's corresponding call
+   would and, up to the first call that may inject, sees the cycle the
+   full run's call sees, so no earlier call of the full run injects,
+   and the RNG copies taken at snapshot boundaries are exactly the
+   stream states a full run would carry into those cycles. Consecutive
+   entries whose class is a provable no-op consuming [k] gaussians
+   ([skippable_gaussians]) are batched into one [Rng.skip_gaussians]
+   jump — draw-for-draw equivalent, minus the per-call threshold math
+   and transcendentals. [fault_at] is the first call that may inject
+   ([-1] for a provably fault-free trial); [restore] the last snapshot
+   at or before the entry preceding it (0 for the first entry);
    [boundary.(j)] holds the stream state at snapshot [j] for every
-   [j < crossed]. *)
-type probe = { fault_at : int; crossed : int; boundary : Rng.t array }
+   [j <= restore]. *)
+type probe = { fault_at : int; restore : int; boundary : Rng.t array }
 
-let probe ~model ~freq_mhz ~trace ~rng =
-  let probe_rng = Rng.copy rng in
-  let probe = Injector.create ~count_obs:false ~model ~freq_mhz ~rng:probe_rng () in
-  let hook = Injector.hook probe in
-  let skip_tab = skip_table probe in
+let probe ~(inst : Model.instance) ~rng:probe_rng trace =
+  let skip_tab =
+    Array.map
+      (fun cls -> match inst.Model.skippable_gaussians cls with Some k -> k | None -> -1)
+      class_of_index
+  in
   let pending = ref 0 in
   let flush () =
     if !pending > 0 then begin
@@ -245,12 +240,14 @@ let probe ~model ~freq_mhz ~trace ~rng =
   let n = Array.length trace.sched_cycle in
   let snaps = trace.snaps in
   let n_snaps = Array.length snaps in
-  let boundary = Array.make n_snaps rng in
+  let boundary = Array.make n_snaps probe_rng in
   let next_snap = ref 0 in
-  let fault_at = ref (-1) in
+  let fault_at = ref (-1) and restore = ref 0 in
   let i = ref 0 in
   while !fault_at < 0 && !i < n do
     let c = Array.unsafe_get trace.sched_cycle !i in
+    (* the snapshots at or before the previous entry *)
+    let before = !next_snap in
     (* Schedule cycles are strictly increasing, so every boundary with
        snapshot cycle <= c is crossed before this entry's draws: save
        the stream state there. Boundaries are checked for every entry
@@ -274,49 +271,59 @@ let probe ~model ~freq_mhz ~trace ~rng =
     else begin
       flush ();
       let cls = Array.unsafe_get class_of_index ci in
-      if hook ~cycle:c ~cls ~a:0 ~b:0 ~result:0 <> 0 then fault_at := !i else incr i
+      if inst.Model.may_inject ~cycle:c ~cls then begin
+        fault_at := !i;
+        restore := max 0 (before - 1)
+      end
+      else incr i
     end
   done;
-  { fault_at = !fault_at; crossed = !next_snap; boundary }
+  { fault_at = !fault_at; restore = !restore; boundary }
 
 let first_fault ~model ~freq_mhz ~trace ~rng =
-  let p = probe ~model ~freq_mhz ~trace ~rng in
+  let inst, rng = probe_instance ~model ~freq_mhz ~rng in
+  let p = probe ~inst ~rng trace in
   if p.fault_at < 0 then None
   else Some (trace.sched_cycle.(p.fault_at), class_of_index.(trace.sched_cls.(p.fault_at)))
 
+(* Simulate a trial from snapshot [j] with a real injector on [rng], the
+   trial stream's state at that snapshot: memory is the image plus the
+   page deltas of snapshots [0..j], and at snapshot 0 (cycle 0) the
+   model's trial-start edit runs first, as in a run from the program
+   entry. The suffix runs under the same absolute cycle budget as a full
+   run, and the fi_on window is re-armed from the snapshot. *)
+let resume ~bench ~model ~freq_mhz ~budget ~trace ~rng j =
+  let snaps = trace.snaps in
+  let restore_cycle = Cpu.snapshot_cycle snaps.(j).state in
+  let injector = Injector.create ~model ~freq_mhz ~rng () in
+  let stats, trial =
+    Trial.simulate ~bench ~injector ~budget ~resume:snaps.(j).state (fun mem ->
+        for k = 0 to j do
+          Array.iter
+            (fun (page, s) ->
+              Memory.blit_from_string mem ~pos:(page * trace.trace_page_size) s)
+            snaps.(k).pages
+        done;
+        if j = 0 then ignore (Injector.trial_start injector mem : int))
+  in
+  Sfi_obs.Counter.incr obs_restores;
+  Sfi_obs.Counter.add obs_suffix_cycles (stats.Cpu.cycles - restore_cycle);
+  Sfi_obs.Counter.add obs_cycles_elided restore_cycle;
+  trial
+
 let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
-  let p = probe ~model ~freq_mhz ~trace ~rng in
-  if p.fault_at < 0 then begin
-    (* Provably fault-free: the trial is the reference run. *)
-    Sfi_obs.Counter.incr obs_elided;
-    Sfi_obs.Counter.add obs_cycles_elided trace.ref_stats.Cpu.cycles;
-    Trial.make ~bench ~stats:trace.ref_stats ~output:trace.ref_output ~fault_bits:0
-      ~fault_events:0
-  end
+  let inst, probe_rng = probe_instance ~model ~freq_mhz ~rng in
+  if Option.is_some inst.Model.trial_start then
+    (* A trial-start edit: restart from cycle 0 on the untouched copy. *)
+    resume ~bench ~model ~freq_mhz ~budget ~trace ~rng:probe_rng 0
   else begin
-    (* First fault at schedule entry [p.fault_at]: restore the nearest
-       preceding snapshot — [snaps.(0)] sits at cycle 0, so [j >= 0] —
-       and simulate the suffix with a real injector seeded from the
-       boundary stream state. The replayed window between the snapshot
-       and the fault re-fires its hooks with the same draws (all mask
-       0, all under the re-armed fi_on window the snapshot carries),
-       then injects the same first fault and runs the divergent tail
-       under the same absolute cycle budget as a full run. *)
-    let snaps = trace.snaps in
-    let j = p.crossed - 1 in
-    let restore_cycle = Cpu.snapshot_cycle snaps.(j).state in
-    let injector = Injector.create ~model ~freq_mhz ~rng:p.boundary.(j) () in
-    let stats, trial =
-      Trial.simulate ~bench ~injector ~budget ~resume:snaps.(j).state (fun mem ->
-          for k = 0 to j do
-            Array.iter
-              (fun (page, s) ->
-                Memory.blit_from_string mem ~pos:(page * trace.trace_page_size) s)
-              snaps.(k).pages
-          done)
-    in
-    Sfi_obs.Counter.incr obs_restores;
-    Sfi_obs.Counter.add obs_suffix_cycles (stats.Cpu.cycles - restore_cycle);
-    Sfi_obs.Counter.add obs_cycles_elided restore_cycle;
-    trial
+    let p = probe ~inst ~rng:probe_rng trace in
+    if p.fault_at < 0 then begin
+      (* Provably fault-free: the trial is the reference run. *)
+      Sfi_obs.Counter.incr obs_elided;
+      Sfi_obs.Counter.add obs_cycles_elided trace.ref_stats.Cpu.cycles;
+      Trial.make ~bench ~stats:trace.ref_stats ~output:trace.ref_output ~fault_bits:0
+        ~fault_events:0
+    end
+    else resume ~bench ~model ~freq_mhz ~budget ~trace ~rng:p.boundary.(p.restore) p.restore
   end

@@ -1,20 +1,31 @@
-(** Snapshot fast-forward, the campaign's trial engine (DESIGN.md §13).
+(** Snapshot fast-forward, the campaign's trial engine for every
+    registered model (DESIGN.md §13).
 
     A trial is bit-identical to the fault-free reference run until its
-    first injected fault, and the hooks of the models served here
-    depend only on the instruction class, the cycle number and the
-    trial's private RNG stream. Recording the reference run's hook-call
+    first injected fault. Recording the reference run's hook-call
     schedule (cycle and class of every call) plus sparse architectural
     snapshots therefore lets a campaign
 
-    - resolve provably fault-free trials analytically (no simulation),
-    - and start every faulty trial from the snapshot nearest before its
-      first fault, simulating only the suffix —
+    - resolve provably fault-free trials analytically (no simulation):
+      the {e probe} asks the model, call by call and without operands,
+      whether the call may inject ({!Model.instance.may_inject}), on a
+      copy of the trial's RNG stream;
+    - and start every other trial from the last snapshot at or before
+      the schedule entry preceding its first call that may inject (or
+      from snapshot 0 when that call is the first entry), simulating
+      only the suffix. Restoring before the previous entry lets the
+      suffix rebuild per-trial state that call reads: [skip]'s EX latch
+      holds the result of the call before its trigger.
 
-    while consuming exactly the RNG draws a full run would, so results,
-    det signatures and checkpoint records are bit-identical to full
-    replay from cycle 0. Traces persist in {!Sfi_cache} (namespace
-    ["snap"], codec ["sfi-snap/1"]) keyed by benchmark content + stride. *)
+    A model with a trial-start edit ([state]) restarts each trial from
+    snapshot 0, where the edit runs before the run continues: full
+    replay through the same engine, never elided.
+
+    The probe consumes exactly the RNG draws a full run would, so
+    results, det signatures and checkpoint records are bit-identical to
+    full replay from cycle 0. Traces persist in {!Sfi_cache} (namespace
+    ["snap"], codec ["sfi-snap/1"]) keyed by benchmark content +
+    stride. *)
 
 open Sfi_util
 open Sfi_kernels
@@ -41,17 +52,11 @@ val trace_for : bench:Bench.t -> stride:int -> trace option
     replay; only a recorded trace is stored on disk. *)
 
 val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace option
-(** {!trace_for}, gated on the model's fast-forward contract; [None]
-    sends the campaign point to full replay, and each such fallback is
-    counted (det:false):
-    - a {!Model.cycle_dependent} model ([skip], [opcode], [state]) bumps
-      [fastforward.model_unsupported] without recording a trace: the
-      probe replays each recorded call with its cycle and zero
-      operands, which is unsound for masks that depend on operand
-      values, per-trial state the probe does not replay or pre-run
-      state;
-    - a benchmark whose reference run does not exit cleanly bumps
-      [fastforward.no_trace]. *)
+(** {!trace_for}, counting each [None] on [fastforward.no_trace]
+    (det:false): a benchmark whose reference run does not exit cleanly
+    sends the campaign point to full replay. Every model fast-forwards,
+    so [model] is not consulted; it stays in the signature for callers
+    that pass it, such as the benchmark's per-layer probe. *)
 
 val first_fault :
   model:Model.t ->
@@ -61,10 +66,15 @@ val first_fault :
   (int * Op_class.t) option
 (** The probe {!run_trial} runs, on its own, for statistical
     validation: the cycle and instruction class of the trial's first
-    injected fault, or [None] for a provably fault-free trial. Walks a
-    copy of [rng]; the caller's stream is untouched. By the
-    draw-accounting contract this equals the first fault a full-replay
-    run of the same stream would inject. *)
+    hook call that may inject, or [None] for a provably fault-free
+    trial. Walks a copy of [rng]; the caller's stream is untouched.
+
+    For models whose mask ignores operands (A, B, B+, C, C-corr,
+    glitch) this is the first fault a full-replay run of the same
+    stream injects. For [skip] and [opcode] it is the first trigger,
+    whose mask can still be 0. A trial-start edit is not a hook call:
+    [state] reports [None] for every stream, although {!run_trial}
+    never elides a [state] trial. *)
 
 val run_trial :
   bench:Bench.t ->
@@ -74,8 +84,11 @@ val run_trial :
   trace:trace ->
   rng:Rng.t ->
   Trial.t
-(** One fast-forwarded trial on the trial's pre-split [rng] stream,
-    equal to the full-replay trial of the same stream. [budget] is the
-    same absolute cycle watchdog a full-replay trial would use; resumed
-    suffixes inherit the snapshot's cycle counter, so the watchdog trips
-    at the identical absolute cycle. *)
+(** One fast-forwarded trial on the trial's pre-split [rng] stream (left
+    untouched), equal to the full-replay trial of the same stream, for
+    every registered model. Each trial is either elided (counted on
+    [fastforward.trials_elided]) or restored from a snapshot
+    ([fastforward.restores]). [budget] is the same absolute cycle
+    watchdog a full-replay trial would use; resumed suffixes inherit
+    the snapshot's cycle counter, so the watchdog trips at the
+    identical absolute cycle. *)

@@ -5,7 +5,7 @@ type t = {
   mutable bits : int;
   mutable events : int;
   by_class : int array;
-  obs_on : bool; (* report to the obs registry (off for probe replays) *)
+  obs_on : bool; (* report to the obs registry (off for timing loops) *)
   fault_counter : Sfi_obs.Counter.t; (* faults committed, per model key *)
 }
 
@@ -66,11 +66,12 @@ let hook t : Sfi_sim.Cpu.fault_hook =
   mask
 
 let trial_start t mem =
-  let n = t.inst.Model.trial_start mem in
-  if n > 0 then record t None n;
-  n
-
-let skippable_gaussians t cls = t.inst.Model.skippable_gaussians cls
+  match t.inst.Model.trial_start with
+  | None -> 0
+  | Some edit ->
+    let n = edit mem in
+    if n > 0 then record t None n;
+    n
 
 let fault_bits t = t.bits
 

@@ -17,13 +17,12 @@ open Sfi_util
 type t
 
 val create : ?count_obs:bool -> model:Model.t -> freq_mhz:float -> rng:Rng.t -> unit -> t
-(** [count_obs] (default [true]) controls whether this injector reports
-    to the obs registry. Fast-forward's first-fault probe replays the
-    recorded hook schedule against a throwaway RNG copy purely to find
-    where a trial diverges; it passes [~count_obs:false] so the probe's
-    hook calls and provisional faults are invisible — the real injector
-    then reports the suffix exactly once. RNG consumption is identical
-    either way. *)
+(** [count_obs] (default [true]) controls whether this injector and its
+    model report to the obs registry. Timing loops and reference runs
+    that must not show up in a campaign's counters pass
+    [~count_obs:false]. Fast-forward's probe does not use an injector:
+    it asks the model instance directly ({!Model.instance}). RNG
+    consumption is identical either way. *)
 
 val hook : t -> Sfi_sim.Cpu.fault_hook
 
@@ -32,8 +31,8 @@ val trial_start : t -> Sfi_sim.Memory.t -> int
     models flip bits in the freshly loaded image here) and folds the
     flips into the fault counts. Call once per trial, after the
     benchmark image is loaded and before the first simulated cycle.
-    Returns the number of bits flipped — 0 for every built-in model,
-    which also draws nothing from the RNG. *)
+    Returns the number of bits flipped — 0, with no draw, for every
+    model without a trial-start hook. *)
 
 val fault_bits : t -> int
 (** Total bits flipped so far. *)
@@ -49,14 +48,3 @@ val cannot_inject : t -> bool
 (** [true] when the fast path proves no fault can ever be injected at this
     operating point: the whole Monte-Carlo trial set is then a single
     deterministic fault-free run. *)
-
-val skippable_gaussians : t -> Op_class.t -> int option
-(** [skippable_gaussians t cls] is [Some k] when a hook call for [cls] is
-    provably a no-op that consumes exactly [k] standard-normal draws (and
-    nothing else) from the trial RNG — e.g. the statistical model's
-    per-class worst-case short-circuit, which burns one noise sample when
-    sigma is positive. [None] means the call's outcome or draw count
-    depends on the drawn values, so it must actually run. Fast-forward's
-    probe batches consecutive [Some] entries of the recorded schedule into
-    a single {!Sfi_util.Rng.skip_gaussians} jump instead of replaying the
-    per-call math. *)

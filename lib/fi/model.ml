@@ -15,25 +15,20 @@ type features = {
 
 type instance = {
   sample : cycle:int -> cls:Op_class.t -> a:U32.t -> b:U32.t -> result:U32.t -> U32.t;
-  trial_start : Sfi_sim.Memory.t -> int;
+  may_inject : cycle:int -> cls:Op_class.t -> bool;
+  trial_start : (Sfi_sim.Memory.t -> int) option;
   cannot_inject : bool;
   skippable_gaussians : Op_class.t -> int option;
 }
 
 type t = {
   key : string;
-  features : features;
-  cycle_dependent : bool;
   params : (string * Json.t) list;
   fingerprint : Sfi_cache.Fingerprint.t -> unit;
   instantiate : count_obs:bool -> freq_mhz:float -> rng:Rng.t -> instance;
 }
 
 let key t = t.key
-
-let features t = t.features
-
-let cycle_dependent t = t.cycle_dependent
 
 let params t = t.params
 
@@ -59,7 +54,18 @@ let obs_class_cannot = Sfi_obs.Counter.make ~det:false "injector.class_cannot_hi
 
 let obs_sta_prune = Sfi_obs.Counter.make ~det:false "injector.sta_mask_prunes"
 
-let no_trial_start _ = 0
+(* The instance of a model whose mask ignores operand values and which
+   leaves the image alone (A, B, B+, C, C-corr, glitch): the probe's
+   question is the mask itself on zero operands, asked through a direct
+   closure so the probe's per-call path is one call deep. *)
+let operand_free ~cannot ~skippable sample =
+  {
+    sample;
+    may_inject = (fun ~cycle ~cls -> sample ~cycle ~cls ~a:0 ~b:0 ~result:0 <> 0);
+    trial_start = None;
+    cannot_inject = cannot;
+    skippable_gaussians = skippable;
+  }
 
 (* ---------- shared timing machinery (models B/B+/C/C-corr/glitch) ---------- *)
 
@@ -370,8 +376,6 @@ let feature_rows () =
 let make_a ~bit_flip_prob =
   {
     key = "A";
-    features = features_a;
-    cycle_dependent = false;
     params = [ ("p", Json.Float bit_flip_prob) ];
     fingerprint =
       (fun fp ->
@@ -380,27 +384,22 @@ let make_a ~bit_flip_prob =
     instantiate =
       (fun ~count_obs:_ ~freq_mhz:_ ~rng ->
         let cannot = bit_flip_prob <= 0. in
-        {
-          sample =
-            (fun ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ ->
-              if cannot then 0
-              else begin
-                let mask = ref 0 in
-                for e = 0 to 31 do
-                  if Rng.bernoulli rng bit_flip_prob then mask := !mask lor (1 lsl e)
-                done;
-                !mask
-              end);
-          trial_start = no_trial_start;
-          cannot_inject = cannot;
-          skippable_gaussians = (if cannot then fun _ -> Some 0 else fun _ -> None);
-        });
+        operand_free ~cannot
+          ~skippable:(if cannot then fun _ -> Some 0 else fun _ -> None)
+          (fun ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ ->
+            if cannot then 0
+            else begin
+              let mask = ref 0 in
+              for e = 0 to 31 do
+                if Rng.bernoulli rng bit_flip_prob then mask := !mask lor (1 lsl e)
+              done;
+              !mask
+            end));
   }
 
 (* ---------- models B / B+ ---------- *)
 
-let make_static_timing ~key ~features ~endpoint_arrivals ~setup_ps ~vdd ~noise
-    ~vdd_model =
+let make_static_timing ~key ~endpoint_arrivals ~setup_ps ~vdd ~noise ~vdd_model =
   let with_setup = Array.map (fun a -> a +. setup_ps) endpoint_arrivals in
   let max_arrival = Array.fold_left Float.max 0. with_setup in
   let sorted = sort_endpoints with_setup in
@@ -409,8 +408,6 @@ let make_static_timing ~key ~features ~endpoint_arrivals ~setup_ps ~vdd ~noise
   let ws = worst_scale ~vdd_model ~vdd ~ref_vdd:vdd ~noise in
   {
     key;
-    features;
-    cycle_dependent = false;
     params = [];
     fingerprint =
       (fun fp ->
@@ -435,31 +432,27 @@ let make_static_timing ~key ~features ~endpoint_arrivals ~setup_ps ~vdd ~noise
               (make_noise_table ~vdd_model ~vdd ~denom ~period
                  ~max_exc:(Noise.max_excursion noise) ~offset:0.)
         in
-        {
-          sample =
-            (fun ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ ->
-              if cannot then 0
-              else if not has_noise then static_mask
-              else begin
-                let nv = Noise.draw noise rng in
-                match tbl with
-                | Some tbl when max_arrival <= table_threshold tbl nv ->
-                  (* Even the bucket's most pessimistic threshold clears
-                     the slowest endpoint: the mask is provably 0. *)
-                  if count_obs then Sfi_obs.Counter.incr obs_skip_table;
-                  0
-                | _ ->
-                  let scale = Vdd_model.derate vdd_model (vdd +. nv) /. denom in
-                  let mask = mask_at sorted (period /. scale) in
-                  if count_obs && mask = 0 then Sfi_obs.Counter.incr obs_sta_prune;
-                  mask
-              end);
-          trial_start = no_trial_start;
-          cannot_inject = cannot;
-          skippable_gaussians =
+        operand_free ~cannot
+          ~skippable:
             (if cannot || ((not has_noise) && static_mask = 0) then fun _ -> Some 0
-             else fun _ -> None);
-        });
+             else fun _ -> None)
+          (fun ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ ->
+            if cannot then 0
+            else if not has_noise then static_mask
+            else begin
+              let nv = Noise.draw noise rng in
+              match tbl with
+              | Some tbl when max_arrival <= table_threshold tbl nv ->
+                (* Even the bucket's most pessimistic threshold clears
+                   the slowest endpoint: the mask is provably 0. *)
+                if count_obs then Sfi_obs.Counter.incr obs_skip_table;
+                0
+              | _ ->
+                let scale = Vdd_model.derate vdd_model (vdd +. nv) /. denom in
+                let mask = mask_at sorted (period /. scale) in
+                if count_obs && mask = 0 then Sfi_obs.Counter.incr obs_sta_prune;
+                mask
+            end));
   }
 
 (* ---------- models C / C-corr ---------- *)
@@ -488,8 +481,6 @@ let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
   let has_noise = Noise.sigma noise > 0. in
   {
     key;
-    features = features_c;
-    cycle_dependent = false;
     params = [];
     fingerprint =
       (fun fp ->
@@ -536,76 +527,72 @@ let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
               (make_noise_table ~vdd_model ~vdd ~denom ~period
                  ~max_exc:(Noise.max_excursion noise) ~offset:setup)
         in
-        {
-          sample =
-            (fun ~cycle:_ ~cls ~a:_ ~b:_ ~result:_ ->
-              if cannot then 0
-              else begin
-                let ci = Op_class.index cls in
-                if Array.unsafe_get class_cannot ci then begin
-                  (* A sigma = 0 draw consumes no randomness and a
-                     positive sigma draw is consumed here, so skipping
-                     the rest of the hook leaves the RNG stream
-                     identical. *)
-                  if has_noise then ignore (Noise.draw noise rng : float);
-                  if count_obs then Sfi_obs.Counter.incr obs_class_cannot;
-                  0
-                end
-                else begin
-                  let nv = if has_noise then Noise.draw noise rng else 0. in
-                  let cdb = classes.(ci) in
-                  let skip =
-                    match tbl with
-                    | Some tbl -> cdb.Characterize.max_settle <= table_threshold tbl nv
-                    | None -> false
-                  in
-                  if skip then begin
-                    if count_obs then Sfi_obs.Counter.incr obs_skip_table;
-                    0
-                  end
-                  else begin
-                    let threshold =
-                      if has_noise then
-                        let scale = Vdd_model.derate vdd_model (vdd +. nv) /. denom in
-                        (period /. scale) -. setup
-                      else static_threshold
-                    in
-                    if cdb.Characterize.max_settle <= threshold then 0
-                    else begin
-                      match sampling with
-                      | Vector_correlated ->
-                        let k = Rng.int rng db.Characterize.cycles in
-                        let row = cdb.Characterize.cycle_arrivals.(k) in
-                        let mask = ref 0 in
-                        for e = 0 to Array.length row - 1 do
-                          if Array.unsafe_get row e > threshold then
-                            mask := !mask lor (1 lsl e)
-                        done;
-                        !mask
-                      | Independent ->
-                        let caps = class_caps.(ci) and g = guides.(ci) in
-                        let row = Rank.row g threshold in
-                        let mask = ref 0 in
-                        for e = 0 to Array.length caps - 1 do
-                          if caps.(e) > threshold
-                             && Rng.bernoulli rng (Rank.prob_in g ~row e threshold)
-                          then mask := !mask lor (1 lsl e)
-                        done;
-                        !mask
-                    end
-                  end
-                end
-              end);
-          trial_start = no_trial_start;
-          cannot_inject = cannot;
-          skippable_gaussians =
+        operand_free ~cannot
+          ~skippable:
             (if cannot then fun _ -> Some 0
              else
                fun cls ->
                  if Array.unsafe_get class_cannot (Op_class.index cls) then
                    Some (if has_noise then 1 else 0)
-                 else None);
-        });
+                 else None)
+          (fun ~cycle:_ ~cls ~a:_ ~b:_ ~result:_ ->
+            if cannot then 0
+            else begin
+              let ci = Op_class.index cls in
+              if Array.unsafe_get class_cannot ci then begin
+                (* A sigma = 0 draw consumes no randomness and a
+                   positive sigma draw is consumed here, so skipping
+                   the rest of the hook leaves the RNG stream
+                   identical. *)
+                if has_noise then ignore (Noise.draw noise rng : float);
+                if count_obs then Sfi_obs.Counter.incr obs_class_cannot;
+                0
+              end
+              else begin
+                let nv = if has_noise then Noise.draw noise rng else 0. in
+                let cdb = classes.(ci) in
+                let skip =
+                  match tbl with
+                  | Some tbl -> cdb.Characterize.max_settle <= table_threshold tbl nv
+                  | None -> false
+                in
+                if skip then begin
+                  if count_obs then Sfi_obs.Counter.incr obs_skip_table;
+                  0
+                end
+                else begin
+                  let threshold =
+                    if has_noise then
+                      let scale = Vdd_model.derate vdd_model (vdd +. nv) /. denom in
+                      (period /. scale) -. setup
+                    else static_threshold
+                  in
+                  if cdb.Characterize.max_settle <= threshold then 0
+                  else begin
+                    match sampling with
+                    | Vector_correlated ->
+                      let k = Rng.int rng db.Characterize.cycles in
+                      let row = cdb.Characterize.cycle_arrivals.(k) in
+                      let mask = ref 0 in
+                      for e = 0 to Array.length row - 1 do
+                        if Array.unsafe_get row e > threshold then
+                          mask := !mask lor (1 lsl e)
+                      done;
+                      !mask
+                    | Independent ->
+                      let caps = class_caps.(ci) and g = guides.(ci) in
+                      let row = Rank.row g threshold in
+                      let mask = ref 0 in
+                      for e = 0 to Array.length caps - 1 do
+                        if caps.(e) > threshold
+                           && Rng.bernoulli rng (Rank.prob_in g ~row e threshold)
+                        then mask := !mask lor (1 lsl e)
+                      done;
+                      !mask
+                  end
+                end
+              end
+            end));
   }
 
 (* ---------- attack family: voltage glitch ---------- *)
@@ -630,8 +617,6 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
     Ok
       {
         key = "glitch";
-        features = features_glitch;
-        cycle_dependent = false;
         params;
         fingerprint =
           (fun fp ->
@@ -657,26 +642,20 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
               let off = cycle - start in
               if every > 0 then off mod every < len else off < len
             in
-            {
-              sample =
-                (fun ~cycle ~cls:_ ~a:_ ~b:_ ~result:_ ->
-                  if cannot then 0
-                  else begin
-                    let mask = if in_window cycle then glitch_mask else base_mask in
-                    if count_obs && mask = 0 then
-                      Sfi_obs.Counter.incr obs_sta_prune;
-                    mask
-                  end);
-              trial_start = no_trial_start;
-              cannot_inject = cannot;
-              skippable_gaussians =
-                (* The hook consumes no randomness and its mask depends
-                   on the cycle alone, which the fast-forward probe
-                   replays from the recorded schedule: every call the
-                   window can reach runs in the probe, so its first
-                   nonzero mask is the trial's first fault. *)
-                (if cannot then fun _ -> Some 0 else fun _ -> None);
-            });
+            (* The hook consumes no randomness and its mask depends on
+               the cycle alone, which the fast-forward probe replays from
+               the recorded schedule: every call the window can reach
+               runs in the probe, so its first nonzero mask is the
+               trial's first fault. *)
+            operand_free ~cannot
+              ~skippable:(if cannot then fun _ -> Some 0 else fun _ -> None)
+              (fun ~cycle ~cls:_ ~a:_ ~b:_ ~result:_ ->
+                if cannot then 0
+                else begin
+                  let mask = if in_window cycle then glitch_mask else base_mask in
+                  if count_obs && mask = 0 then Sfi_obs.Counter.incr obs_sta_prune;
+                  mask
+                end));
       }
   end
 
@@ -685,8 +664,6 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
 let make_skip ~params ~p =
   {
     key = "skip";
-    features = features_skip;
-    cycle_dependent = true;
     params;
     fingerprint = fp_keyed ~key:"skip" ~version:1 ~params;
     instantiate =
@@ -706,7 +683,10 @@ let make_skip ~params ~p =
                 last := result;
                 0
               end);
-          trial_start = no_trial_start;
+          (* The trigger alone: a triggered skip can still leave the
+             result as it was. *)
+          may_inject = (fun ~cycle:_ ~cls:_ -> (not cannot) && Rng.bernoulli rng p);
+          trial_start = None;
           cannot_inject = cannot;
           skippable_gaussians = (if cannot then fun _ -> Some 0 else fun _ -> None);
         });
@@ -719,8 +699,6 @@ let opcode_classes = Array.of_list Op_class.all
 let make_opcode ~params ~p =
   {
     key = "opcode";
-    features = features_opcode;
-    cycle_dependent = true;
     params;
     fingerprint = fp_keyed ~key:"opcode" ~version:1 ~params;
     instantiate =
@@ -739,7 +717,10 @@ let make_opcode ~params ~p =
                 result lxor Op_class.apply opcode_classes.(j) a b
               end
               else 0);
-          trial_start = no_trial_start;
+          (* The trigger alone; the substitute class is drawn after it,
+             and a substitute can compute the same result. *)
+          may_inject = (fun ~cycle:_ ~cls:_ -> (not cannot) && Rng.bernoulli rng p);
+          trial_start = None;
           cannot_inject = cannot;
           skippable_gaussians = (if cannot then fun _ -> Some 0 else fun _ -> None);
         });
@@ -750,34 +731,35 @@ let make_opcode ~params ~p =
 let make_state ~params ~flips ~word_lo ~word_hi =
   {
     key = "state";
-    features = features_state;
-    cycle_dependent = true;
     params;
     fingerprint = fp_keyed ~key:"state" ~version:1 ~params;
     instantiate =
       (fun ~count_obs:_ ~freq_mhz:_ ~rng ->
         {
           sample = (fun ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ -> 0);
+          (* Its effect is the trial-start edit, not a hook call. *)
+          may_inject = (fun ~cycle:_ ~cls:_ -> false);
           trial_start =
-            (fun mem ->
-              if flips <= 0 then 0
-              else begin
-                let words = Sfi_sim.Memory.size mem / 4 in
-                let hi = if word_hi <= 0 then words else min word_hi words in
-                let lo = min (max 0 word_lo) hi in
-                let span = hi - lo in
-                if span <= 0 then 0
+            Some
+              (fun mem ->
+                if flips <= 0 then 0
                 else begin
-                  for _ = 1 to flips do
-                    let addr = 4 * (lo + Rng.int rng span) in
-                    let bit = Rng.int rng 32 in
-                    Sfi_sim.Memory.write_u32 mem addr
-                      (U32.flip_bits (Sfi_sim.Memory.read_u32 mem addr)
-                         ~mask:(1 lsl bit))
-                  done;
-                  flips
-                end
-              end);
+                  let words = Sfi_sim.Memory.size mem / 4 in
+                  let hi = if word_hi <= 0 then words else min word_hi words in
+                  let lo = min (max 0 word_lo) hi in
+                  let span = hi - lo in
+                  if span <= 0 then 0
+                  else begin
+                    for _ = 1 to flips do
+                      let addr = 4 * (lo + Rng.int rng span) in
+                      let bit = Rng.int rng 32 in
+                      Sfi_sim.Memory.write_u32 mem addr
+                        (U32.flip_bits (Sfi_sim.Memory.read_u32 mem addr)
+                           ~mask:(1 lsl bit))
+                    done;
+                    flips
+                  end
+                end);
           cannot_inject = flips <= 0;
           skippable_gaussians = (fun _ -> Some 0);
         });
@@ -870,7 +852,6 @@ module Registry = struct
     doc : string;
     version : int;
     features : features;
-    cycle_dependent : bool;
     wants_arrivals : bool;
     wants_db : bool;
     default_params : (string * Json.t) list;
@@ -940,7 +921,6 @@ let () =
       doc = "fixed-probability random bit flips (baseline)";
       version = 1;
       features = features_a;
-      cycle_dependent = false;
       wants_arrivals = false;
       wants_db = false;
       default_params = [ ("p", Json.Float 1e-6) ];
@@ -952,7 +932,6 @@ let () =
       doc = "static-timing period violation (no supply noise)";
       version = 1;
       features = features_b;
-      cycle_dependent = false;
       wants_arrivals = true;
       wants_db = false;
       default_params = [];
@@ -960,9 +939,8 @@ let () =
         (fun ~resources:r ~params:_ ->
           need_arrivals ~key:"B" r (fun arr ->
               Ok
-                (make_static_timing ~key:"B" ~features:features_b
-                   ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
-                   ~noise:Noise.none ~vdd_model:r.vdd_model)));
+                (make_static_timing ~key:"B" ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
+                   ~vdd:r.vdd ~noise:Noise.none ~vdd_model:r.vdd_model)));
     };
   Registry.register
     {
@@ -970,7 +948,6 @@ let () =
       doc = "static timing with per-cycle supply-noise modulation";
       version = 1;
       features = features_bplus;
-      cycle_dependent = false;
       wants_arrivals = true;
       wants_db = false;
       default_params = [];
@@ -978,9 +955,8 @@ let () =
         (fun ~resources:r ~params:_ ->
           need_arrivals ~key:"B+" r (fun arr ->
               Ok
-                (make_static_timing ~key:"B+" ~features:features_bplus
-                   ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
-                   ~noise:r.noise ~vdd_model:r.vdd_model)));
+                (make_static_timing ~key:"B+" ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
+                   ~vdd:r.vdd ~noise:r.noise ~vdd_model:r.vdd_model)));
     };
   Registry.register
     {
@@ -988,7 +964,6 @@ let () =
       doc = "instruction-aware statistical injection (independent endpoints)";
       version = 1;
       features = features_c;
-      cycle_dependent = false;
       wants_arrivals = false;
       wants_db = true;
       default_params = [];
@@ -1005,7 +980,6 @@ let () =
       doc = "statistical injection with vector-correlated endpoint sampling";
       version = 1;
       features = features_c;
-      cycle_dependent = false;
       wants_arrivals = false;
       wants_db = true;
       default_params = [];
@@ -1022,7 +996,6 @@ let () =
       doc = "voltage glitch in attacker-chosen cycle windows (attack)";
       version = 1;
       features = features_glitch;
-      cycle_dependent = false;
       wants_arrivals = true;
       wants_db = false;
       default_params =
@@ -1051,7 +1024,6 @@ let () =
       doc = "InjectV-style instruction skip with probability p (attack)";
       version = 1;
       features = features_skip;
-      cycle_dependent = true;
       wants_arrivals = false;
       wants_db = false;
       default_params = [ ("p", Json.Float 1e-4) ];
@@ -1067,7 +1039,6 @@ let () =
       doc = "InjectV-style opcode corruption with probability p (attack)";
       version = 1;
       features = features_opcode;
-      cycle_dependent = true;
       wants_arrivals = false;
       wants_db = false;
       default_params = [ ("p", Json.Float 1e-4) ];
@@ -1083,7 +1054,6 @@ let () =
       doc = "random architectural-state bit flips at trial start (attack)";
       version = 1;
       features = features_state;
-      cycle_dependent = true;
       wants_arrivals = false;
       wants_db = false;
       default_params =

@@ -40,16 +40,17 @@
     hash their registry key, codec version and canonical parameters, so
     mixed-model sweeps dedupe and resume correctly.
 
-    {b Fast-forward contract.} [skippable_gaussians] declares, per
-    instruction class, whether a hook call is a provable no-op
-    consuming exactly [k] standard-normal draws ({!Fastforward}'s probe
-    batches those into one RNG jump). The probe replays each recorded
-    hook call with its recorded cycle and zero operands, so a mask may
-    depend on the cycle ([glitch]'s window) but not on operand values
-    ([opcode]), on per-trial state the probe does not replay ([skip]'s
-    EX latch) or on pre-run state ([state]'s flips). Those three declare
-    {!cycle_dependent}[ = true]; the fast-forward engine refuses to
-    probe them (counted, never silent) and falls back to full replay. *)
+    {b Fast-forward contract.} Every model serves {!Fastforward}'s
+    probe, which walks the fault-free run's recorded hook calls (cycle
+    and class, no operands) against a copy of the trial's RNG stream
+    and stops at the first call {!instance.may_inject} answers [true]
+    for. [may_inject] consumes exactly the draws [sample] would for the
+    same call and answers [false] only where [sample] returns [0] for
+    any operands and any per-trial state, so the probe never passes a
+    fault by. A model that edits the image at trial start ([state])
+    has no first hook call to find: the engine restarts its trials from
+    cycle 0. [skippable_gaussians] lets the probe batch provable
+    no-op calls into one RNG jump. *)
 
 open Sfi_util
 open Sfi_timing
@@ -69,17 +70,26 @@ type t
 (** An instantiable fault model. Obtain one from a {!Registry} entry
     ({!of_key}) or from the {!Flow} helpers. *)
 
-(** Per-trial instantiation: the inner sampling hook plus the per-trial
-    state hooks the injector drives. *)
+(** Per-trial instantiation: the inner sampling hook, the fast-forward
+    probe's question and the per-trial state hooks the injector drives. *)
 type instance = {
   sample : cycle:int -> cls:Op_class.t -> a:U32.t -> b:U32.t -> result:U32.t -> U32.t;
       (** XOR mask for one ALU execution; [0] = no fault. Consumes the
           trial RNG exactly as the model's draw contract declares. *)
-  trial_start : Sfi_sim.Memory.t -> int;
+  may_inject : cycle:int -> cls:Op_class.t -> bool;
+      (** Whether this hook call may inject, asked without operands:
+          [false] only when [sample] would return [0] for any operands.
+          Consumes exactly the draws [sample] consumes for the same
+          call up to its answer; after a [true] the draws may differ,
+          because the probe stops there. A, B, B+, C, C-corr and
+          [glitch] answer [sample] on zero operands [<> 0]; [skip] and
+          [opcode] answer their trigger, whose mask can still be [0];
+          [state] always answers [false]. *)
+  trial_start : (Sfi_sim.Memory.t -> int) option;
       (** Per-trial state hook, called once after the benchmark image is
           loaded and before the first simulated cycle; returns the
-          number of state bits it flipped (0 for all built-ins, which
-          also draw nothing from the RNG). *)
+          number of state bits it flipped. [None] for every model that
+          leaves the image alone (all but [state]). *)
   cannot_inject : bool;
       (** The fast path proved no fault can ever occur at this operating
           point: a single fault-free run stands for all trials. *)
@@ -92,17 +102,6 @@ type instance = {
 val key : t -> string
 (** The registry key — the single source of truth for CLI parsing, JSON
     codecs and obs metric labels ("A", "B+", "glitch", ...). *)
-
-val features : t -> features
-(** The Table 2 row for the model. *)
-
-val cycle_dependent : t -> bool
-(** [true] when the fast-forward probe's schedule replay would be
-    unsound: the mask depends on operand values or on per-trial state
-    the probe does not replay, or the model perturbs pre-run state. A
-    mask that depends on the cycle alone replays exactly (the probe
-    passes each call its recorded cycle). [skip], [opcode] and [state]
-    are cycle-dependent; the built-ins and [glitch] are not. *)
 
 val params : t -> (string * Sfi_obs.Json.t) list
 (** Canonical parameter assoc (defaults merged in registration order).
@@ -119,7 +118,7 @@ val add_fingerprint : t -> Sfi_cache.Fingerprint.t -> unit
 
 val instantiate : t -> count_obs:bool -> freq_mhz:float -> rng:Rng.t -> instance
 (** [count_obs = false] silences the model's work counters (fast-forward
-    probe replays); RNG consumption is identical either way. *)
+    probes and timing loops); RNG consumption is identical either way. *)
 
 (** Everything a registered model may need from the design flow. Models
     declare what they use ({!Registry.entry}); building one with a
@@ -143,8 +142,7 @@ module Registry : sig
     key : string;          (** stable, unique (case-insensitive) *)
     doc : string;          (** one-line description for listings *)
     version : int;         (** parameter-codec version, part of new-model fingerprints *)
-    features : features;
-    cycle_dependent : bool;
+    features : features;   (** the model's Table 2 row, for listings *)
     wants_arrivals : bool; (** requires [resources.endpoint_arrivals] *)
     wants_db : bool;       (** requires [resources.db] *)
     default_params : (string * Sfi_obs.Json.t) list;

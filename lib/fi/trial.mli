@@ -1,9 +1,10 @@
 (** One Monte-Carlo trial: its result record and the ISS run behind it.
 
-    Both campaign engines produce trials through this module — a
-    fast-forwarded trial ({!Fastforward.run_trial}) and a full-replay
-    one ({!Campaign.run_trial}) — so a result is assembled in exactly
-    one place, and both simulate on the same per-domain trial memory. *)
+    Every trial is produced through this module — a fast-forwarded one
+    ({!Fastforward.run_trial}) and the full-replay one a point runs
+    without a snapshot trace or as its fault-free representative
+    ({!Campaign.run_trial}) — so a result is assembled in exactly one
+    place, and both simulate on the same per-domain trial memory. *)
 
 open Sfi_sim
 open Sfi_kernels
@@ -37,8 +38,8 @@ val simulate :
   Cpu.stats * t
 (** [simulate ~bench ~injector ~budget ?resume prepare] runs one trial on
     this domain's trial memory, which is reset to the benchmark's image
-    first: [prepare] finishes the pre-run state (a model's per-trial
-    state hook, or a snapshot's memory pages), then the ISS runs from
-    the program entry — or from [resume] — with [injector]'s hook under
-    the absolute cycle watchdog [budget]. Returns the run's stats with
-    its {!make} result. *)
+    first: [prepare] finishes the pre-run state (a snapshot's memory
+    pages, and at cycle 0 a model's per-trial state hook), then the ISS
+    runs from the program entry — or from [resume] — with [injector]'s
+    hook under the absolute cycle watchdog [budget]. Returns the run's
+    stats with its {!make} result. *)

@@ -4,9 +4,10 @@
    codec.
 
    - every registered model on every registry kernel produces the
-     reference's trial array; models the probe supports elide or
-     restore every trial, cycle-dependent ones fall back (counted on
-     fastforward.model_unsupported);
+     reference's trial array, and every trial is elided or restored;
+   - a skip point whose first trigger follows a snapshot keeps the EX
+     latch the previous call wrote (the suffix restarts before that
+     call);
    - a benchmark whose reference run traps has no trace and falls back
      to full replay, counted on fastforward.no_trace;
    - mostly-fault-free operating points actually elide trials
@@ -31,8 +32,6 @@ let () = Sfi_obs.set_enabled true
 let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
 
 let c_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
-
-let c_unsupported = Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
 
 let c_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
 
@@ -71,7 +70,7 @@ let flow_400 =
 
 (* Just past the STA limit every paper model can fault and the attack
    families fire on their defaults, so 4 trials per point already mix
-   elided, restored and fully replayed trials. *)
+   elided and restored trials. *)
 let test_parity_models_kernels () =
   let flow = Lazy.force flow_400 in
   let freq_mhz = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 1.02 in
@@ -94,14 +93,10 @@ let test_parity_models_kernels () =
               ~bench ~model ~freq_mhz
           in
           let fast_forwarded = value c_elided + value c_restores in
-          let unsupported = value c_unsupported in
           let _, expect = Ref_campaign.run_detailed ~trials:4 ~seed:11 ~bench ~model ~freq_mhz in
           Alcotest.(check bool) (what ^ ": trials equal full replay") true
             (trials_equal trials expect);
-          if Model.cycle_dependent model then
-            Alcotest.(check bool) (what ^ ": fallback counted") true (unsupported > 0)
-          else
-            Alcotest.(check int) (what ^ ": every trial elided or restored") 4 fast_forwarded)
+          Alcotest.(check int) (what ^ ": every trial elided or restored") 4 fast_forwarded)
         Registry.names)
     (Model.Registry.entries ())
 
@@ -193,10 +188,42 @@ let test_elision_parity () =
       (Printf.sprintf "glitch at cycle %d: trials equal full replay" start)
       true (trials_equal trials expect)
   done;
-  Alcotest.(check int) "glitch: no fallback" 0 (value c_unsupported);
   Alcotest.(check int) "glitch: elided + restored = trials" (2 * scan)
     (value c_elided + value c_restores);
   Alcotest.(check bool) "glitch: some trials restored" true (value c_restores > 0)
+
+(* [skip]'s EX latch holds the result of the call before its trigger,
+   so a restored suffix must re-fire that call: fast-forward restores
+   the last snapshot at or before the schedule entry preceding the
+   first trigger. Each of these points holds a trial whose first
+   trigger is the first hook call after a snapshot; restored at that
+   snapshot, the skipped instruction would keep the reset latch's 0
+   instead of the previous call's result. The model ignores the
+   frequency; 0.98 x f_STA is the attack experiment's point. *)
+let test_skip_latch_after_snapshot () =
+  let flow = Lazy.force flow_400 in
+  let freq_mhz = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 0.98 in
+  let model =
+    match
+      Sfi_core.Flow.model_by_key
+        ~params:[ ("p", Sfi_obs.Json.Float 1e-3) ]
+        flow ~key:"skip" ~vdd:0.7 ~sigma:0.010
+    with
+    | Ok m -> m
+    | Error msg -> Alcotest.failf "skip: %s" msg
+  in
+  List.iter
+    (fun (name, seed) ->
+      let bench = Option.get (Registry.by_name name) in
+      let what = Printf.sprintf "skip on %s, seed %d" name seed in
+      Sfi_obs.reset ();
+      let _, trials = Campaign.run_detailed (spec ~trials:24 ~seed) ~bench ~model ~freq_mhz in
+      let restores = value c_restores in
+      let _, expect = Ref_campaign.run_detailed ~trials:24 ~seed ~bench ~model ~freq_mhz in
+      Alcotest.(check bool) (what ^ ": trials equal full replay") true
+        (trials_equal trials expect);
+      Alcotest.(check bool) (what ^ ": some trials restored") true (restores > 0))
+    [ ("aes", 1); ("crc32", 2); ("mat_mult_8bit", 2) ]
 
 (* Model C drives the probe's draw-batching fast path: classes proved
    fault-free by the per-class worst-case bound are jumped over with
@@ -432,6 +459,8 @@ let () =
             test_parity_models_kernels;
           Alcotest.test_case "no trace falls back, counted" `Quick test_no_trace_falls_back;
           Alcotest.test_case "rare faults elide trials" `Quick test_elision_parity;
+          Alcotest.test_case "skip latch after a snapshot" `Quick
+            test_skip_latch_after_snapshot;
           Alcotest.test_case "model C batched probe" `Quick test_model_c_parity;
           Alcotest.test_case "same name, distinct images" `Quick
             test_same_name_distinct_images;

@@ -9,9 +9,12 @@
      declares [skippable_gaussians = Some k], the hook really is a
      no-op consuming exactly [k] standard-normal draws (checked against
      [Rng.skip_gaussians] over hundreds of seeds);
-   - cycle-dependent models never fast-forward: a campaign point falls
-     back to full replay (counted on [fastforward.model_unsupported])
-     and equals the full-replay reference point;
+   - [may_inject], the fast-forward probe's question, answers for
+     [sample] on every registered model: until its first [true],
+     [sample] on random operands returns 0 and draws exactly the same
+     randomness;
+   - [skip], whose mask reads operands and its EX latch, fast-forwards
+     every trial and equals the full-replay reference point;
    - a mixed built-in + attack campaign killed mid-run resumes from its
      shared checkpoint bit-identically (records are keyed by the model
      fingerprint, so the models never consume each other's batches);
@@ -28,7 +31,9 @@ module Spec = Campaign.Spec
 
 let () = Sfi_obs.set_enabled true
 
-let c_unsupported = Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"
+let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
+
+let c_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
 
 let c_resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials"
 
@@ -185,43 +190,84 @@ let test_draw_count_contract () =
     (Printf.sprintf "contract exercised (%d skippable hook calls)" !checked)
     true (!checked > 0)
 
-(* ---------- fast-forward gating for cycle-dependent models ---------- *)
+(* [may_inject] must answer for [sample] until its first [true]: on a
+   twin instance over a copy of the stream, driven with the same
+   (cycle, class) sequence and random operands, [sample] returns 0
+   wherever [may_inject] said [false], and the two streams stay in
+   lockstep. Checked across 500 seeds per model, below and above the
+   STA limit, on increasing cycles that cross glitch's window; A's
+   flips and the skip and opcode triggers are made likely enough to
+   fire within a sequence. *)
+let contract_params = function
+  | "A" -> [ ("p", Json.Float 0.01) ]
+  | "glitch" -> [ ("start", Json.Int 40); ("len", Json.Int 8) ]
+  | "skip" | "opcode" -> [ ("p", Json.Float 0.02) ]
+  | "state" -> [ ("flips", Json.Int 4) ]
+  | _ -> []
 
-(* Glitch's mask depends on the cycle alone, which the probe replays
-   from the recorded schedule, so it fast-forwards like the built-ins;
-   skip (its EX latch), opcode (operand-dependent masks) and state
-   (trial-start flips) do not. *)
-let test_attack_models_cycle_dependent () =
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " cycle-dependent") true
-        (Model.cycle_dependent (model key)))
-    [ "skip"; "opcode"; "state" ];
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " not cycle-dependent") false
-        (Model.cycle_dependent (model key)))
-    [ "A"; "B"; "B+"; "C"; "C-corr"; "glitch" ];
+let test_may_inject_contract () =
+  let classes = Array.of_list Op_class.all in
   List.iter
     (fun (e : Model.Registry.entry) ->
-      Alcotest.(check bool)
-        (e.Model.Registry.key ^ ": entry agrees with its model")
-        e.Model.Registry.cycle_dependent
-        (Model.cycle_dependent (model e.Model.Registry.key)))
+      let key = e.Model.Registry.key in
+      let m = model ~params:(contract_params key) key in
+      let answered_false = ref 0 and answered_true = ref 0 in
+      List.iter
+        (fun freq_mhz ->
+          for seed = 1 to 500 do
+            let r1 = Rng.of_int seed in
+            let r2 = Rng.copy r1 in
+            let probe = Model.instantiate m ~count_obs:false ~freq_mhz ~rng:r1 in
+            let real = Model.instantiate m ~count_obs:false ~freq_mhz ~rng:r2 in
+            let ops = Rng.of_int (seed + 0x5EED) in
+            let cycle = ref 0 and call = ref 0 and stop = ref false in
+            while (not !stop) && !call < 80 do
+              cycle := !cycle + 1 + Rng.int ops 3;
+              let cls = classes.(Rng.int ops (Array.length classes)) in
+              let a = Rng.bits32 ops and b = Rng.bits32 ops in
+              let may = probe.Model.may_inject ~cycle:!cycle ~cls in
+              let mask =
+                real.Model.sample ~cycle:!cycle ~cls ~a ~b ~result:(Op_class.apply cls a b)
+              in
+              if may then begin
+                incr answered_true;
+                stop := true
+              end
+              else begin
+                incr answered_false;
+                if mask <> 0 then
+                  Alcotest.failf "%s at %g MHz, seed %d, cycle %d: false, mask %08x" key
+                    freq_mhz seed !cycle mask;
+                if Rng.bits32 (Rng.copy r1) <> Rng.bits32 (Rng.copy r2) then
+                  Alcotest.failf "%s at %g MHz, seed %d, cycle %d: streams diverged" key
+                    freq_mhz seed !cycle
+              end;
+              incr call
+            done
+          done)
+        [ 690.; 750. ];
+      Alcotest.(check bool) (key ^ ": answered false") true (!answered_false > 0);
+      if key = "state" then
+        Alcotest.(check int) "state: never true (its effect is the trial-start edit)" 0
+          !answered_true
+      else Alcotest.(check bool) (key ^ ": answered true") true (!answered_true > 0))
     (Model.Registry.entries ())
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))
   && p.Campaign.trials = q.Campaign.trials
 
-let test_ff_unsupported_falls_back () =
+(* skip's mask reads the operands and its EX latch, yet the probe's
+   trigger question lets it fast-forward like every model: each trial is
+   elided or restored, and the point equals full replay. *)
+let test_skip_fast_forwards () =
   let bench = Option.get (Registry.by_name "median") in
   let m = model "skip" ~params:[ ("p", Json.Float 0.002) ] in
   Sfi_obs.reset ();
   let p =
     Campaign.run Spec.(default |> with_trials 8 |> with_seed 13) ~bench ~model:m ~freq_mhz:700.
   in
-  Alcotest.(check bool) "fallback counted as unsupported" true (value c_unsupported > 0);
+  Alcotest.(check int) "every trial elided or restored" 8 (value c_elided + value c_restores);
   Alcotest.(check bool) "point equals full replay" true
     (point_equal p
        (Sfi_oracle.Ref_campaign.run ~trials:8 ~seed:13 ~bench ~model:m ~freq_mhz:700.))
@@ -328,10 +374,8 @@ let () =
       ( "contract",
         [
           Alcotest.test_case "draw counts over 500 seeds" `Quick test_draw_count_contract;
-          Alcotest.test_case "attack models cycle-dependent" `Quick
-            test_attack_models_cycle_dependent;
-          Alcotest.test_case "fast-forward falls back, counted" `Quick
-            test_ff_unsupported_falls_back;
+          Alcotest.test_case "may_inject over 500 seeds" `Quick test_may_inject_contract;
+          Alcotest.test_case "skip fast-forwards" `Quick test_skip_fast_forwards;
         ] );
       ( "campaign",
         [
