@@ -180,6 +180,12 @@ let run_cmd =
 
 (* ---------- sfi campaign ---------- *)
 
+(* The most points one sweep grid may hold. The figures sweep tens of
+   points; 100 000 already means 5 M trials at the default 50 per point,
+   so a larger grid is a mistyped --step, and a step below half an ulp
+   of the frequencies would never advance at all. *)
+let max_grid_points = 100_000
+
 let campaign_cmd =
   let bench_name =
     Arg.(required & pos 0 (some string) None
@@ -219,6 +225,18 @@ let campaign_cmd =
           fail "--%s must be a positive number of MHz (got %g)" name v)
       [ ("from", lo); ("to", hi); ("step", step) ];
     if lo > hi then fail "--from %g MHz is above --to %g MHz" lo hi;
+    (* Accumulated from --from, as the sweep always was, so every
+       frequency of an accepted grid keeps its bits. *)
+    let freqs =
+      let rec grid acc n f =
+        if f > hi +. 1e-9 then List.rev acc
+        else if n = max_grid_points then
+          fail "--from %g --to %g --step %g makes more than %d sweep points" lo hi step
+            max_grid_points
+        else grid (f :: acc) (n + 1) (f +. step)
+      in
+      grid [] 0 lo
+    in
     apply_jobs jobs;
     Sfi_cache.set_dir cache_dir;
     with_obs obs @@ fun () ->
@@ -248,8 +266,7 @@ let campaign_cmd =
         | Error e -> fail "%s" e
       in
       let spec = spec_flags ~fixed_trials:trials () in
-      let rec freqs f = if f > hi +. 1e-9 then [] else f :: freqs (f +. step) in
-      let points = Sfi_fi.Campaign.run_sweep spec ~bench ~model ~freqs_mhz:(freqs lo) in
+      let points = Sfi_fi.Campaign.run_sweep spec ~bench ~model ~freqs_mhz:freqs in
       let t =
         Sfi_util.Table.create
           ~title:

@@ -1,3 +1,5 @@
+(* Bump when the entry encoding or any cached value's layout changes;
+   entries written by other versions are rejected on load. *)
 let schema_version = 1
 
 (* ---------- configuration ---------- *)

@@ -39,10 +39,6 @@
     {!Sfi_obs.det_signature} — a warm and a cold run of the same work
     keep identical deterministic signatures. *)
 
-val schema_version : int
-(** Bump when the entry encoding or any cached value's layout changes;
-    entries written by other versions are rejected on load. *)
-
 val set_dir : string option -> unit
 (** [set_dir (Some d)] enables caching in directory [d] (created on
     first store); [set_dir None] disables it. *)

@@ -53,8 +53,6 @@ let config t = t.config
 
 let alu t = t.alu
 
-let sta t = t.sta
-
 let sta_limit_mhz t ~vdd =
   let report =
     if vdd = Vdd_model.nominal_voltage then t.sta

@@ -44,9 +44,6 @@ val config : t -> config
 
 val alu : t -> Alu.t
 
-val sta : t -> Sta.report
-(** At the nominal 0.7 V. *)
-
 val sta_limit_mhz : t -> vdd:float -> float
 (** The STA frequency limit at a supply voltage (the "STA" line of the
     paper's figures). *)

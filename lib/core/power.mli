@@ -12,9 +12,6 @@ val active_uw_per_mhz : vdd:float -> float
 val leakage_fraction : vdd:float -> float
 (** Linear interpolation through (0.6 V, 2%) and (0.7 V, 3%). *)
 
-val total_mw : vdd:float -> freq_mhz:float -> float
-(** Active plus leakage core power. *)
-
 val normalized : vdd:float -> float
 (** Core power at [vdd] relative to the nominal 0.7 V at the same fixed
     frequency (the x-axis of Fig. 7). *)

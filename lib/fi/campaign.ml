@@ -1,5 +1,4 @@
 open Sfi_util
-open Sfi_sim
 open Sfi_kernels
 module Spec = Sfi_util.Spec
 module Json = Sfi_obs.Json
@@ -51,48 +50,20 @@ type point = {
   any_fault_possible : bool;
 }
 
-(* Fault-free cycle counts, computed once per process and, with a
-   cache directory, once per directory. Keyed by the image's content,
-   not the benchmark's name: [Registry.by_name ~seed] and the kernels'
-   [create ~n] build same-named benchmarks with different images. *)
-let reference_memo : int Sfi_cache.Once.t = Sfi_cache.Once.create ()
+(* Kept as an alias for the benchmark harness. *)
+let reference_cycles = Fastforward.reference_cycles
 
-let reference_cycles (bench : Bench.t) =
-  let fp = Sfi_cache.Fingerprint.create "sfi-refcycles/1" in
-  Bench.add_fingerprint bench fp;
-  let key = Sfi_cache.Fingerprint.hex fp in
-  Sfi_cache.Once.get reference_memo ~key (fun () ->
-      Sfi_cache.memo ~namespace:"refcycles" ~key ~valid:(fun cycles -> cycles > 0)
-        (fun () -> (fst (Bench.run_fault_free bench)).Cpu.cycles))
-
-(* The trial watchdog: 3x the fault-free cycle count plus 64k slack. *)
-let budget ref_cycles = (3 * ref_cycles) + 65536
-
-(* One trial on its pre-split stream: fast-forwarded over [trace] when
-   the point has one, else fully replayed from cycle 0 (no trace, or the
-   representative run of a fault-free point). This is the one place a
-   trial is counted, whichever path ran it. *)
+(* One trial on its pre-split stream, through the one engine. This is
+   the one place a trial is counted. *)
 let trial ~bench ~model ~freq_mhz ~budget ~trace rng =
-  let t =
-    match trace with
-    | Some trace -> Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng
-    | None ->
-      let injector = Injector.create ~model ~freq_mhz ~rng () in
-      snd
-        (Trial.simulate ~bench ~injector ~budget (fun mem ->
-             (* Per-trial state hook: architectural-state attack models
-                flip bits in the freshly reset image here; a model
-                without one draws nothing, so the RNG stream (and thus
-                every historic result) is unchanged. *)
-             ignore (Injector.trial_start injector mem : int)))
-  in
+  let t = Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng in
   Sfi_obs.Counter.incr obs_trials;
   Sfi_obs.Hist.observe obs_trial_cycles t.kernel_cycles;
   t
 
 let run_trial ~bench ~model ~freq_mhz ~seed =
-  trial ~bench ~model ~freq_mhz ~budget:(budget (reference_cycles bench)) ~trace:None
-    (Rng.of_int seed)
+  trial ~bench ~model ~freq_mhz ~budget:(Fastforward.budget bench)
+    ~trace:(Fastforward.trace bench) (Rng.of_int seed)
 
 (* ---------- aggregation and the adaptive stopping rule ---------- *)
 
@@ -113,10 +84,9 @@ let aggregate ~freq_mhz ~any_fault_possible ~trials_requested trials_list =
   let fn = float_of_int n in
   let correct_rate = float_of_int n_correct /. fn in
   let ci_low, ci_high =
-    (* A proven fault-free point is deterministic: its single
-       representative run stands for every trial, so the interval
-       degenerates to the exact rate instead of the (misleadingly wide)
-       one-sample Wilson bound. *)
+    (* A proven fault-free point is deterministic: its single trial
+       stands for every trial, so the interval degenerates to the exact
+       rate instead of the (misleadingly wide) one-sample Wilson bound. *)
     if any_fault_possible then Stats.wilson_interval ~successes:n_correct ~trials:n ()
     else (correct_rate, correct_rate)
   in
@@ -264,82 +234,70 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   Sfi_obs.Counter.incr obs_points;
   Sfi_obs.Span.time (obs_bench_span bench.Bench.name) @@ fun () ->
   let root = Rng.of_int (spec.Spec.seed lxor 0x0F1) in
+  (* The point-level probe decides the fault-free region. Creating it
+     also registers the model's det:true [injector.faults.<key>]
+     counter, so a run of fault-free points alone keeps that entry in
+     its det signature. *)
   let probe = Injector.create ~model ~freq_mhz ~rng:(Rng.copy root) () in
+  let any_fault_possible = not (Injector.cannot_inject probe) in
   let trials_requested = Spec.max_trials spec in
-  let ref_cycles = reference_cycles bench in
-  let budget = budget ref_cycles in
-  if Injector.cannot_inject probe then begin
-    (* Deterministic fault-free region: one run represents all trials. *)
-    let t = trial ~bench ~model ~freq_mhz ~budget ~trace:None (Rng.copy root) in
-    Sfi_obs.Counter.incr obs_batches;
-    (aggregate ~freq_mhz ~any_fault_possible:false ~trials_requested [ t ], [| t |])
-  end
-  else begin
-    (* Fast-forward: one snapshot trace per benchmark, shared by every
-       trial of every point and every model. Without one — a reference
-       run that does not exit cleanly — the point falls back to full
-       replay, counted by [trace_for_model]. *)
-    let trace =
-      Fastforward.trace_for_model ~bench ~model ~stride:(Fastforward.stride_for ~ref_cycles)
-    in
-    let max_trials = trials_requested in
-    let batch = Spec.batch_size spec in
-    let rngs = Array.make max_trials root in
-    for i = 0 to max_trials - 1 do
-      rngs.(i) <- Rng.split root
-    done;
-    let key =
+  (* A proven fault-free point (the figures' "n/a" region) is one
+     deterministic run: its single trial, on the root stream, stands
+     for every trial and is never checkpointed. *)
+  let rngs, ckpt =
+    if any_fault_possible then (Array.init trials_requested (fun _ -> Rng.split root), ckpt)
+    else ([| Rng.copy root |], None)
+  in
+  (* One snapshot trace per benchmark, shared by every trial of every
+     point and every model. *)
+  let budget = Fastforward.budget bench and trace = Fastforward.trace bench in
+  let max_trials = Array.length rngs in
+  let batch = Spec.batch_size spec in
+  let key =
+    match ckpt with
+    | None -> ""
+    | Some (_, prefix, _) -> point_key ~prefix ~freq_mhz
+  in
+  let batches = ref [] (* completed batches, newest first *) in
+  let n_done = ref 0 and batch_idx = ref 0 and stop = ref false in
+  while (not !stop) && !n_done < max_trials do
+    let len = min batch (max_trials - !n_done) in
+    let resumed =
       match ckpt with
-      | None -> ""
-      | Some (_, prefix, _) -> point_key ~prefix ~freq_mhz
+      | None -> None
+      | Some (_, _, index) ->
+        Option.bind (Checkpoint.find index ~key ~batch:!batch_idx) (batch_of_json ~expect:len)
     in
-    let batches = ref [] (* completed batches, newest first *) in
-    let n_done = ref 0 and batch_idx = ref 0 and stop = ref false in
-    while (not !stop) && !n_done < max_trials do
-      let len = min batch (max_trials - !n_done) in
-      let resumed =
-        match ckpt with
-        | None -> None
-        | Some (_, _, index) ->
-          Option.bind (Checkpoint.find index ~key ~batch:!batch_idx)
-            (batch_of_json ~expect:len)
-      in
-      let computed =
-        match resumed with
-        | Some ts ->
-          Sfi_obs.Counter.add obs_resumed len;
-          ts
-        | None ->
-          let ts =
-            Pool.map pool
-              (trial ~bench ~model ~freq_mhz ~budget ~trace)
-              (Array.sub rngs !n_done len)
-          in
-          (match ckpt with
-          | Some (path, _, _) ->
-            Checkpoint.append ~path ~key ~batch:!batch_idx (json_of_batch ts)
-          | None -> ());
-          ts
-      in
-      batches := computed :: !batches;
-      n_done := !n_done + len;
-      incr batch_idx;
-      Sfi_obs.Counter.incr obs_batches;
-      match Spec.ci_target spec with
-      | Some ci_target when !n_done < max_trials ->
-        if
-          converged ~ci_target
-            (List.concat_map Array.to_list (List.rev !batches))
-        then begin
-          stop := true;
-          Sfi_obs.Counter.incr obs_early_stops
-        end
-      | _ -> ()
-    done;
-    let all = List.concat_map Array.to_list (List.rev !batches) in
-    ( aggregate ~freq_mhz ~any_fault_possible:true ~trials_requested all,
-      Array.of_list all )
-  end
+    let computed =
+      match resumed with
+      | Some ts ->
+        Sfi_obs.Counter.add obs_resumed len;
+        ts
+      | None ->
+        let ts =
+          Pool.map pool
+            (trial ~bench ~model ~freq_mhz ~budget ~trace)
+            (Array.sub rngs !n_done len)
+        in
+        (match ckpt with
+        | Some (path, _, _) -> Checkpoint.append ~path ~key ~batch:!batch_idx (json_of_batch ts)
+        | None -> ());
+        ts
+    in
+    batches := computed :: !batches;
+    n_done := !n_done + len;
+    incr batch_idx;
+    Sfi_obs.Counter.incr obs_batches;
+    match Spec.ci_target spec with
+    | Some ci_target when !n_done < max_trials ->
+      if converged ~ci_target (List.concat_map Array.to_list (List.rev !batches)) then begin
+        stop := true;
+        Sfi_obs.Counter.incr obs_early_stops
+      end
+    | _ -> ()
+  done;
+  let all = List.concat_map Array.to_list (List.rev !batches) in
+  (aggregate ~freq_mhz ~any_fault_possible ~trials_requested all, Array.of_list all)
 
 let run_point_in pool spec ~ckpt ~bench ~model ~freq_mhz =
   fst (run_point_full pool spec ~ckpt ~bench ~model ~freq_mhz)

@@ -16,14 +16,15 @@
 
     When the injector proves that no fault can occur at the operating
     point (the grayed-out "n/a" regions of the paper's figures), a single
-    fault-free run stands in for all trials. Every other trial, for
-    every registered model, runs through {!Fastforward}: a provably
-    fault-free trial is resolved without simulation, a faulty one
-    simulates only the suffix from just before its first possible
-    fault. Full replay from cycle 0 remains only for that single
-    representative run and for a benchmark whose reference run does
-    not exit cleanly (counted on [fastforward.no_trace]); both are
-    bit-identical.
+    trial on the root stream stands in for all trials. Every trial, that
+    one included, for every registered model, runs through
+    {!Fastforward}, which owns the reference run, its watchdog budget
+    and its snapshot trace: a provably fault-free trial is resolved
+    without simulation, a faulty one simulates only the suffix from just
+    before its first possible fault, and a model with a trial-start edit
+    restarts from snapshot 0. This module never simulates; it keeps
+    points, batches, checkpoints, the stopping rule and aggregation.
+    Results are bit-identical to full replay from cycle 0.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
     (default: [Pool.default_jobs ()], i.e. the CLI's [--jobs] or all
@@ -69,20 +70,14 @@ type point = {
 }
 
 val reference_cycles : Bench.t -> int
-(** The benchmark's fault-free cycle count, used for watchdog budgets:
-    computed once per process ({!Sfi_cache.Once}) and, when the
-    persistent cache is enabled ({!Sfi_cache.set_dir}), once per cache
-    directory ({!Sfi_cache.memo}, namespace ["refcycles"]). Keyed by
-    image content ({!Bench.add_fingerprint}), not the benchmark's name,
-    so same-named benchmarks built from other inputs get their own count
-    and identical images share one. A campaign point looks it up once,
-    not per trial. *)
+(** {!Fastforward.reference_cycles}, the benchmark's fault-free cycle
+    count. Kept as an alias for the benchmark harness. *)
 
 val run_trial :
   bench:Bench.t -> model:Model.t -> freq_mhz:float -> seed:int -> trial
-(** One full-replay trial from cycle 0 with its own RNG stream — what a
-    point runs without a snapshot trace; watchdog set to 3x the
-    fault-free cycle count (+64k slack). *)
+(** One trial as a point runs it: {!Fastforward.run_trial} on the
+    stream [Rng.of_int seed], under {!Fastforward.budget} and over
+    {!Fastforward.trace}, counted like a point's trials. *)
 
 val run : Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point
 (** Evaluates one point under the spec's trial policy, seed, job count
@@ -96,8 +91,8 @@ val run_detailed :
     deterministic trial order (so any per-trial classification derived
     from them — e.g. the attack experiment's success/SDC/detected
     split — inherits the point's bit-identical-across-jobs-and-resumes
-    contract). The array holds the single representative run when the
-    point is proven fault-free. *)
+    contract). The array holds the single trial that stands for every
+    trial when the point is proven fault-free. *)
 
 val run_sweep :
   Spec.t -> bench:Bench.t -> model:Model.t -> freqs_mhz:float list -> point list

@@ -88,13 +88,11 @@ let read ~path =
 
 type index = (string * int, Json.t) Hashtbl.t
 
-let index records =
+let load ~path =
   let tbl : index = Hashtbl.create 64 in
   (* Later duplicates win: a resume may legitimately re-append a batch
      that an earlier corrupt record forced it to recompute. *)
-  List.iter (fun (key, batch, data) -> Hashtbl.replace tbl (key, batch) data) records;
+  List.iter (fun (key, batch, data) -> Hashtbl.replace tbl (key, batch) data) (read ~path);
   tbl
-
-let load ~path = index (read ~path)
 
 let find tbl ~key ~batch = Hashtbl.find_opt tbl (key, batch)

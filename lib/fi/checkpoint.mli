@@ -17,24 +17,16 @@
     are registered [~det:false]: they depend on disk state, so resumed
     and uninterrupted runs keep identical deterministic signatures. *)
 
-val version : string
-(** ["sfi-ckpt/1"]; records of other versions are rejected on read. *)
-
 val append : path:string -> key:string -> batch:int -> Sfi_obs.Json.t -> unit
 (** Appends one record ([O_APPEND], one [write]). I/O errors are
     swallowed — checkpointing accelerates resume, it is never a
     correctness dependency. *)
 
-val read : path:string -> (string * int * Sfi_obs.Json.t) list
-(** All valid records in file order ([(key, batch, data)]); invalid
-    lines are skipped (counted) and a missing file reads as empty. *)
-
 type index = (string * int, Sfi_obs.Json.t) Hashtbl.t
 
-val index : (string * int * Sfi_obs.Json.t) list -> index
-(** Later records win over earlier ones with the same (key, batch). *)
-
 val load : path:string -> index
-(** [index (read ~path)]. *)
+(** The file's valid records by (key, batch); a later record wins over
+    an earlier one with the same (key, batch). Invalid lines are skipped
+    (counted) and a missing file reads as empty. *)
 
 val find : index -> key:string -> batch:int -> Sfi_obs.Json.t option

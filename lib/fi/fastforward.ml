@@ -32,6 +32,12 @@ open Sfi_kernels
    the edit runs on the trial's own stream before the run continues.
    That is full replay through the one engine — no probe, no elision.
 
+   Every program has a trace: the reference run is recorded under the
+   watchdog budget its trials run under, whether it exits, traps, jumps
+   to itself or runs out the budget, and its outcome is kept. So there
+   is no fallback to full replay. This module owns the reference: its
+   cycle count, the trial budget, the snapshot stride and the trace.
+
    Bit-identity hinges on draw accounting: the probe consumes exactly
    the draws the full run would, and a snapshot boundary at cycle [s]
    partitions the hook schedule exactly — each instruction fires at most
@@ -76,6 +82,23 @@ type trace = {
   ref_output : U32.t array;
 }
 
+(* Fault-free cycle counts, computed once per process and, with a
+   cache directory, once per directory. Keyed by the image's content,
+   not the benchmark's name: [Registry.by_name ~seed] and the kernels'
+   [create ~n] build same-named benchmarks with different images. *)
+let reference_memo : int Sfi_cache.Once.t = Sfi_cache.Once.create ()
+
+let reference_cycles (bench : Bench.t) =
+  let fp = Sfi_cache.Fingerprint.create "sfi-refcycles/1" in
+  Bench.add_fingerprint bench fp;
+  let key = Sfi_cache.Fingerprint.hex fp in
+  Sfi_cache.Once.get reference_memo ~key (fun () ->
+      Sfi_cache.memo ~namespace:"refcycles" ~key ~valid:(fun cycles -> cycles > 0)
+        (fun () -> (fst (Bench.run_fault_free bench)).Cpu.cycles))
+
+(* The trial watchdog: 3x the fault-free cycle count plus 64k slack. *)
+let budget bench = (3 * reference_cycles bench) + 65536
+
 (* The snapshot stride: finer strides shrink the replayed
    prefix-to-fault window of suffix trials but grow the trace (and its
    recording cost); this one aims at ~128 snapshots per program,
@@ -105,14 +128,13 @@ let icontents b = Array.sub b.buf 0 b.len
 
 (* ---------- recording ---------- *)
 
-exception No_trace
-
 (* One interpreter pass ([Cpu.run_recording]) over the fault-free
    reference run, capturing a snapshot + dirty-page delta at every
    stride boundary and the full hook-call schedule (the recording hook
-   returns mask 0, so the run IS the reference run). Raises [No_trace]
-   when the reference run does not exit cleanly — fast-forward then
-   falls back to full replay for this benchmark. *)
+   returns mask 0, so the run IS the reference run). It runs under the
+   trial budget, so whatever stops it — exit, trap, jump-to-self or the
+   budget itself — stops the fault-free trial at the same cycle with
+   the same outcome, which the trace keeps. *)
 let record ~bench ~stride =
   let mem = Bench.fresh_memory bench in
   let shadow = Memory.copy mem in
@@ -138,14 +160,13 @@ let record ~bench ~stride =
     snaps := { state; pages = Array.of_list !dirty } :: !snaps;
     incr n_snaps
   in
-  let config = { Cpu.default_config with Cpu.fault_hook = Some hook } in
+  let config = { Cpu.max_cycles = budget bench; Cpu.fault_hook = Some hook } in
   let stats =
     Cpu.run_recording ~config ~stride ~on_snapshot mem
       ~entry:bench.Bench.program.Sfi_isa.Program.entry
   in
   Sfi_obs.Counter.incr obs_traces;
   Sfi_obs.Counter.add obs_snapshots !n_snaps;
-  if stats.Cpu.outcome <> Cpu.Exited then raise No_trace;
   {
     stride;
     trace_page_size = page_size;
@@ -166,39 +187,29 @@ let plausible t =
   && t.trace_page_size = page_size
   && Array.length t.snaps > 0
   && Array.length t.sched_cycle = Array.length t.sched_cls
-  && t.ref_stats.Cpu.outcome = Cpu.Exited
 
 (* Traces per content key: the benchmark image and pipeline constants
-   (the inputs that determine reference cycles) plus the stride and page
-   geometry — never the benchmark's name, since same-named benchmarks
-   built from other seeds or sizes must not replay each other's
-   snapshots. Computed once per process; only a recorded trace is
-   stored on disk, a reference run that does not exit is remembered in
-   process as [None]. *)
-let traces : trace option Sfi_cache.Once.t = Sfi_cache.Once.create ()
+   (the inputs that determine the reference run and its budget) plus
+   the stride and page geometry — never the benchmark's name, since
+   same-named benchmarks built from other seeds or sizes must not
+   replay each other's snapshots. *)
+let traces : trace Sfi_cache.Once.t = Sfi_cache.Once.create ()
 
-let trace_for ~(bench : Bench.t) ~stride =
+let trace_at ~(bench : Bench.t) ~stride =
   let fp = Sfi_cache.Fingerprint.create "sfi-snap/1" in
   Bench.add_fingerprint bench fp;
   Sfi_cache.Fingerprint.add_int fp stride;
   Sfi_cache.Fingerprint.add_int fp page_size;
   let key = Sfi_cache.Fingerprint.hex fp in
   Sfi_cache.Once.get traces ~key (fun () ->
-      match
-        Sfi_cache.memo ~namespace:"snap" ~key ~valid:plausible (fun () -> record ~bench ~stride)
-      with
-      | t -> Some t
-      | exception No_trace -> None)
+      Sfi_cache.memo ~namespace:"snap" ~key ~valid:plausible (fun () -> record ~bench ~stride))
 
-(* The one counted fallback to full replay: a benchmark whose reference
-   run does not exit. How the trace was (not) obtained is elided-work
-   metadata, det:false like the rest of the family. *)
-let obs_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
+let trace bench = trace_at ~bench ~stride:(stride_for ~ref_cycles:(reference_cycles bench))
 
-let trace_for_model ~bench ~model:_ ~stride =
-  let t = trace_for ~bench ~stride in
-  if Option.is_none t then Sfi_obs.Counter.incr obs_no_trace;
-  t
+(* Kept for the benchmark harness, which picks the stride itself. *)
+let trace_for ~bench ~stride = Some (trace_at ~bench ~stride)
+
+let trace_for_model ~bench ~model:_ ~stride = trace_for ~bench ~stride
 
 (* ---------- the fast-forwarded trial ---------- *)
 

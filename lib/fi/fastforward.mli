@@ -21,6 +21,14 @@
     snapshot 0, where the edit runs before the run continues: full
     replay through the same engine, never elided.
 
+    Every program has a trace. The reference run is recorded under the
+    watchdog budget its trials run under ({!budget}), whatever stops it
+    (exit, trap, jump-to-self or the budget itself), and the trace keeps
+    its outcome, so a trial that is the reference run reports it, as a
+    full replay does. There is no fallback to full replay: this module
+    owns the reference — its cycle count, the trial budget, the snapshot
+    stride and the trace.
+
     The probe consumes exactly the RNG draws a full run would, so
     results, det signatures and checkpoint records are bit-identical to
     full replay from cycle 0. Traces persist in {!Sfi_cache} (namespace
@@ -32,31 +40,44 @@ open Sfi_kernels
 
 type trace
 
-val page_size : int
-(** Granularity of the per-snapshot memory deltas, in bytes. *)
+val reference_cycles : Bench.t -> int
+(** The benchmark's fault-free cycle count (a run under
+    {!Bench.run_fault_free}'s 50M-cycle watchdog): computed once per
+    process ({!Sfi_cache.Once}) and, when the persistent cache is
+    enabled ({!Sfi_cache.set_dir}), once per cache directory
+    ({!Sfi_cache.memo}, namespace ["refcycles"]). Keyed by image content
+    ({!Bench.add_fingerprint}), not the benchmark's name, so same-named
+    benchmarks built from other inputs get their own count and identical
+    images share one. *)
+
+val budget : Bench.t -> int
+(** The absolute cycle watchdog of every trial of the benchmark, and of
+    its recorded reference run: 3x {!reference_cycles} plus 64k slack. *)
+
+val trace : Bench.t -> trace
+(** The benchmark's snapshot trace at the stride {!stride_for} picks
+    for its {!reference_cycles}, recorded on first use (one interpreter
+    pass over the reference run under {!budget}): computed once per
+    process ({!Sfi_cache.Once}) and, with a cache directory, once per
+    directory ({!Sfi_cache.memo}, namespace ["snap"]; entries failing
+    the post-load plausibility check are re-recorded). Keyed by image
+    content ({!Bench.add_fingerprint}) and stride. *)
 
 val stride_for : ref_cycles:int -> int
 (** Snapshot stride for a program of [ref_cycles] fault-free cycles:
     [max 64 (ref_cycles / 128)].
     Finer strides shrink the replayed snapshot-to-fault window; coarser
-    ones shrink the trace. *)
+    ones shrink the trace. Exported for the benchmark harness, which
+    times recording at this stride. *)
 
 val trace_for : bench:Bench.t -> stride:int -> trace option
-(** The benchmark's snapshot trace, recorded on first use (one
-    interpreter pass over the reference run): computed once per process
-    ({!Sfi_cache.Once}) and, with a cache directory, once per directory
-    ({!Sfi_cache.memo}, namespace ["snap"]; entries failing the
-    post-load plausibility check are re-recorded). Keyed by image
-    content ({!Bench.add_fingerprint}) and stride. [None] when the
-    reference run does not exit cleanly — callers fall back to full
-    replay; only a recorded trace is stored on disk. *)
+(** {!trace} at an explicit stride, always [Some]. Kept, with its
+    option, for the benchmark harness and the tests, which pass their
+    own strides; recorded and cached like {!trace}. *)
 
 val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace option
-(** {!trace_for}, counting each [None] on [fastforward.no_trace]
-    (det:false): a benchmark whose reference run does not exit cleanly
-    sends the campaign point to full replay. Every model fast-forwards,
-    so [model] is not consulted; it stays in the signature for callers
-    that pass it, such as the benchmark's per-layer probe. *)
+(** {!trace_for}; [model] is not consulted. Kept for the benchmark
+    harness's per-layer probe, which passes it. *)
 
 val first_fault :
   model:Model.t ->
@@ -89,6 +110,6 @@ val run_trial :
     every registered model. Each trial is either elided (counted on
     [fastforward.trials_elided]) or restored from a snapshot
     ([fastforward.restores]). [budget] is the same absolute cycle
-    watchdog a full-replay trial would use; resumed suffixes inherit
-    the snapshot's cycle counter, so the watchdog trips at the
+    watchdog a full-replay trial would use ({!budget}); resumed suffixes
+    inherit the snapshot's cycle counter, so the watchdog trips at the
     identical absolute cycle. *)

@@ -850,7 +850,6 @@ module Registry = struct
   type entry = {
     key : string;
     doc : string;
-    version : int;
     features : features;
     wants_arrivals : bool;
     wants_db : bool;
@@ -919,7 +918,6 @@ let () =
     {
       Registry.key = "A";
       doc = "fixed-probability random bit flips (baseline)";
-      version = 1;
       features = features_a;
       wants_arrivals = false;
       wants_db = false;
@@ -930,7 +928,6 @@ let () =
     {
       Registry.key = "B";
       doc = "static-timing period violation (no supply noise)";
-      version = 1;
       features = features_b;
       wants_arrivals = true;
       wants_db = false;
@@ -946,7 +943,6 @@ let () =
     {
       Registry.key = "B+";
       doc = "static timing with per-cycle supply-noise modulation";
-      version = 1;
       features = features_bplus;
       wants_arrivals = true;
       wants_db = false;
@@ -962,7 +958,6 @@ let () =
     {
       Registry.key = "C";
       doc = "instruction-aware statistical injection (independent endpoints)";
-      version = 1;
       features = features_c;
       wants_arrivals = false;
       wants_db = true;
@@ -978,7 +973,6 @@ let () =
     {
       Registry.key = "C-corr";
       doc = "statistical injection with vector-correlated endpoint sampling";
-      version = 1;
       features = features_c;
       wants_arrivals = false;
       wants_db = true;
@@ -994,7 +988,6 @@ let () =
     {
       Registry.key = "glitch";
       doc = "voltage glitch in attacker-chosen cycle windows (attack)";
-      version = 1;
       features = features_glitch;
       wants_arrivals = true;
       wants_db = false;
@@ -1022,7 +1015,6 @@ let () =
     {
       Registry.key = "skip";
       doc = "InjectV-style instruction skip with probability p (attack)";
-      version = 1;
       features = features_skip;
       wants_arrivals = false;
       wants_db = false;
@@ -1037,7 +1029,6 @@ let () =
     {
       Registry.key = "opcode";
       doc = "InjectV-style opcode corruption with probability p (attack)";
-      version = 1;
       features = features_opcode;
       wants_arrivals = false;
       wants_db = false;
@@ -1052,7 +1043,6 @@ let () =
     {
       Registry.key = "state";
       doc = "random architectural-state bit flips at trial start (attack)";
-      version = 1;
       features = features_state;
       wants_arrivals = false;
       wants_db = false;

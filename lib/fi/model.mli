@@ -141,7 +141,6 @@ module Registry : sig
   type entry = {
     key : string;          (** stable, unique (case-insensitive) *)
     doc : string;          (** one-line description for listings *)
-    version : int;         (** parameter-codec version, part of new-model fingerprints *)
     features : features;   (** the model's Table 2 row, for listings *)
     wants_arrivals : bool; (** requires [resources.endpoint_arrivals] *)
     wants_db : bool;       (** requires [resources.db] *)

@@ -70,15 +70,13 @@ let with_trial_memory (bench : Bench.t) f =
       raise e
   end
 
-let simulate ~(bench : Bench.t) ~injector ~budget ?resume prepare =
+let simulate ~(bench : Bench.t) ~injector ~budget ~resume prepare =
   with_trial_memory bench @@ fun mem ->
   prepare mem;
   let config =
     { Cpu.max_cycles = budget; Cpu.fault_hook = Some (Injector.hook injector) }
   in
-  let stats =
-    Cpu.run ~config ?resume mem ~entry:bench.Bench.program.Sfi_isa.Program.entry
-  in
+  let stats = Cpu.run ~config ~resume mem ~entry:bench.Bench.program.Sfi_isa.Program.entry in
   let output = if stats.Cpu.outcome = Cpu.Exited then Bench.read_output bench mem else [||] in
   ( stats,
     make ~bench ~stats ~output ~fault_bits:(Injector.fault_bits injector)

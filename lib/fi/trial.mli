@@ -1,10 +1,9 @@
 (** One Monte-Carlo trial: its result record and the ISS run behind it.
 
-    Every trial is produced through this module — a fast-forwarded one
-    ({!Fastforward.run_trial}) and the full-replay one a point runs
-    without a snapshot trace or as its fault-free representative
-    ({!Campaign.run_trial}) — so a result is assembled in exactly one
-    place, and both simulate on the same per-domain trial memory. *)
+    Every trial is produced by {!Fastforward.run_trial} through this
+    module — an elided one with {!make} from the reference run's stats,
+    a restored one with {!simulate} from a snapshot — so a result is
+    assembled in exactly one place. *)
 
 open Sfi_sim
 open Sfi_kernels
@@ -33,13 +32,13 @@ val simulate :
   bench:Bench.t ->
   injector:Injector.t ->
   budget:int ->
-  ?resume:Cpu.snapshot ->
+  resume:Cpu.snapshot ->
   (Memory.t -> unit) ->
   Cpu.stats * t
-(** [simulate ~bench ~injector ~budget ?resume prepare] runs one trial on
+(** [simulate ~bench ~injector ~budget ~resume prepare] runs one trial on
     this domain's trial memory, which is reset to the benchmark's image
     first: [prepare] finishes the pre-run state (a snapshot's memory
     pages, and at cycle 0 a model's per-trial state hook), then the ISS
-    runs from the program entry — or from [resume] — with [injector]'s
-    hook under the absolute cycle watchdog [budget]. Returns the run's
-    stats with its {!make} result. *)
+    runs from [resume] with [injector]'s hook under the absolute cycle
+    watchdog [budget]. Returns the run's stats with its {!make}
+    result. *)

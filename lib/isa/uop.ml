@@ -73,8 +73,6 @@ let u_nop_kernel_begin = 37
 
 let u_nop_kernel_end = 38
 
-let count = 39
-
 (* Dense lookup tables closing the int-code <-> variant gap on the two
    paths where the executor still needs the variant (class application
    via Op_class, flag computation via Insn.cmp). Order is pinned to

@@ -88,9 +88,6 @@ val u_nop_kernel_begin : int
 
 val u_nop_kernel_end : int
 
-val count : int
-(** Exclusive upper bound of the opcode space. *)
-
 (** {1 Variant bridges} *)
 
 val cls_table : Op_class.t array
@@ -101,9 +98,6 @@ val cmp_table : Insn.cmp array
 
 val cmp_index : Insn.cmp -> int
 (** Index of a comparison in {!cmp_table}. *)
-
-val cmp_index_of_code : int -> int
-(** From the OR1K l.sf* rD-field code; [-1] for invalid codes. *)
 
 (** {1 Decoding} *)
 

@@ -26,11 +26,6 @@ val class_sdc : float
 (** 3: flag clear but the output is wrong more broadly (silent data
     corruption). *)
 
-val encrypt : sbox:int array -> rk:int array -> int array -> int array
-(** The OCaml reference cipher (exactly the assembly's arithmetic):
-    [sbox] is a 256-entry byte permutation, [rk] the 28 round-key words,
-    the block 4 words. *)
-
 val data_word_range : Bench.t -> int * int
 (** Word-address window [\[lo, hi)] covering the kernel's sensitive data
     (plaintext, round keys, S-box, checksum and cipher state) — where

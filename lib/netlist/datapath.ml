@@ -34,93 +34,6 @@ let ripple_adder b xs ys ~cin =
   done;
   (sums, !carry)
 
-let carry_skip_adder b ~block xs ys ~cin =
-  check_widths "Datapath.carry_skip_adder" xs ys;
-  if block <= 0 then invalid_arg "Datapath.carry_skip_adder: block must be positive";
-  let n = Array.length xs in
-  let sums = Array.make n cin in
-  let carry_in = ref cin in
-  let i = ref 0 in
-  while !i < n do
-    let width = min block (n - !i) in
-    let lo = !i in
-    (* Ripple chain inside the block. *)
-    let c = ref !carry_in in
-    let props = Array.make width 0 in
-    for k = 0 to width - 1 do
-      let x = xs.(lo + k) and y = ys.(lo + k) in
-      let p = gate b Cell.Xor2 [| x; y |] in
-      props.(k) <- p;
-      let s = gate b Cell.Xor2 [| p; !c |] in
-      sums.(lo + k) <- s;
-      let g = gate b Cell.And2 [| x; y |] in
-      let t = gate b Cell.And2 [| p; !c |] in
-      c := gate b Cell.Or2 [| g; t |]
-    done;
-    (* Skip path: if the whole block propagates, the carry-out is the
-       carry-in and the slow ripple chain is bypassed. *)
-    let all_p =
-      if width = 1 then props.(0)
-      else begin
-        let acc = ref props.(0) in
-        for k = 1 to width - 1 do
-          acc := gate b Cell.And2 [| !acc; props.(k) |]
-        done;
-        !acc
-      end
-    in
-    carry_in := gate b Cell.Mux2 [| all_p; !c; !carry_in |];
-    i := !i + width
-  done;
-  (sums, !carry_in)
-
-let brent_kung_adder b xs ys ~cin =
-  check_widths "Datapath.brent_kung_adder" xs ys;
-  let n = Array.length xs in
-  if n land (n - 1) <> 0 || n = 0 then
-    invalid_arg "Datapath.brent_kung_adder: width must be a power of two";
-  let p = Array.init n (fun i -> gate b Cell.Xor2 [| xs.(i); ys.(i) |]) in
-  let g = Array.init n (fun i -> gate b Cell.And2 [| xs.(i); ys.(i) |]) in
-  (* Prefix arrays: after the sweeps, gp.(i)/pp.(i) cover bits [0..i]. *)
-  let gp = Array.copy g and pp = Array.copy p in
-  let combine i j =
-    let t = gate b Cell.And2 [| pp.(i); gp.(j) |] in
-    gp.(i) <- gate b Cell.Or2 [| gp.(i); t |];
-    pp.(i) <- gate b Cell.And2 [| pp.(i); pp.(j) |]
-  in
-  let levels =
-    let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v / 2) in
-    log2 0 n
-  in
-  (* Up-sweep. *)
-  for k = 0 to levels - 1 do
-    let step = 1 lsl (k + 1) in
-    let i = ref (step - 1) in
-    while !i < n do
-      combine !i (!i - (1 lsl k));
-      i := !i + step
-    done
-  done;
-  (* Down-sweep. *)
-  for k = levels - 2 downto 0 do
-    let step = 1 lsl (k + 1) in
-    let i = ref (step + (1 lsl k) - 1) in
-    while !i < n do
-      combine !i (!i - (1 lsl k));
-      i := !i + step
-    done
-  done;
-  (* Carry into bit i: c_0 = cin, c_i = G[0..i-1] + P[0..i-1] cin. *)
-  let carry i =
-    if i = 0 then cin
-    else begin
-      let t = gate b Cell.And2 [| pp.(i - 1); cin |] in
-      gate b Cell.Or2 [| gp.(i - 1); t |]
-    end
-  in
-  let sums = Array.init n (fun i -> gate b Cell.Xor2 [| p.(i); carry i |]) in
-  (sums, carry n)
-
 let carry_select_adder b ~block xs ys ~cin =
   check_widths "Datapath.carry_select_adder" xs ys;
   if block <= 0 then invalid_arg "Datapath.carry_select_adder: block must be positive";

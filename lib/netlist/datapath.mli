@@ -3,7 +3,7 @@
     Every generator expands into primitive gates inside a {!Circuit.Builder}
     and returns the output nets. Bit index 0 is the least-significant bit
     throughout. The generators are deliberately structural (ripple chains,
-    carry-skip blocks, shift-and-add arrays): the per-bit and per-operand
+    carry-select blocks, shift-and-add arrays): the per-bit and per-operand
     path-delay spread that drives the paper's statistical fault model comes
     from these structures, while absolute speed is set afterwards by the
     virtual-synthesis sizing pass in [Sfi_timing.Sizing]. *)
@@ -11,30 +11,8 @@
 type b = Circuit.Builder.t
 type net = Circuit.net
 
-val full_adder : b -> net -> net -> net -> net * net
-(** [full_adder b x y cin] is [(sum, carry_out)]. *)
-
-val half_adder : b -> net -> net -> net * net
-
 val ripple_adder : b -> net array -> net array -> cin:net -> net array * net
 (** Classic ripple-carry adder; operands must have equal width. *)
-
-val carry_skip_adder :
-  b -> block:int -> net array -> net array -> cin:net -> net array * net
-(** Carry-skip adder with the given block size: ripple chains inside each
-    block, a propagate-controlled skip mux between blocks. This is the
-    EX-stage adder: delay grows with the excited carry length, so MSB
-    endpoints see later arrivals than LSBs, and actual arrivals depend on
-    the operands. *)
-
-val brent_kung_adder :
-  b -> net array -> net array -> cin:net -> net array * net
-(** Brent-Kung parallel-prefix adder (operand width must be a power of
-    two). Its balanced generate/propagate tree means random operands
-    excite paths close to the structural worst case — matching the
-    synthesized adder of the case study, whose dynamic timing limit sits
-    only slightly above its static one — while the prefix depth still
-    grows with bit significance, so MSB endpoints fail before LSBs. *)
 
 val carry_select_adder :
   b -> block:int -> net array -> net array -> cin:net -> net array * net

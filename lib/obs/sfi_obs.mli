@@ -136,8 +136,6 @@ val det_signature : unit -> (string * int list) list
     flattened to int lists, spans and [~det:false] metrics excluded.
     Equal across job counts for identical work. *)
 
-val jsonl_string : ?meta:(string * Json.t) list -> unit -> string
-(** JSONL: a [{"schema":"sfi-obs/1", ...meta}] header line followed by
-    one JSON object per metric. *)
-
 val write_jsonl : ?meta:(string * Json.t) list -> string -> unit
+(** Writes a JSONL file: a [{"schema":"sfi-obs/1", ...meta}] header
+    line followed by one JSON object per metric. *)

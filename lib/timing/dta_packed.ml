@@ -556,4 +556,3 @@ let settle_time t net ~lane =
       t.w_time.((wi * Bitsim.lanes) + lane) *. 0x1p32
     else 0.
 
-let lane_events t = t.lane_events

@@ -56,8 +56,3 @@ val settle_time : t -> Circuit.net -> lane:int -> float
     most recent {!cycle}, 0. if it did not change — bit-identical to
     {!Dta.settle_time} of that lane's scalar run. Raises
     [Invalid_argument] if the net is not watched. *)
-
-val lane_events : t -> int
-(** Scalar-equivalent events: total lane bits across trigger masks.
-    Matches the scalar reference DTA's [dta.events] count summed over
-    per-lane runs of the same stimulus. *)

@@ -13,8 +13,6 @@ let name = function
   | Or_ -> "or"
   | Xor_ -> "xor"
 
-let of_name s = List.find_opt (fun c -> name c = s) all
-
 let apply c a b =
   match c with
   | Add -> U32.add a b

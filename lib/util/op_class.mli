@@ -10,7 +10,7 @@
     frequency, per the constraint strategy the paper adopts from [14]. *)
 
 type t =
-  | Add   (** carry-skip adder, add mode (l.add, l.addi) *)
+  | Add   (** carry-select adder, add mode (l.add, l.addi) *)
   | Sub   (** adder in subtract mode (l.sub and all l.sf* compares) *)
   | Mul   (** single-cycle array multiplier (l.mul, l.muli) *)
   | Sll   (** barrel shifter, left (l.sll, l.slli) *)
@@ -24,8 +24,6 @@ val all : t list
 
 val name : t -> string
 (** Short lower-case name, e.g. ["mul"]. *)
-
-val of_name : string -> t option
 
 val apply : t -> U32.t -> U32.t -> U32.t
 (** Architectural (fault-free) semantics on 32-bit operands: the value the

@@ -15,19 +15,13 @@
 
 type t
 
-val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains. [jobs] must be
-    positive. *)
-
 val jobs : t -> int
 
-val shutdown : t -> unit
-(** Finishes all queued work, terminates and joins the workers. The pool
-    must not be used afterwards. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
-    afterwards (also on exception). *)
+(** [with_pool ~jobs f] runs [f] with a fresh pool of [jobs] executors
+    ([jobs - 1] spawned worker domains; [jobs] must be positive),
+    finishes its queued work and joins its workers afterwards (also on
+    exception). *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map], results in input order. If any application
@@ -40,7 +34,7 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. *)
 
-(** {1 Default job count and the shared global pool} *)
+(** {1 Default job count and the shared pool} *)
 
 val default_jobs : unit -> int
 (** Job count used when no explicit [~jobs] is given: the
@@ -53,12 +47,9 @@ val set_default_jobs : int -> unit
 (** Process-wide override of {!default_jobs} (e.g. from a [--jobs] CLI
     flag). Must be positive. *)
 
-val global : unit -> t
-(** The shared lazily-created pool of {!default_jobs} executors. It is
-    rebuilt if the default changed since creation and shut down at
-    process exit. *)
-
 val using : ?jobs:int -> (t -> 'a) -> 'a
-(** [using ?jobs f]: runs [f] with the global pool when [jobs] is absent
-    or matches its size, else with a fresh temporary pool of [jobs]
-    executors. *)
+(** [using ?jobs f]: runs [f] with the shared pool of {!default_jobs}
+    executors when [jobs] is absent or matches its size, else with a
+    fresh temporary pool of [jobs] executors. The shared pool is created
+    on first use, rebuilt if the default changed since, and shut down at
+    process exit. *)

@@ -130,13 +130,7 @@ let fastforward_compare () =
   in
   let fsta = Flow.sta_limit_mhz flow ~vdd:0.7 in
   let model = Flow.model_c flow ~vdd:0.7 ~sigma:0.010 () in
-  let ref_cycles = Sfi_fi.Campaign.reference_cycles bench in
-  (match
-     Sfi_fi.Fastforward.trace_for ~bench
-       ~stride:(Sfi_fi.Fastforward.stride_for ~ref_cycles)
-   with
-  | Some _ -> ()
-  | None -> failwith "fastforward compare: kmeans reference run did not exit");
+  ignore (Sfi_fi.Fastforward.trace bench : Sfi_fi.Fastforward.trace);
   (* The rare-fault operating point: just past the injector's provable
      no-fault boundary, which bisection pins to a fraction of a MHz.
      kmeans fires tens of thousands of hooks per run, so even here only

@@ -8,8 +8,11 @@
    - a skip point whose first trigger follows a snapshot keeps the EX
      latch the previous call wrote (the suffix restarts before that
      call);
-   - a benchmark whose reference run traps has no trace and falls back
-     to full replay, counted on fastforward.no_trace;
+   - programs whose reference run traps or jumps to itself fast-forward
+     like any other: every trial is elided or restored;
+   - a proven fault-free point's one trial goes through the engine too:
+     elided under model C, restored from snapshot 0 under state with no
+     flips;
    - mostly-fault-free operating points actually elide trials
      (fastforward.trials_elided) and still match full replay;
    - jobs=1 and jobs=4 agree under fast-forward, on a model-A point
@@ -32,8 +35,6 @@ let () = Sfi_obs.set_enabled true
 let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
 
 let c_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
-
-let c_no_trace = Sfi_obs.Counter.make ~det:false "fastforward.no_trace"
 
 let c_resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials"
 
@@ -100,10 +101,12 @@ let test_parity_models_kernels () =
         Registry.names)
     (Model.Registry.entries ())
 
-(* [Campaign] never validates its benchmark, so a program whose
-   reference run traps reaches it: it records no trace, and the point
-   must fall back to full replay, counted. *)
-let trapping_bench =
+(* [Campaign] never validates its benchmark, so programs whose
+   reference run does not exit reach it: one traps on a misaligned load
+   after its loop, its twin ends in a jump to itself, which the ISS
+   stops as a watchdog. Each reference run is recorded with its outcome,
+   so both fast-forward. *)
+let non_exiting_bench name last =
   let open Sfi_isa in
   let program =
     Program.of_insns
@@ -116,13 +119,12 @@ let trapping_bench =
           Addi (1, 1, -1);
           Sfi (Ne, 1, 0);
           Bf (-4);
-          (* a misaligned word load traps instead of exiting *)
-          Lwz (4, 0x202, 0);
+          last;
           Nop nop_exit;
         ]
   in
   {
-    Bench.name = "trapping";
+    Bench.name;
     bench_type = "test";
     compute_rating = "low";
     control_rating = "low";
@@ -136,17 +138,70 @@ let trapping_bench =
     metric = (fun ~expected:_ ~actual:_ -> 0.);
   }
 
-let test_no_trace_falls_back () =
-  let model = model_a 0.01 in
-  let stats, _ = Bench.run_fault_free trapping_bench in
-  Alcotest.(check bool) "reference run traps" true
-    (match stats.Cpu.outcome with Cpu.Trapped _ -> true | _ -> false);
-  Sfi_obs.reset ();
-  let p = Campaign.run (spec ~trials:8 ~seed:5) ~bench:trapping_bench ~model ~freq_mhz:700. in
-  Alcotest.(check bool) "fallback counted" true (value c_no_trace > 0);
-  Alcotest.(check bool) "point equals full replay" true
-    (point_equal p
-       (Ref_campaign.run ~trials:8 ~seed:5 ~bench:trapping_bench ~model ~freq_mhz:700.))
+let test_non_exiting_references () =
+  List.iter
+    (fun (bench, stops) ->
+      let name = bench.Bench.name in
+      let stats, _ = Bench.run_fault_free bench in
+      Alcotest.(check bool) (name ^ ": reference run does not exit") true
+        (stops stats.Cpu.outcome);
+      List.iter
+        (fun (p, trials) ->
+          let what = Printf.sprintf "%s, model A p = %g" name p in
+          let model = model_a p in
+          Sfi_obs.reset ();
+          let point, ts =
+            Campaign.run_detailed (spec ~trials:8 ~seed:5) ~bench ~model ~freq_mhz:700.
+          in
+          let fast_forwarded = value c_elided + value c_restores in
+          let expect_point, expect =
+            Ref_campaign.run_detailed ~trials:8 ~seed:5 ~bench ~model ~freq_mhz:700.
+          in
+          Alcotest.(check bool) (what ^ ": point equals full replay") true
+            (point_equal point expect_point);
+          Alcotest.(check bool) (what ^ ": trials equal full replay") true
+            (trials_equal ts expect);
+          Alcotest.(check int) (what ^ ": every trial elided or restored") trials fast_forwarded)
+        [ (0.01, 8); (0., 1) ])
+    [
+      ( non_exiting_bench "trapping" (Sfi_isa.Insn.Lwz (4, 0x202, 0)),
+        function Cpu.Trapped _ -> true | _ -> false );
+      (non_exiting_bench "self-jump" (Sfi_isa.Insn.J 0), fun o -> o = Cpu.Watchdog);
+    ]
+
+(* A proven fault-free point stands for all its trials with one, run
+   through the engine like any other: a paper model elides it, and
+   [state] with no flips, whose trial-start edit restarts every trial,
+   restores it from snapshot 0. *)
+let test_fault_free_points () =
+  let flow = Lazy.force flow_400 in
+  let bench = Option.get (Registry.by_name "median") in
+  let state =
+    match
+      Sfi_core.Flow.model_by_key
+        ~params:[ ("flips", Sfi_obs.Json.Int 0) ]
+        flow ~key:"state" ~vdd:0.7 ~sigma:0.010
+    with
+    | Ok m -> m
+    | Error msg -> Alcotest.failf "state: %s" msg
+  in
+  List.iter
+    (fun (what, model, freq_mhz, elided, restores) ->
+      Sfi_obs.reset ();
+      let p, ts = Campaign.run_detailed (spec ~trials:8 ~seed:9) ~bench ~model ~freq_mhz in
+      let expect_point, expect =
+        Ref_campaign.run_detailed ~trials:8 ~seed:9 ~bench ~model ~freq_mhz
+      in
+      Alcotest.(check bool) (what ^ ": proven fault-free") false p.Campaign.any_fault_possible;
+      Alcotest.(check bool) (what ^ ": point equals full replay") true
+        (point_equal p expect_point);
+      Alcotest.(check bool) (what ^ ": trial equals full replay") true (trials_equal ts expect);
+      Alcotest.(check int) (what ^ ": elided") elided (value c_elided);
+      Alcotest.(check int) (what ^ ": restored") restores (value c_restores))
+    [
+      ("model C", Sfi_core.Flow.model_c flow ~vdd:0.7 ~sigma:0.010 (), 500., 1, 0);
+      ("state, no flips", state, 700., 0, 1);
+    ]
 
 (* At a rare-fault operating point most trials are provably fault-free:
    fast-forward must elide them (no simulation at all) and still agree
@@ -457,7 +512,10 @@ let () =
         [
           Alcotest.test_case "every model x kernel vs replay" `Quick
             test_parity_models_kernels;
-          Alcotest.test_case "no trace falls back, counted" `Quick test_no_trace_falls_back;
+          Alcotest.test_case "non-exiting references fast-forward" `Quick
+            test_non_exiting_references;
+          Alcotest.test_case "fault-free points through the engine" `Quick
+            test_fault_free_points;
           Alcotest.test_case "rare faults elide trials" `Quick test_elision_parity;
           Alcotest.test_case "skip latch after a snapshot" `Quick
             test_skip_latch_after_snapshot;

@@ -207,43 +207,6 @@ let test_ripple_adder () =
         (eval x y))
     [ (0, 0); (1, 1); (0xFFFF, 1); (0x8000, 0x8000); (12345, 54321); (0xAAAA, 0x5555) ]
 
-let test_carry_skip_adder () =
-  let eval =
-    build_binop (fun b xs ys ->
-        let sums, _ = Datapath.carry_skip_adder b ~block:4 xs ys ~cin:(B.const b false) in
-        sums)
-  in
-  List.iter
-    (fun (x, y) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%d+%d" x y)
-        ((x + y) land mask16)
-        (eval x y))
-    [ (0, 0); (1, 0xFFFF); (0xFFFF, 0xFFFF); (0x0F0F, 0xF0F0); (99, 901) ]
-
-let test_brent_kung_adder () =
-  let eval =
-    build_binop (fun b xs ys ->
-        let sums, _ = Datapath.brent_kung_adder b xs ys ~cin:(B.const b false) in
-        sums)
-  in
-  List.iter
-    (fun (x, y) ->
-      Alcotest.(check int)
-        (Printf.sprintf "%d+%d" x y)
-        ((x + y) land mask16)
-        (eval x y))
-    [ (0, 0); (1, 0xFFFF); (0xFFFF, 0xFFFF); (0x0F0F, 0xF0F0); (0xAAAA, 0x5555); (99, 901) ]
-
-let test_brent_kung_rejects_odd_width () =
-  let b = B.create () in
-  let xs = B.input_vec b "x" 12 and ys = B.input_vec b "y" 12 in
-  Alcotest.(check bool) "non-power-of-two raises" true
-    (try
-       ignore (Datapath.brent_kung_adder b xs ys ~cin:(B.const b false));
-       false
-     with Invalid_argument _ -> true)
-
 let test_carry_select_adder () =
   let eval =
     build_binop (fun b xs ys ->
@@ -258,25 +221,23 @@ let test_carry_select_adder () =
         (eval x y))
     [ (0, 0); (1, 0xFFFF); (0xFFFF, 0xFFFF); (0x0F0F, 0xF0F0); (12345, 54321) ]
 
+(* The ripple and carry-select generators, and the ALU's adder/subtractor
+   in add mode. *)
 let prop_adders_agree =
   QCheck.Test.make ~name:"all three adders compute x+y" ~count:300
     QCheck.(pair (int_bound mask16) (int_bound mask16))
     (let ripple =
        build_binop (fun b xs ys ->
            fst (Datapath.ripple_adder b xs ys ~cin:(B.const b false)))
-     and skip =
-       build_binop (fun b xs ys ->
-           fst (Datapath.carry_skip_adder b ~block:4 xs ys ~cin:(B.const b false)))
-     and bk =
-       build_binop (fun b xs ys ->
-           fst (Datapath.brent_kung_adder b xs ys ~cin:(B.const b false)))
      and csel =
        build_binop (fun b xs ys ->
            fst (Datapath.carry_select_adder b ~block:4 xs ys ~cin:(B.const b false)))
+     and add_sub =
+       build_binop (fun b xs ys -> Datapath.add_sub b xs ys ~sub:(B.const b false))
      in
      fun (x, y) ->
        let expect = (x + y) land mask16 in
-       ripple x y = expect && skip x y = expect && bk x y = expect && csel x y = expect)
+       ripple x y = expect && csel x y = expect && add_sub x y = expect)
 
 let test_add_sub () =
   let b = B.create () in
@@ -519,9 +480,6 @@ let () =
       ( "datapath",
         [
           Alcotest.test_case "ripple adder" `Quick test_ripple_adder;
-          Alcotest.test_case "carry-skip adder" `Quick test_carry_skip_adder;
-          Alcotest.test_case "brent-kung adder" `Quick test_brent_kung_adder;
-          Alcotest.test_case "brent-kung width check" `Quick test_brent_kung_rejects_odd_width;
           Alcotest.test_case "carry-select adder" `Quick test_carry_select_adder;
           Alcotest.test_case "add/sub" `Quick test_add_sub;
           Alcotest.test_case "array multiplier" `Quick test_array_multiplier;

@@ -381,13 +381,7 @@ let ff_bench = lazy (Option.get (Sfi_kernels.Registry.by_name "median"))
 
 let ff_model = Sfi_core.Flow.model_a ~bit_flip_prob:0.002
 
-let ff_trace =
-  lazy
-    (let bench = Lazy.force ff_bench in
-     let ref_cycles = Sfi_fi.Campaign.reference_cycles bench in
-     Option.get
-       (Sfi_fi.Fastforward.trace_for ~bench
-          ~stride:(Sfi_fi.Fastforward.stride_for ~ref_cycles)))
+let ff_trace = lazy (Sfi_fi.Fastforward.trace (Lazy.force ff_bench))
 
 exception Found of int * int
 
@@ -403,8 +397,7 @@ let full_first_fault ~rng =
     if h ~cycle ~cls ~a ~b ~result <> 0 then raise (Found (cycle, Op_class.index cls))
     else 0
   in
-  let budget = (3 * Sfi_fi.Campaign.reference_cycles bench) + 65536 in
-  let config = { Cpu.max_cycles = budget; Cpu.fault_hook = Some hook } in
+  let config = { Cpu.max_cycles = Sfi_fi.Fastforward.budget bench; Cpu.fault_hook = Some hook } in
   let mem = Bench.fresh_memory bench in
   match
     Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry

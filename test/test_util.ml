@@ -323,14 +323,6 @@ let test_op_class_apply () =
   Alcotest.(check int) "or" 0b111 (apply Or_ 0b110 0b101);
   Alcotest.(check int) "xor" 0b011 (apply Xor_ 0b110 0b101)
 
-let test_op_class_names_roundtrip () =
-  List.iter
-    (fun c ->
-      match Op_class.of_name (Op_class.name c) with
-      | Some c' -> Alcotest.(check bool) "roundtrip" true (c = c')
-      | None -> Alcotest.fail "name not parsed")
-    Op_class.all
-
 let test_op_class_index_dense () =
   List.iteri
     (fun i c -> Alcotest.(check int) "index" i (Op_class.index c))
@@ -518,7 +510,6 @@ let () =
       ( "op_class",
         [
           Alcotest.test_case "apply" `Quick test_op_class_apply;
-          Alcotest.test_case "names roundtrip" `Quick test_op_class_names_roundtrip;
           Alcotest.test_case "index dense" `Quick test_op_class_index_dense;
         ] );
       ("properties", qsuite);
