@@ -81,9 +81,8 @@ val run_trial :
 
 val run : Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point
 (** Evaluates one point under the spec's trial policy, seed, job count
-    and (optional) checkpoint. [Fixed n] reproduces the historic
-    [run_point ~trials:n] bit-for-bit. Raises [Invalid_argument] on an
-    invalid spec. *)
+    and (optional) checkpoint. [Fixed n] runs exactly [n] trials.
+    Raises [Invalid_argument] on an invalid spec. *)
 
 val run_detailed :
   Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point * trial array

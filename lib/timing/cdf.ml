@@ -1,12 +1,53 @@
 type t = float array (* sorted ascending *)
 
+(* Moves [a.(i)] down the max-heap held in [a.(0) .. a.(len - 1)]. *)
+let sift_down (a : float array) i len =
+  let x = Array.unsafe_get a i in
+  let i = ref i and sifting = ref true in
+  while !sifting do
+    let c = (2 * !i) + 1 in
+    if c >= len then sifting := false
+    else begin
+      let c =
+        if c + 1 < len && Array.unsafe_get a (c + 1) > Array.unsafe_get a c then c + 1 else c
+      in
+      if Array.unsafe_get a c > x then begin
+        Array.unsafe_set a !i (Array.unsafe_get a c);
+        i := c
+      end
+      else sifting := false
+    end
+  done;
+  Array.unsafe_set a !i x
+
+(* Heap sort, ascending and in place, with float comparisons only: no
+   element is boxed (the polymorphic [Array.sort Float.compare] boxes
+   both operands of every comparison) and nothing is allocated. On
+   NaN-free input it yields the array [Array.sort Float.compare] does,
+   up to the order of [-0.] against [0.], which compare equal. *)
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for len = n - 1 downto 1 do
+    let top = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a len);
+    Array.unsafe_set a len top;
+    sift_down a 0 len
+  done
+
 (* A NaN sample would sort to an arbitrary position under any
    comparator and silently poison every quantile/probability query
-   downstream; fail loudly instead. *)
-let of_samples_owned ys =
+   downstream; fail loudly instead. Settle times are never [-0.], so
+   the characterization database's bytes do not depend on how the sort
+   orders signed zeros. *)
+let of_samples_owned (ys : float array) =
   if Array.length ys = 0 then invalid_arg "Cdf.of_samples: empty";
-  Array.iter (fun x -> if Float.is_nan x then invalid_arg "Cdf.of_samples: NaN sample") ys;
-  Array.sort Float.compare ys;
+  for i = 0 to Array.length ys - 1 do
+    if Float.is_nan (Array.unsafe_get ys i) then invalid_arg "Cdf.of_samples: NaN sample"
+  done;
+  sort_floats ys;
   ys
 
 let of_samples xs = of_samples_owned (Array.copy xs)

@@ -25,28 +25,42 @@ open Sfi_netlist
    is filtered), restated per waveform instead of per heap pop.
 
    Time arithmetic is copied verbatim from [Dta] (delays pre-scaled by
-   2^-32 at [create], event keys are the IEEE-754 bit patterns of the
-   scaled sums — nonnegative, so integer compares order them), so every
-   lane's event times and settle times are bit-identical to the scalar
-   engine's. The one caveat is evaluation order among *equal* keys: a
-   dependent same-instant pair could resolve in a different order than
-   a scalar run's heap tie. Such ties require two distinct delay-path
-   sums to be float-equal, which the per-gate process variation applied
-   to every production netlist makes unobservable; the differential
-   tests pin bit-identity on exactly those sized netlists.
+   2^-32 at [create]; keys are the scaled float sums, all nonnegative),
+   so every lane's event times and settle times are bit-identical to the
+   scalar engine's. The one caveat is evaluation order among *equal*
+   keys: a dependent same-instant pair could resolve in a different
+   order than a scalar run's heap tie. Such ties require two distinct
+   delay-path sums to be float-equal, which the per-gate process
+   variation applied to every production netlist makes unobservable;
+   the differential tests pin bit-identity on exactly those sized
+   netlists, and on generated netlists with jittered delays.
 
    Settle times are tracked per lane only for a [watch] subset of nets
    (default: the primary outputs — the only timing endpoints), read off
    the watched nets' completed waveforms.
 
+   A walk costs its evaluations and little else. Each region in the
+   arena is closed by a sentinel entry [(infinity, 0)], and a net with
+   no transitions this cycle reads one shared empty region (slot 0 of
+   page 0), so the walkers merge and fold with no bounds tests. Before a
+   walk, the output region is opened with room for every evaluation the
+   walk can make (the sum of its input lengths) plus the sentinel; each
+   evaluation then writes its [(tau, diff)] unconditionally and advances
+   the fill only when [diff <> 0]. The trigger mask is built from
+   [Bool.to_int] comparison masks, each fold's first step is branch-free
+   too, and evaluations and lane events are counted only while
+   observability is on. Nothing in [cycle] allocates once the arena has
+   grown to the stimulus (pinned by a [Gc.minor_words] test).
+
    The waveform arena is paged. Pages of [page_size] entries are
-   allocated on demand and kept for the instance's life. A net's region
-   lives in one page: a region that would cross a page end moves whole
-   to the next page, and a region longer than a page gets an oversized
-   page. Walkers read each input's region from that input's page, and
-   no page is reallocated during a cycle. The footprint is the largest
-   cycle's transitions (up to ~616 k for a 63-lane uniform32 mul sweep)
-   plus the page tails that moves leave behind, with no growth garbage.
+   allocated on demand and kept for the instance's life. A walk whose
+   worst case does not fit in the rest of the current page starts on the
+   next page, which is replaced by an oversized page when it is too
+   small; a region therefore never crosses a page end and never moves.
+   Walkers read each input's region from that input's page, and no page
+   is reallocated during a cycle. The footprint is the largest cycle's
+   transitions (up to ~616 k for a 63-lane uniform32 mul sweep) plus the
+   page tails that switches leave behind, with no growth garbage.
 
    An instance holds no per-class state: the ALU's class selects are
    inputs, and [prime] settles every net from the staged inputs alone.
@@ -68,13 +82,14 @@ type t = {
   (* Per-cycle waveform arena, in pages allocated on demand and kept
      for the instance's life: net [n]'s transitions are the contiguous
      entries [net_off.(n) .. net_off.(n) + net_len.(n) - 1] of page
-     [net_page.(n)] (valid iff [net_gen.(n)] is current), sorted by
-     key. Contiguity holds because a net's transitions are appended
-     only while its single driver gate (or the input-staging loop) is
-     being processed; a region that would cross a page end moves whole
-     to the next page ([move_region]). A page's arrays are never
-     reallocated, so a walker reads each input's region from that
-     input's page while the output region is appended. *)
+     [net_page.(n)], sorted by key and followed by a sentinel entry
+     [(infinity, 0)]. A net without transitions this cycle has length 0
+     at offset 0 of page 0, whose slot 0 holds the sentinel for good
+     (every cycle's fill starts at 1, and page 0 is never replaced);
+     the commit at the end of [cycle] returns every touched net there.
+     A page's arrays are never reallocated, so a walker reads each
+     input's region from that input's page while it writes the output
+     region. *)
   mutable page_key : float array array; (* scaled times, like [delay] *)
   mutable page_mask : int array array;
   mutable n_pages : int;
@@ -85,8 +100,7 @@ type t = {
   net_page : int array;
   net_off : int array;
   net_len : int array;
-  net_gen : int array;
-  touched : int array; (* nets with transitions this cycle *)
+  touched : int array; (* nets with a region this cycle *)
   mutable touched_n : int;
   mutable gen : int;
   (* Per-lane settle times for watched nets: [watch_ix] maps a net to a
@@ -101,8 +115,6 @@ type t = {
   mutable staged_net : int array;
   mutable staged_word : int array;
   mutable staged_n : int;
-  mutable words_evaled : int; (* packed gate evaluations *)
-  mutable lane_events : int; (* scalar-equivalent events: trigger-mask bits *)
 }
 
 (* Work counters for the packed kernel, mirroring the dta.* family: how
@@ -114,13 +126,23 @@ let obs_words = Sfi_obs.Counter.make ~det:false "bitsim.words"
 
 let obs_lane_events = Sfi_obs.Counter.make ~det:false "bitsim.lane_events"
 
-(* Waveform regions moved to the next arena page because they would
-   have crossed a page end (a property of the stimulus and [page_size];
-   ~det:false like the work counters above). *)
-let obs_page_moves = Sfi_obs.Counter.make ~det:false "bitsim.page_moves"
+(* Walks (and input regions) that start on the next arena page because
+   the rest of the current one cannot hold their worst case (a property
+   of the stimulus and [page_size]; ~det:false like the work counters
+   above). *)
+let obs_page_switches = Sfi_obs.Counter.make ~det:false "bitsim.page_switches"
 
 (* Entries per standard arena page (16 bytes each: a key and a mask). *)
 let page_size = 4096
+
+(* Set bits of a 63-bit word (SWAR), inlined into the walkers' counting
+   branch: calling [Bitsim.popcount] there made a counted mul sweep
+   ~20% slower. *)
+let[@inline] popcount w =
+  let x = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
     ?(lib = Cell_lib.default) ?watch (c : Circuit.t) =
@@ -147,6 +169,8 @@ let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
   Array.iteri (fun w net -> watch_ix.(net) <- w) watch_nets;
   let n_watch = Array.length watch_nets in
   let first_key = Array.make page_size 0. and first_mask = Array.make page_size 0 in
+  (* The shared empty region. *)
+  first_key.(0) <- infinity;
   {
     circuit = c;
     delay;
@@ -157,11 +181,10 @@ let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
     cur = 0;
     cur_key = first_key;
     cur_mask = first_mask;
-    fill = 0;
+    fill = 1;
     net_page = Array.make c.Circuit.n_nets 0;
     net_off = Array.make c.Circuit.n_nets 0;
     net_len = Array.make c.Circuit.n_nets 0;
-    net_gen = Array.make c.Circuit.n_nets 0;
     touched = Array.make c.Circuit.n_nets 0;
     touched_n = 0;
     gen = 0;
@@ -173,8 +196,6 @@ let create ?(vdd = Vdd_model.nominal_voltage) ?(vdd_model = Vdd_model.default)
     staged_net = Array.make 64 0;
     staged_word = Array.make 64 0;
     staged_n = 0;
-    words_evaled = 0;
-    lane_events = 0;
   }
 
 let set_input_word t net word =
@@ -221,43 +242,35 @@ let add_page t ~at capacity =
   t.page_mask.(at) <- Array.make capacity 0;
   t.n_pages <- t.n_pages + 1
 
-(* The current page is full in the middle of [net]'s region: move the
-   region (the page's tail) whole to the start of the next page, which
-   is allocated on first use. A region that fills a page by itself gets
-   an oversized page of twice its length in that slot. *)
-let move_region t net =
-  let off = t.net_off.(net) and len = t.net_len.(net) in
-  let next = t.cur + 1 in
-  if next = t.n_pages || Array.length t.page_key.(next) <= len then
-    add_page t ~at:next (if len < page_size then page_size else 2 * len);
-  let nk = t.page_key.(next) and nm = t.page_mask.(next) in
-  if len > 0 then begin
-    Array.blit t.cur_key off nk 0 len;
-    Array.blit t.cur_mask off nm 0 len;
-    Sfi_obs.Counter.incr obs_page_moves
-  end;
-  t.net_page.(net) <- next;
-  t.net_off.(net) <- 0;
-  t.cur <- next;
-  t.cur_key <- nk;
-  t.cur_mask <- nm;
-  t.fill <- len
+(* Makes room for [need] entries at [t.fill]: in the current page if it
+   has them, else at the start of the next page, which is allocated on
+   first use and replaced by an oversized page (twice [need]) when it is
+   too small. *)
+let reserve t need =
+  if t.fill + need > Array.length t.cur_key then begin
+    let next = t.cur + 1 in
+    if next = t.n_pages || Array.length t.page_key.(next) < need then
+      add_page t ~at:next (if need <= page_size then page_size else 2 * need);
+    t.cur <- next;
+    t.cur_key <- t.page_key.(next);
+    t.cur_mask <- t.page_mask.(next);
+    t.fill <- 0;
+    Sfi_obs.Counter.incr obs_page_switches
+  end
 
-(* Appends one transition to [net]'s waveform. *)
-let append_transition t net key mask =
-  if t.net_gen.(net) <> t.gen then begin
-    t.net_gen.(net) <- t.gen;
-    t.net_page.(net) <- t.cur;
-    t.net_off.(net) <- t.fill;
-    t.net_len.(net) <- 0;
-    t.touched.(t.touched_n) <- net;
-    t.touched_n <- t.touched_n + 1
-  end;
-  if t.fill = Array.length t.cur_key then move_region t net;
-  t.cur_key.(t.fill) <- key;
-  t.cur_mask.(t.fill) <- mask;
-  t.fill <- t.fill + 1;
-  t.net_len.(net) <- t.net_len.(net) + 1
+(* Gives [net] the [len] > 0 entries of the current page from [off] as
+   its waveform, closes the region with the sentinel and advances the
+   fill past it. Each net gets at most one region per cycle. *)
+let close_region t net off len =
+  let e = off + len in
+  Array.unsafe_set t.cur_key e infinity;
+  Array.unsafe_set t.cur_mask e 0;
+  t.fill <- e + 1;
+  t.net_page.(net) <- t.cur;
+  t.net_off.(net) <- off;
+  t.net_len.(net) <- len;
+  t.touched.(t.touched_n) <- net;
+  t.touched_n <- t.touched_n + 1
 
 (* The per-gate waveform walks, specialized by arity (a segment's kind
    fixes the arity, so [cycle] picks the walker once per segment):
@@ -265,47 +278,64 @@ let append_transition t net key mask =
    trigger key [u], evaluate at [tau = u + delay] — with identical
    arithmetic to [Dta.schedule_readers] — after folding input
    transitions with key <= tau into the local operand words, and
-   commit the masked difference. Sentinel [max_int] exceeds every real
-   key (bit patterns of nonnegative doubles stay below 2^62). *)
+   commit the masked difference. An input whose next key is the least
+   is a trigger; equal keys merge into one evaluation. The sentinels
+   (key [infinity], above every real key) end each fold and drop an
+   exhausted input out of the trigger masks, so the merge runs until
+   every input reaches its sentinel. Each fold takes its first step
+   without a branch and loops only for further entries: in a 63-lane
+   mul sweep, 61% of the evaluations fold nothing from the first input
+   and 82% nothing from the second, and few fold more than one. With
+   [count], a walk adds its evaluations and trigger-mask bits to the
+   work counters. *)
 
-let walk1 t code gi n1 o1 e1 =
+let walk1 t count code gi n1 =
   let pg = Array.unsafe_get t.net_page n1 in
   let tk = Array.unsafe_get t.page_key pg and tm = Array.unsafe_get t.page_mask pg in
+  let o1 = Array.unsafe_get t.net_off n1 in
+  let e1 = o1 + Array.unsafe_get t.net_len n1 in
+  reserve t (e1 - o1 + 1);
+  let ok = t.cur_key and om = t.cur_mask and start = t.fill in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
+  (* Inv (code 0) or Buf. *)
+  let inv = if code = 0 then -1 else 0 in
   let a = ref (Array.unsafe_get t.words n1) in
   let out = ref (Array.unsafe_get t.words out_net) in
-  let q = ref o1 in
-  let evals = ref 0 and lanes_hit = ref 0 in
+  let q = ref o1 and w = ref start and lanes = ref 0 in
   for p = o1 to e1 - 1 do
-    let u = Array.unsafe_get tk p in
     let tmask = Array.unsafe_get tm p in
-    let tau = u +. d in
-    while !q < e1 && Array.unsafe_get tk !q <= tau do
+    let tau = Array.unsafe_get tk p +. d in
+    let c = Bool.to_int (Array.unsafe_get tk !q <= tau) in
+    a := !a lxor (Array.unsafe_get tm !q land -c);
+    q := !q + c;
+    while Array.unsafe_get tk !q <= tau do
       a := !a lxor Array.unsafe_get tm !q;
       incr q
     done;
-    incr evals;
-    let m = ref tmask in
-    while !m <> 0 do
-      incr lanes_hit;
-      m := !m land (!m - 1)
-    done;
-    let nw = if code = 0 then lnot !a else !a in
-    let diff = (nw lxor !out) land tmask in
-    if diff <> 0 then begin
-      out := !out lxor diff;
-      append_transition t out_net tau diff
-    end
+    if count then lanes := !lanes + popcount tmask;
+    let diff = ((!a lxor inv) lxor !out) land tmask in
+    out := !out lxor diff;
+    Array.unsafe_set ok !w tau;
+    Array.unsafe_set om !w diff;
+    w := !w + Bool.to_int (diff <> 0)
   done;
-  t.words_evaled <- t.words_evaled + !evals;
-  t.lane_events <- t.lane_events + !lanes_hit
+  if count then begin
+    Sfi_obs.Counter.add obs_words (e1 - o1);
+    Sfi_obs.Counter.add obs_lane_events !lanes
+  end;
+  if !w > start then close_region t out_net start (!w - start)
 
-let walk2 t code gi n1 o1 e1 n2 o2 e2 =
+let walk2 t count code gi n1 n2 =
   let pg1 = Array.unsafe_get t.net_page n1 in
   let pg2 = Array.unsafe_get t.net_page n2 in
   let tk1 = Array.unsafe_get t.page_key pg1 and tm1 = Array.unsafe_get t.page_mask pg1 in
   let tk2 = Array.unsafe_get t.page_key pg2 and tm2 = Array.unsafe_get t.page_mask pg2 in
+  let o1 = Array.unsafe_get t.net_off n1 and o2 = Array.unsafe_get t.net_off n2 in
+  let e1 = o1 + Array.unsafe_get t.net_len n1 in
+  let e2 = o2 + Array.unsafe_get t.net_len n2 in
+  reserve t (e1 - o1 + e2 - o2 + 1);
+  let ok = t.cur_key and om = t.cur_mask and start = t.fill in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
   let a = ref (Array.unsafe_get t.words n1)
@@ -313,35 +343,35 @@ let walk2 t code gi n1 o1 e1 n2 o2 e2 =
   let out = ref (Array.unsafe_get t.words out_net) in
   let p1 = ref o1 and p2 = ref o2 in
   let q1 = ref o1 and q2 = ref o2 in
-  let evals = ref 0 and lanes_hit = ref 0 in
-  while !p1 < e1 || !p2 < e2 do
-    let k1 = if !p1 < e1 then Array.unsafe_get tk1 !p1 else infinity in
-    let k2 = if !p2 < e2 then Array.unsafe_get tk2 !p2 else infinity in
-    let u = if k1 < k2 then k1 else k2 in
-    let tmask = ref 0 in
-    if k1 = u then begin
-      tmask := Array.unsafe_get tm1 !p1;
-      incr p1
-    end;
-    if k2 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm2 !p2;
-      incr p2
-    end;
-    let tau = u +. d in
-    while !q1 < e1 && Array.unsafe_get tk1 !q1 <= tau do
+  let w = ref start and evals = ref 0 and lanes = ref 0 in
+  let stop = e1 + e2 in
+  while !p1 + !p2 < stop do
+    let k1 = Array.unsafe_get tk1 !p1 and k2 = Array.unsafe_get tk2 !p2 in
+    let t1 = Bool.to_int (k1 <= k2) and t2 = Bool.to_int (k2 <= k1) in
+    let tmask =
+      (Array.unsafe_get tm1 !p1 land -t1) lor (Array.unsafe_get tm2 !p2 land -t2)
+    in
+    p1 := !p1 + t1;
+    p2 := !p2 + t2;
+    let tau = (if k1 <= k2 then k1 else k2) +. d in
+    let c1 = Bool.to_int (Array.unsafe_get tk1 !q1 <= tau) in
+    a := !a lxor (Array.unsafe_get tm1 !q1 land -c1);
+    q1 := !q1 + c1;
+    let c2 = Bool.to_int (Array.unsafe_get tk2 !q2 <= tau) in
+    b := !b lxor (Array.unsafe_get tm2 !q2 land -c2);
+    q2 := !q2 + c2;
+    while Array.unsafe_get tk1 !q1 <= tau do
       a := !a lxor Array.unsafe_get tm1 !q1;
       incr q1
     done;
-    while !q2 < e2 && Array.unsafe_get tk2 !q2 <= tau do
+    while Array.unsafe_get tk2 !q2 <= tau do
       b := !b lxor Array.unsafe_get tm2 !q2;
       incr q2
     done;
-    incr evals;
-    let m = ref !tmask in
-    while !m <> 0 do
-      incr lanes_hit;
-      m := !m land (!m - 1)
-    done;
+    if count then begin
+      incr evals;
+      lanes := !lanes + popcount tmask
+    end;
     let nw =
       match code with
       | 2 -> lnot (!a land !b)
@@ -351,22 +381,33 @@ let walk2 t code gi n1 o1 e1 n2 o2 e2 =
       | 6 -> !a lxor !b
       | _ -> lnot (!a lxor !b)
     in
-    let diff = (nw lxor !out) land !tmask in
-    if diff <> 0 then begin
-      out := !out lxor diff;
-      append_transition t out_net tau diff
-    end
+    let diff = (nw lxor !out) land tmask in
+    out := !out lxor diff;
+    Array.unsafe_set ok !w tau;
+    Array.unsafe_set om !w diff;
+    w := !w + Bool.to_int (diff <> 0)
   done;
-  t.words_evaled <- t.words_evaled + !evals;
-  t.lane_events <- t.lane_events + !lanes_hit
+  if count then begin
+    Sfi_obs.Counter.add obs_words !evals;
+    Sfi_obs.Counter.add obs_lane_events !lanes
+  end;
+  if !w > start then close_region t out_net start (!w - start)
 
-let walk3 t code gi n1 o1 e1 n2 o2 e2 n3 o3 e3 =
+let walk3 t count code gi n1 n2 n3 =
   let pg1 = Array.unsafe_get t.net_page n1 in
   let pg2 = Array.unsafe_get t.net_page n2 in
   let pg3 = Array.unsafe_get t.net_page n3 in
   let tk1 = Array.unsafe_get t.page_key pg1 and tm1 = Array.unsafe_get t.page_mask pg1 in
   let tk2 = Array.unsafe_get t.page_key pg2 and tm2 = Array.unsafe_get t.page_mask pg2 in
   let tk3 = Array.unsafe_get t.page_key pg3 and tm3 = Array.unsafe_get t.page_mask pg3 in
+  let o1 = Array.unsafe_get t.net_off n1 in
+  let o2 = Array.unsafe_get t.net_off n2 in
+  let o3 = Array.unsafe_get t.net_off n3 in
+  let e1 = o1 + Array.unsafe_get t.net_len n1 in
+  let e2 = o2 + Array.unsafe_get t.net_len n2 in
+  let e3 = o3 + Array.unsafe_get t.net_len n3 in
+  reserve t (e1 - o1 + e2 - o2 + e3 - o3 + 1);
+  let ok = t.cur_key and om = t.cur_mask and start = t.fill in
   let d = Array.unsafe_get t.delay gi in
   let out_net = Array.unsafe_get t.circuit.Circuit.gate_out gi in
   let a = ref (Array.unsafe_get t.words n1)
@@ -375,59 +416,67 @@ let walk3 t code gi n1 o1 e1 n2 o2 e2 n3 o3 e3 =
   let out = ref (Array.unsafe_get t.words out_net) in
   let p1 = ref o1 and p2 = ref o2 and p3 = ref o3 in
   let q1 = ref o1 and q2 = ref o2 and q3 = ref o3 in
-  let evals = ref 0 and lanes_hit = ref 0 in
-  while !p1 < e1 || !p2 < e2 || !p3 < e3 do
-    let k1 = if !p1 < e1 then Array.unsafe_get tk1 !p1 else infinity in
-    let k2 = if !p2 < e2 then Array.unsafe_get tk2 !p2 else infinity in
-    let k3 = if !p3 < e3 then Array.unsafe_get tk3 !p3 else infinity in
-    let u = if k1 < k2 then (if k1 < k3 then k1 else k3)
-            else if k2 < k3 then k2 else k3 in
-    let tmask = ref 0 in
-    if k1 = u then begin
-      tmask := Array.unsafe_get tm1 !p1;
-      incr p1
-    end;
-    if k2 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm2 !p2;
-      incr p2
-    end;
-    if k3 = u then begin
-      tmask := !tmask lor Array.unsafe_get tm3 !p3;
-      incr p3
-    end;
+  let w = ref start and evals = ref 0 and lanes = ref 0 in
+  let stop = e1 + e2 + e3 in
+  while !p1 + !p2 + !p3 < stop do
+    let k1 = Array.unsafe_get tk1 !p1
+    and k2 = Array.unsafe_get tk2 !p2
+    and k3 = Array.unsafe_get tk3 !p3 in
+    let t1 = Bool.to_int (k1 <= k2) land Bool.to_int (k1 <= k3) in
+    let t2 = Bool.to_int (k2 <= k1) land Bool.to_int (k2 <= k3) in
+    let t3 = Bool.to_int (k3 <= k1) land Bool.to_int (k3 <= k2) in
+    let tmask =
+      (Array.unsafe_get tm1 !p1 land -t1)
+      lor (Array.unsafe_get tm2 !p2 land -t2)
+      lor (Array.unsafe_get tm3 !p3 land -t3)
+    in
+    p1 := !p1 + t1;
+    p2 := !p2 + t2;
+    p3 := !p3 + t3;
+    let u = if t1 = 1 then k1 else if t2 = 1 then k2 else k3 in
     let tau = u +. d in
-    while !q1 < e1 && Array.unsafe_get tk1 !q1 <= tau do
+    let c1 = Bool.to_int (Array.unsafe_get tk1 !q1 <= tau) in
+    a := !a lxor (Array.unsafe_get tm1 !q1 land -c1);
+    q1 := !q1 + c1;
+    let c2 = Bool.to_int (Array.unsafe_get tk2 !q2 <= tau) in
+    b := !b lxor (Array.unsafe_get tm2 !q2 land -c2);
+    q2 := !q2 + c2;
+    let c3 = Bool.to_int (Array.unsafe_get tk3 !q3 <= tau) in
+    cv := !cv lxor (Array.unsafe_get tm3 !q3 land -c3);
+    q3 := !q3 + c3;
+    while Array.unsafe_get tk1 !q1 <= tau do
       a := !a lxor Array.unsafe_get tm1 !q1;
       incr q1
     done;
-    while !q2 < e2 && Array.unsafe_get tk2 !q2 <= tau do
+    while Array.unsafe_get tk2 !q2 <= tau do
       b := !b lxor Array.unsafe_get tm2 !q2;
       incr q2
     done;
-    while !q3 < e3 && Array.unsafe_get tk3 !q3 <= tau do
+    while Array.unsafe_get tk3 !q3 <= tau do
       cv := !cv lxor Array.unsafe_get tm3 !q3;
       incr q3
     done;
-    incr evals;
-    let m = ref !tmask in
-    while !m <> 0 do
-      incr lanes_hit;
-      m := !m land (!m - 1)
-    done;
+    if count then begin
+      incr evals;
+      lanes := !lanes + popcount tmask
+    end;
     let nw =
       match code with
       | 8 -> (!a land !cv) lor (lnot !a land !b)
       | 9 -> lnot ((!a land !b) lor !cv)
       | _ -> lnot ((!a lor !b) land !cv)
     in
-    let diff = (nw lxor !out) land !tmask in
-    if diff <> 0 then begin
-      out := !out lxor diff;
-      append_transition t out_net tau diff
-    end
+    let diff = (nw lxor !out) land tmask in
+    out := !out lxor diff;
+    Array.unsafe_set ok !w tau;
+    Array.unsafe_set om !w diff;
+    w := !w + Bool.to_int (diff <> 0)
   done;
-  t.words_evaled <- t.words_evaled + !evals;
-  t.lane_events <- t.lane_events + !lanes_hit
+  if count then begin
+    Sfi_obs.Counter.add obs_words !evals;
+    Sfi_obs.Counter.add obs_lane_events !lanes
+  end;
+  if !w > start then close_region t out_net start (!w - start)
 
 (* After a watched net's waveform is complete: the settle time of every
    lane that toggled is its last toggle time (a forward overwrite —
@@ -455,16 +504,23 @@ let cycle t =
   t.cur <- 0;
   t.cur_key <- t.page_key.(0);
   t.cur_mask <- t.page_mask.(0);
-  t.fill <- 0;
-  t.touched_n <- 0;
-  let words0 = t.words_evaled and lanes0 = t.lane_events in
-  (* Primary-input transitions launch at t = 0 (key 0 = bits of 0.0),
-     each lane exactly where its staged word differs from its current
-     value. The commit to [words] is deferred with all the others. *)
+  t.fill <- 1;
+  let count = Sfi_obs.enabled () in
+  (* Primary-input transitions launch at t = 0, each lane exactly where
+     its staged word differs from its current value. The commit to
+     [words] is deferred with all the others. An input staged again
+     rewrites its one entry, so the last word staged wins (a zero mask
+     if it equals the current value). *)
   for i = 0 to t.staged_n - 1 do
     let net = Array.unsafe_get t.staged_net i in
     let diff = Array.unsafe_get t.staged_word i lxor Array.unsafe_get t.words net in
-    if diff <> 0 then append_transition t net 0. diff
+    if t.net_len.(net) > 0 then t.page_mask.(t.net_page.(net)).(t.net_off.(net)) <- diff
+    else if diff <> 0 then begin
+      reserve t 2;
+      Array.unsafe_set t.cur_key t.fill 0.;
+      Array.unsafe_set t.cur_mask t.fill diff;
+      close_region t net t.fill 1
+    end
   done;
   t.staged_n <- 0;
   (* One pass over the compiled schedule; a segment's kind fixes both
@@ -476,8 +532,7 @@ let cycle t =
   let seg_kind = c.Circuit.seg_kind in
   let fo = c.Circuit.fanin_off in
   let ins = c.Circuit.fanin_net in
-  let net_gen = t.net_gen and net_off = t.net_off and net_len = t.net_len in
-  let gen = t.gen in
+  let net_len = t.net_len in
   for s = 0 to Array.length seg_kind - 1 do
     let code = Array.unsafe_get seg_kind s in
     let lo = Array.unsafe_get seg_off s in
@@ -486,10 +541,7 @@ let cycle t =
       for j = lo to hi do
         let gi = Array.unsafe_get sched j in
         let n1 = Array.unsafe_get ins (Array.unsafe_get fo gi) in
-        if Array.unsafe_get net_gen n1 = gen then begin
-          let o1 = Array.unsafe_get net_off n1 in
-          walk1 t code gi n1 o1 (o1 + Array.unsafe_get net_len n1)
-        end
+        if Array.unsafe_get net_len n1 <> 0 then walk1 t count code gi n1
       done
     else if code <= 7 then
       for j = lo to hi do
@@ -497,13 +549,8 @@ let cycle t =
         let f = Array.unsafe_get fo gi in
         let n1 = Array.unsafe_get ins f in
         let n2 = Array.unsafe_get ins (f + 1) in
-        let l1 = if Array.unsafe_get net_gen n1 = gen then Array.unsafe_get net_len n1 else 0 in
-        let l2 = if Array.unsafe_get net_gen n2 = gen then Array.unsafe_get net_len n2 else 0 in
-        if l1 lor l2 <> 0 then begin
-          let o1 = if l1 > 0 then Array.unsafe_get net_off n1 else 0 in
-          let o2 = if l2 > 0 then Array.unsafe_get net_off n2 else 0 in
-          walk2 t code gi n1 o1 (o1 + l1) n2 o2 (o2 + l2)
-        end
+        if Array.unsafe_get net_len n1 lor Array.unsafe_get net_len n2 <> 0 then
+          walk2 t count code gi n1 n2
       done
     else
       for j = lo to hi do
@@ -512,19 +559,16 @@ let cycle t =
         let n1 = Array.unsafe_get ins f in
         let n2 = Array.unsafe_get ins (f + 1) in
         let n3 = Array.unsafe_get ins (f + 2) in
-        let l1 = if Array.unsafe_get net_gen n1 = gen then Array.unsafe_get net_len n1 else 0 in
-        let l2 = if Array.unsafe_get net_gen n2 = gen then Array.unsafe_get net_len n2 else 0 in
-        let l3 = if Array.unsafe_get net_gen n3 = gen then Array.unsafe_get net_len n3 else 0 in
-        if l1 lor l2 lor l3 <> 0 then begin
-          let o1 = if l1 > 0 then Array.unsafe_get net_off n1 else 0 in
-          let o2 = if l2 > 0 then Array.unsafe_get net_off n2 else 0 in
-          let o3 = if l3 > 0 then Array.unsafe_get net_off n3 else 0 in
-          walk3 t code gi n1 o1 (o1 + l1) n2 o2 (o2 + l2) n3 o3 (o3 + l3)
-        end
+        if
+          Array.unsafe_get net_len n1 lor Array.unsafe_get net_len n2
+          lor Array.unsafe_get net_len n3
+          <> 0
+        then walk3 t count code gi n1 n2 n3
       done
   done;
   (* Commit: each touched net's final value is its start value XOR all
-     its toggles; watched nets also record per-lane settle times. *)
+     its toggles; watched nets also record per-lane settle times. Then
+     the net goes back to the shared empty region. *)
   for i = 0 to t.touched_n - 1 do
     let n = Array.unsafe_get t.touched i in
     let pg = Array.unsafe_get t.net_page n in
@@ -537,12 +581,12 @@ let cycle t =
     done;
     Array.unsafe_set t.words n (Array.unsafe_get t.words n lxor !acc);
     let wi = Array.unsafe_get t.watch_ix n in
-    if wi >= 0 then record_settles t wi (Array.unsafe_get t.page_key pg) tm off len
+    if wi >= 0 then record_settles t wi (Array.unsafe_get t.page_key pg) tm off len;
+    Array.unsafe_set t.net_page n 0;
+    Array.unsafe_set t.net_off n 0;
+    Array.unsafe_set t.net_len n 0
   done;
-  if Sfi_obs.enabled () then begin
-    Sfi_obs.Counter.add obs_words (t.words_evaled - words0);
-    Sfi_obs.Counter.add obs_lane_events (t.lane_events - lanes0)
-  end
+  t.touched_n <- 0
 
 let value t net ~lane = (t.words.(net) lsr lane) land 1 = 1
 
@@ -555,4 +599,3 @@ let settle_time t net ~lane =
     if t.w_gen.(wi) = t.gen && (t.w_mask.(wi) lsr lane) land 1 = 1 then
       t.w_time.((wi * Bitsim.lanes) + lane) *. 0x1p32
     else 0.
-

@@ -33,8 +33,8 @@ val create :
 
 val set_input_word : t -> Circuit.net -> int -> unit
 (** Stages a full word (one bit per lane) for a primary input; applied
-    by the next {!prime} or {!cycle}. Raises [Invalid_argument] for a
-    non-input net. *)
+    by the next {!prime} or {!cycle}, where the last word staged for a
+    net wins. Raises [Invalid_argument] for a non-input net. *)
 
 val prime : t -> unit
 (** Applies staged inputs and settles every lane functionally (one
@@ -44,7 +44,8 @@ val prime : t -> unit
 val cycle : t -> unit
 (** Applies staged inputs as t = 0 transitions in exactly the lanes
     whose staged bit differs, then walks the compiled schedule to
-    completion. *)
+    completion. Allocates nothing once the instance's waveform arena
+    has grown to the stimulus. *)
 
 val value : t -> Circuit.net -> lane:int -> bool
 

@@ -10,7 +10,9 @@
    - compiled [Cpu.run] >= 1.0x [Cpu.run_reference];
    - fast-forward [Campaign.run] >= 2.0x [Ref_campaign]'s full replay.
 
-   Each compare prints its walls, its ratio and its identity check.
+   Each compare prints its walls, its ratio and its identity check; the
+   kernel compare also prints the packed side's gate evaluations
+   ([bitsim.words]) and its wall per evaluation.
    Throughput in absolute units, per workload and per layer, is measured
    by the benchmark (benchmark/README.md), not here. *)
 
@@ -44,18 +46,24 @@ let kernel_compare ~cycles () =
   let sdb, scalar_wall_s =
     timed (fun () -> Sfi_oracle.Ref_characterize.run ~cycles ~vdd:0.7 alu)
   in
+  (* The packed side's gate evaluations, from the instrumented run. *)
+  let words = Sfi_obs.Counter.make ~det:false "bitsim.words" in
+  let words0 = Sfi_obs.Counter.value words in
   let pdb, packed_wall_s =
     timed (fun () ->
         Sfi_timing.Characterize.run ~cycles ~spec:(Spec.with_jobs 1 Spec.default) ~vdd:0.7
           alu)
   in
+  let evals = Sfi_obs.Counter.value words - words0 in
   if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
     failwith "kernel compare: packed database differs from scalar";
   let speedup = scalar_wall_s /. Float.max 1e-9 packed_wall_s in
   Printf.printf
-    "kernel compare: %d cycles/class, scalar %.2f s, packed %.2f s, %.2fx, databases \
-     bit-identical\n%!"
-    cycles scalar_wall_s packed_wall_s speedup;
+    "kernel compare: %d cycles/class, scalar %.2f s, packed %.2f s (%d evaluations, %.1f \
+     ns each), %.2fx, databases bit-identical\n%!"
+    cycles scalar_wall_s packed_wall_s evals
+    (packed_wall_s *. 1e9 /. float_of_int (max 1 evals))
+    speedup;
   speedup
 
 (* ---------- ISS engines: interpreter vs compiled basic blocks ---------- *)

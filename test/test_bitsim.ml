@@ -152,41 +152,92 @@ let test_popcount_ctz () =
 let jitter_delays rng c =
   Circuit.scale_gate_delays c (fun _ -> 0.8 +. (0.4 *. Rng.float rng))
 
-let prop_packed_dta_matches_scalar =
-  QCheck.Test.make ~name:"packed DTA settle times bit-equal per-lane scalar DTA"
-    ~count:25 QCheck.small_nat
-    (fun seed ->
-      let rng = Rng.of_int (seed + 211) in
-      let c, ins, outs = random_circuit rng ~inputs:6 ~gates:80 in
-      jitter_delays rng c;
-      let packed = Dta_packed.create ~watch:outs c in
-      (* One word per input; lane l of the packed cycle must equal a
-         fresh scalar DTA driven with lane l's bits. *)
-      let in_words =
-        Array.map
-          (fun _ ->
-            Int64.to_int
-              (Int64.logand (Rng.int64 rng) (Int64.of_int Bitsim.full_mask)))
-          ins
-      in
-      Array.iteri (fun i n -> Dta_packed.set_input_word packed n in_words.(i)) ins;
-      Dta_packed.cycle packed;
-      let ok = ref true in
-      for lane = 0 to Bitsim.lanes - 1 do
-        let scalar = Dta.create c in
-        Array.iteri
-          (fun i n -> Dta.set_input scalar n ((in_words.(i) lsr lane) land 1 = 1))
-          ins;
+(* Runs [cycles] consecutive cycles of one packed instance that watches
+   every net, against one scalar [Dta] per lane fed the same input
+   sequence, and says whether every net's value and settle time agree
+   bit for bit in every lane after every cycle. Each cycle draws a mode
+   per input: left quiet (not staged), restaged with its current word,
+   given a fresh random word, or given a throwaway word first and then
+   the fresh one (the last word staged wins). Quiet inputs next to
+   toggling ones exercise the shared empty waveform; the scalar side
+   sees each staged input once, with its final word. *)
+let packed_run_matches_scalar rng c ins ~cycles =
+  let all_nets = Array.init c.Circuit.n_nets Fun.id in
+  let packed = Dta_packed.create ~watch:all_nets c in
+  let scalars = Array.init Bitsim.lanes (fun _ -> Dta.create c) in
+  let words = Array.make (Array.length ins) 0 in
+  let random_word () =
+    Int64.to_int (Int64.logand (Rng.int64 rng) (Int64.of_int Bitsim.full_mask))
+  in
+  let ok = ref true in
+  for _ = 1 to cycles do
+    let staged = ref [] in
+    Array.iteri
+      (fun i n ->
+        match Rng.int rng 4 with
+        | 0 -> ()
+        | 1 -> staged := (n, words.(i)) :: !staged
+        | mode ->
+          if mode = 3 then Dta_packed.set_input_word packed n (random_word ());
+          words.(i) <- random_word ();
+          staged := (n, words.(i)) :: !staged)
+      ins;
+    List.iter (fun (n, w) -> Dta_packed.set_input_word packed n w) (List.rev !staged);
+    Dta_packed.cycle packed;
+    Array.iteri
+      (fun lane scalar ->
+        List.iter (fun (n, w) -> Dta.set_input scalar n ((w lsr lane) land 1 = 1)) !staged;
         Dta.cycle scalar;
         Array.iter
           (fun n ->
             if Dta.value scalar n <> Dta_packed.value packed n ~lane then ok := false;
             (* Bit-identical, not approximately equal. *)
-            if Dta.settle_time scalar n <> Dta_packed.settle_time packed n ~lane then
-              ok := false)
-          outs
-      done;
-      !ok)
+            if not (Float.equal (Dta.settle_time scalar n) (Dta_packed.settle_time packed n ~lane))
+            then ok := false)
+          all_nets)
+      scalars
+  done;
+  !ok
+
+(* Generated netlists of every cell kind (arity 1 to 3), with jittered
+   delays, over several cycles on one instance: each cycle starts from
+   the state the previous one left, in every lane. *)
+let prop_packed_dta_matches_scalar =
+  QCheck.Test.make ~name:"packed DTA settle times bit-equal per-lane scalar DTA"
+    ~count:25 QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.of_int (seed + 211) in
+      let c, ins, _ = random_circuit rng ~inputs:6 ~gates:80 in
+      jitter_delays rng c;
+      packed_run_matches_scalar rng c ins ~cycles:8)
+
+(* The walk's tie rule, pinned on the packed engine alone: an input
+   transition keyed exactly [tau] is folded before the evaluation at
+   [tau]. In G = And2 (Buf x, Buf (And2 (x, x))) both paths hold one
+   buffer and one And2 of equal fanout, so when x rises, G's second
+   input rises at d_and + d_buf, the very key that G's first trigger
+   evaluates at (d_buf + d_and). G must rise there too, not one G delay
+   later. Jittered delays never produce such a tie, so the property
+   above cannot see this rule; the scalar engine resolves it by heap
+   order (DESIGN.md §11), so this case has no scalar reference. *)
+let test_tie_folds_equal_key () =
+  let b = B.create () in
+  let x = B.input b "x" in
+  let y1 = B.gate b Cell.Buf [| x |] in
+  let a = B.gate b Cell.And2 [| x; x |] in
+  let y2 = B.gate b Cell.Buf [| a |] in
+  let g = B.gate b Cell.And2 [| y1; y2 |] in
+  B.output b "out" (B.gate b Cell.Buf [| g |]);
+  let c = Circuit.freeze b ~lib:Cell_lib.default in
+  let delay n = c.Circuit.base_delay.(c.Circuit.driver.(n)) in
+  Alcotest.(check bool) "equal delays on both paths" true
+    (Float.equal (delay y1) (delay y2) && Float.equal (delay a) (delay g));
+  let packed = Dta_packed.create ~watch:[| y2; g |] c in
+  Dta_packed.set_input_word packed x 1;
+  Dta_packed.cycle packed;
+  Alcotest.(check bool) "G rises with its second input" true
+    (Float.equal (Dta_packed.settle_time packed g ~lane:0)
+       (Dta_packed.settle_time packed y2 ~lane:0))
 
 (* ---------- seed-replica differential: packed vs scalar class_db ---------- *)
 
@@ -255,14 +306,14 @@ let test_packed_db_bit_identical () =
 (* The packed kernel must survive a partial final sweep (cycles not a
    multiple of lanes is the common case) and a single-trial run. A full
    uniform32 sweep of the mul class appends far more transitions than
-   an arena page holds, so from [Bitsim.lanes] cycles on, waveform
-   regions reach page ends and move whole to the next page. *)
+   an arena page holds, so from [Bitsim.lanes] cycles on, walks find
+   the rest of the current page too small and start on the next one. *)
 let test_packed_partial_batches () =
   let alu = Lazy.force sized_alu in
   List.iter
     (fun cycles ->
-      let packed, moves =
-        counting "bitsim.page_moves" (fun () ->
+      let packed, switches =
+        counting "bitsim.page_switches" (fun () ->
             Characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)
       in
       Alcotest.(check bool)
@@ -271,8 +322,8 @@ let test_packed_partial_batches () =
         (db_bytes (Ref_characterize.run ~cycles ~seed:5 ~vdd:0.7 alu) = db_bytes packed);
       if cycles >= Bitsim.lanes then
         Alcotest.(check bool)
-          (Printf.sprintf "regions moved to the next page at %d cycles" cycles)
-          true (moves > 0))
+          (Printf.sprintf "walks switched to the next page at %d cycles" cycles)
+          true (switches > 0))
     [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
 
 (* ---------- paged waveform arena ---------- *)
@@ -283,11 +334,11 @@ let test_packed_partial_batches () =
    spacing exceeds every tree path's delay spread plus a gate delay, so
    no toggles merge and the root's waveform has one entry per toggling
    input, a region that outgrows a page. The first cycle (every input
-   rises in every lane) gives the root an oversized page at the end of
-   the arena. The second (the first half of the inputs falls in random
-   lanes) appends about half as much before the root, so the root's
-   region fills a standard page mid-arena and must displace the next
-   one with an oversized page. *)
+   rises in every lane) gives the root's walk an oversized page at the
+   end of the arena. The second (the first half of the inputs falls in
+   random lanes) appends about half as much before the root, so the
+   root's walk starts mid-arena, where the next page is a standard one,
+   and must displace it with an oversized page. *)
 let test_region_longer_than_page () =
   let leaves = 1 lsl 14 in
   let b = B.create () in
@@ -344,8 +395,8 @@ let test_region_longer_than_page () =
           watch)
       scalars
   in
-  let (), moves =
-    counting "bitsim.page_moves" (fun () ->
+  let (), switches =
+    counting "bitsim.page_switches" (fun () ->
         step rise;
         (* Every input rose: the root toggles once per leaf, the last
            time after the last leaf's buffer. *)
@@ -353,7 +404,21 @@ let test_region_longer_than_page () =
           (Dta_packed.settle_time packed root ~lane:0 > float_of_int leaves *. spacing);
         step fall)
   in
-  Alcotest.(check bool) "regions moved to the next page" true (moves > 0)
+  Alcotest.(check bool) "walks switched to the next page" true (switches > 0)
+
+(* A generated netlist large enough that one cycle's waveforms fill
+   several arena pages, run like the property above: regions on every
+   page, read across page boundaries, stay bit-identical per lane. *)
+let test_generated_over_a_page () =
+  let rng = Rng.of_int 29 in
+  let c, ins, _ = random_circuit rng ~inputs:24 ~gates:1500 in
+  jitter_delays rng c;
+  let ok, switches =
+    counting "bitsim.page_switches" (fun () ->
+        packed_run_matches_scalar rng c ins ~cycles:8)
+  in
+  Alcotest.(check bool) "bit-identical per lane over 8 cycles" true ok;
+  Alcotest.(check bool) "walks switched to the next page" true (switches > 0)
 
 let () =
   Alcotest.run "sfi_bitsim"
@@ -367,7 +432,11 @@ let () =
           Alcotest.test_case "popcount and ctz" `Quick test_popcount_ctz;
         ] );
       ( "packed-dta",
-        [ QCheck_alcotest.to_alcotest prop_packed_dta_matches_scalar ] );
+        [
+          QCheck_alcotest.to_alcotest prop_packed_dta_matches_scalar;
+          Alcotest.test_case "transition at exactly tau is folded" `Quick
+            test_tie_folds_equal_key;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "packed class_db bit-identical" `Quick
@@ -375,6 +444,8 @@ let () =
           Alcotest.test_case "partial final sweep" `Quick test_packed_partial_batches;
         ] );
       ( "paged-arena",
-        [ Alcotest.test_case "region longer than a page" `Quick test_region_longer_than_page ]
-      );
+        [
+          Alcotest.test_case "region longer than a page" `Quick test_region_longer_than_page;
+          Alcotest.test_case "generated netlist over a page" `Quick test_generated_over_a_page;
+        ] );
     ]

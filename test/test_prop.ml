@@ -101,6 +101,39 @@ let prop_cdf_bounds =
       let q0 = Sfi_timing.Cdf.quantile t 0. and q1 = Sfi_timing.Cdf.quantile t 1. in
       Sfi_timing.Cdf.min_value t <= q0 && q1 <= Sfi_timing.Cdf.max_value t)
 
+(* Cdf's own float sort against the stdlib's polymorphic one, bit for
+   bit, on arrays of 1-2000 samples mixing repeated atoms, zero,
+   subnormals, huge finite values and infinities (signed zeros
+   excluded: the two sorts may order -0. and 0. differently, and
+   settle times are never -0.). The same array with one sample turned
+   NaN must still be rejected. *)
+let sort_samples rng =
+  let atoms = Array.init (1 + Rng.int rng 6) (fun _ -> Prop.float ~lo:0. ~hi:1000. rng) in
+  let value rng =
+    match Rng.int rng 5 with
+    | 0 -> atoms.(Rng.int rng (Array.length atoms))
+    | 1 -> Prop.one_of [ 0.; 5e-324; 1e-310; Float.min_float ] rng
+    | 2 -> Prop.one_of [ 1e308; Float.max_float; -1e308; infinity; neg_infinity ] rng
+    | _ -> Prop.float ~lo:(-10.) ~hi:1e4 rng
+  in
+  Prop.array ~min_len:1 ~max_len:2000 value rng
+
+let prop_cdf_sort_matches_stdlib =
+  Prop.test "of_samples sorts like Array.sort Float.compare"
+    (Prop.pair sort_samples (Prop.int ~lo:0 ~hi:1999))
+    (fun (xs, at) ->
+      let want = Array.copy xs in
+      Array.sort Float.compare want;
+      let got = Sfi_timing.Cdf.samples (Sfi_timing.Cdf.of_samples xs) in
+      let bits = Array.map Int64.bits_of_float in
+      let with_nan = Array.copy xs in
+      with_nan.(at mod Array.length xs) <- Float.nan;
+      bits got = bits want
+      &&
+      match Sfi_timing.Cdf.of_samples with_nan with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 (* ---------- Model.Rank: guided ranks vs Cdf's binary search ---------- *)
 
 (* One class of endpoint sample arrays in adversarial shapes: spread,
@@ -495,7 +528,7 @@ let () =
       ( "cdf",
         [
           prop_cdf_monotone; prop_cdf_quantile_roundtrip; prop_cdf_quantile_monotone;
-          prop_cdf_bounds; prop_rank_exact;
+          prop_cdf_bounds; prop_cdf_sort_matches_stdlib; prop_rank_exact;
         ] );
       ( "interp",
         [ prop_interp_monotone; prop_interp_inverse_roundtrip; prop_interp_anchors_exact ]
