@@ -181,27 +181,26 @@ let spec_flags =
 
 (* ---------- fault-model flags ---------- *)
 
-(* --model: any key in the Fi.Model registry (case-insensitive), looked
-   up at run time so externally registered models parse too. *)
+(* --model: any key of Fi.Model.entries (case-insensitive); an unknown
+   key is rejected by Flow.model_by_key, which lists the keys. *)
 let model_arg =
   Arg.(value
        & opt string "C"
        & info [ "model" ] ~docv:"KEY"
-           ~doc:"Fault model by registry key (see $(b,sfi models)): the paper's \
+           ~doc:"Fault model by key (see $(b,sfi models)): the paper's \
                  A, B, B+, C, C-corr, or an attack family (glitch, skip, \
                  opcode, state). Case-insensitive.")
 
 (* --model-param: repeatable NAME=VALUE overrides for the model's
-   registered parameters; values parse as int, then float, then bool,
-   else string, and the registry validates names and types. *)
+   default parameters; values parse as int, then float, then bool,
+   else string, and Fi.Model.of_key validates names, types and values. *)
 let model_param_arg =
   Arg.(value
        & opt_all string []
        & info [ "model-param" ] ~docv:"NAME=VALUE"
            ~doc:"Override one model parameter (repeatable), e.g. \
                  --model glitch --model-param start=200 --model-param \
-                 drop_mv=150. Names and types are validated against the \
-                 model's registry entry.")
+                 drop_mv=150. The model checks each name, type and value.")
 
 let parse_model_params specs =
   let parse_value v =

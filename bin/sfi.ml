@@ -197,9 +197,6 @@ let campaign_cmd =
   let lo = Arg.(value & opt float 650. & info [ "from" ] ~doc:"Sweep start, MHz.") in
   let hi = Arg.(value & opt float 1000. & info [ "to" ] ~doc:"Sweep end, MHz.") in
   let step = Arg.(value & opt float 25. & info [ "step" ] ~doc:"Sweep step, MHz.") in
-  let prob =
-    Arg.(value & opt float 1e-6 & info [ "prob" ] ~doc:"Bit-flip probability for model A.")
-  in
   let char_cycles = Arg.(value & opt int 2000 & info [ "cycles" ]) in
   let csv =
     Arg.(value & opt (some string) None
@@ -210,12 +207,11 @@ let campaign_cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"Also write the sweep as JSON (schema sfi-point/1).")
   in
-  let run bench_name model_name model_params vdd sigma_mv trials lo hi step prob
+  let run bench_name model_name model_params vdd sigma_mv trials lo hi step
       char_cycles csv json jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     Common_flags.check_cycles char_cycles;
     Common_flags.check_vdd vdd;
-    Common_flags.check_finite "prob" prob;
     Common_flags.check_finite "sigma" sigma_mv;
     if sigma_mv < 0. then fail "--sigma must be >= 0 mV (got %g)" sigma_mv;
     (* The grid below must be finite and non-empty. *)
@@ -253,13 +249,6 @@ let campaign_cmd =
       let config = { Sfi_core.Flow.default_config with Sfi_core.Flow.char_cycles } in
       let flow = Sfi_core.Flow.create ~config () in
       let sigma = sigma_mv /. 1000. in
-      (* --prob keeps its historic meaning as model A's parameter; an
-         explicit --model-param p=... wins. *)
-      let params =
-        if String.uppercase_ascii model_name = "A" && not (List.mem_assoc "p" params)
-        then ("p", Sfi_obs.Json.Float prob) :: params
-        else params
-      in
       let model =
         match Sfi_core.Flow.model_by_key ~params flow ~key:model_name ~vdd ~sigma with
         | Ok m -> m
@@ -338,7 +327,7 @@ let campaign_cmd =
     (Cmd.info "campaign" ~doc:"Run a Monte-Carlo fault-injection frequency sweep.")
     Term.(const run $ bench_name $ Common_flags.model_arg $ Common_flags.model_param_arg
           $ vdd $ sigma_mv $ trials $ lo $ hi $ step
-          $ prob $ char_cycles $ csv $ json $ jobs_arg $ obs_arg $ cache_dir_arg
+          $ char_cycles $ csv $ json $ jobs_arg $ obs_arg $ cache_dir_arg
           $ Common_flags.spec_flags)
 
 (* ---------- sfi stats ---------- *)
@@ -653,9 +642,9 @@ let models_cmd =
         ]
     in
     List.iter
-      (fun (e : Sfi_fi.Model.Registry.entry) ->
+      (fun (e : Sfi_fi.Model.entry) ->
         let params =
-          match e.Sfi_fi.Model.Registry.default_params with
+          match e.Sfi_fi.Model.default_params with
           | [] -> "-"
           | ps ->
             let value = function
@@ -669,13 +658,13 @@ let models_cmd =
         in
         Sfi_util.Table.add_row t
           [
-            e.Sfi_fi.Model.Registry.key;
-            e.Sfi_fi.Model.Registry.doc;
-            e.Sfi_fi.Model.Registry.features.Sfi_fi.Model.technique;
-            e.Sfi_fi.Model.Registry.features.Sfi_fi.Model.timing_data;
+            e.Sfi_fi.Model.key;
+            e.Sfi_fi.Model.doc;
+            e.Sfi_fi.Model.features.Sfi_fi.Model.technique;
+            e.Sfi_fi.Model.features.Sfi_fi.Model.timing_data;
             params;
           ])
-      (Sfi_fi.Model.Registry.entries ());
+      Sfi_fi.Model.entries;
     Sfi_util.Table.print t
   in
   Cmd.v

@@ -53,12 +53,11 @@ let config t = t.config
 
 let alu t = t.alu
 
-let sta_limit_mhz t ~vdd =
-  let report =
-    if vdd = Vdd_model.nominal_voltage then t.sta
-    else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
-  in
-  Sta.max_frequency_mhz report
+let sta_at t ~vdd =
+  if vdd = Vdd_model.nominal_voltage then t.sta
+  else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
+
+let sta_limit_mhz t ~vdd = Sta.max_frequency_mhz (sta_at t ~vdd)
 
 let char_db ?(profile = Characterize.uniform32) t ~vdd =
   let key = (vdd, profile.Characterize.profile_name) in
@@ -79,9 +78,21 @@ let char_db ?(profile = Characterize.uniform32) t ~vdd =
         Hashtbl.replace t.dbs key db;
         db)
 
-(* The [model_*] helpers go through the registry; a build error here is
-   a programming error (the built-in entries exist and their resource
-   requirements are satisfied by construction), so unwrap loudly. *)
+let resources ?profile ?operating_vdd t ~vdd ~sigma =
+  {
+    Sfi_fi.Model.vdd = Option.value operating_vdd ~default:vdd;
+    noise = Noise.create ~sigma ();
+    vdd_model = t.config.vdd_model;
+    setup_ps = Sta.default_setup_ps;
+    endpoint_arrivals = (fun () -> Array.map snd (sta_at t ~vdd).Sta.endpoints);
+    db = (fun () -> char_db ?profile t ~vdd);
+  }
+
+let model_by_key ?params ?profile t ~key ~vdd ~sigma =
+  Sfi_fi.Model.of_key ?params ~resources:(resources ?profile t ~vdd ~sigma) key
+
+(* The built-in keys exist and get every input they need, so a build
+   error here is a programming error: unwrap loudly. *)
 let ok_model = function Ok m -> m | Error e -> invalid_arg ("Flow: " ^ e)
 
 let model_a ~bit_flip_prob =
@@ -90,84 +101,21 @@ let model_a ~bit_flip_prob =
        ~params:[ ("p", Sfi_obs.Json.Float bit_flip_prob) ]
        ~resources:Sfi_fi.Model.default_resources)
 
-let endpoint_arrivals_at t ~vdd =
-  let report =
-    if vdd = Vdd_model.nominal_voltage then t.sta
-    else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
-  in
-  Array.map snd report.Sta.endpoints
+let model_b t ~vdd = ok_model (model_by_key t ~key:"B" ~vdd ~sigma:0.)
 
-let static_resources t ~vdd ~noise =
-  {
-    Sfi_fi.Model.default_resources with
-    Sfi_fi.Model.vdd;
-    noise;
-    vdd_model = t.config.vdd_model;
-    setup_ps = Sta.default_setup_ps;
-    endpoint_arrivals = Some (endpoint_arrivals_at t ~vdd);
-  }
-
-let model_b t ~vdd =
-  ok_model (Sfi_fi.Model.of_key "B" ~resources:(static_resources t ~vdd ~noise:Noise.none))
-
+(* sigma = 0 degenerates to model B: the key (and so the obs labels and
+   printable form) the variant-era [Model.name] produced; the
+   fingerprint bytes are identical either way. *)
 let model_bplus t ~vdd ~sigma =
-  (* sigma = 0 degenerates to model B — same key (and so the same obs
-     counter labels and printable form) the variant-era [Model.name]
-     produced; the fingerprint bytes are identical either way. *)
-  let key = if sigma = 0. then "B" else "B+" in
-  ok_model
-    (Sfi_fi.Model.of_key key
-       ~resources:(static_resources t ~vdd ~noise:(Noise.create ~sigma ())))
+  ok_model (model_by_key t ~key:(if sigma = 0. then "B" else "B+") ~vdd ~sigma)
 
-let model_c ?(sampling = Sfi_fi.Model.Independent) ?(profile = Characterize.uniform32)
-    ?operating_vdd t ~vdd ~sigma () =
+let model_c ?(sampling = Sfi_fi.Model.Independent) ?profile ?operating_vdd t ~vdd ~sigma
+    () =
   let key =
-    match sampling with
-    | Sfi_fi.Model.Independent -> "C"
-    | Sfi_fi.Model.Vector_correlated -> "C-corr"
+    match sampling with Sfi_fi.Model.Independent -> "C" | Vector_correlated -> "C-corr"
   in
   ok_model
-    (Sfi_fi.Model.of_key key
-       ~resources:
-         {
-           Sfi_fi.Model.default_resources with
-           Sfi_fi.Model.vdd = Option.value operating_vdd ~default:vdd;
-           noise = Noise.create ~sigma ();
-           vdd_model = t.config.vdd_model;
-           db = Some (char_db ~profile t ~vdd);
-         })
-
-let model_by_key ?(params = []) ?(profile = Characterize.uniform32) t ~key ~vdd ~sigma =
-  match Sfi_fi.Model.Registry.find key with
-  | None ->
-    Error
-      (Printf.sprintf "unknown model %S (registered: %s)" key
-         (String.concat ", " (Sfi_fi.Model.Registry.keys ())))
-  | Some entry ->
-    let resources () =
-      {
-        Sfi_fi.Model.vdd;
-        noise = Noise.create ~sigma ();
-        vdd_model = t.config.vdd_model;
-        setup_ps = Sta.default_setup_ps;
-        endpoint_arrivals =
-          (if entry.Sfi_fi.Model.Registry.wants_arrivals then
-             Some (endpoint_arrivals_at t ~vdd)
-           else None);
-        db =
-          (if entry.Sfi_fi.Model.Registry.wants_db then Some (char_db ~profile t ~vdd)
-           else None);
-      }
-    in
-    (* [make] rejects unknown or mistyped parameters before it calls
-       [build], so resolving the resources inside [build] keeps a bad
-       parameter from paying for STA or characterization first. *)
-    let build ~resources:_ ~params =
-      entry.Sfi_fi.Model.Registry.build ~resources:(resources ()) ~params
-    in
-    Sfi_fi.Model.Registry.make ~params
-      { entry with Sfi_fi.Model.Registry.build }
-      Sfi_fi.Model.default_resources
+    (Sfi_fi.Model.of_key key ~resources:(resources ?profile ?operating_vdd t ~vdd ~sigma))
 
 let summary t =
   let buf = Buffer.create 512 in

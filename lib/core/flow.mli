@@ -53,11 +53,40 @@ val char_db :
 (** Cached DTA characterization at [vdd] with the given operand profile
     (default uniform 32-bit). *)
 
+val resources :
+  ?profile:Characterize.operand_profile ->
+  ?operating_vdd:float ->
+  t ->
+  vdd:float ->
+  sigma:float ->
+  Sfi_fi.Model.resources
+(** The flow's inputs for {!Sfi_fi.Model.of_key}: STA endpoint arrivals
+    and the cached DTA characterization ([profile], default uniform
+    32-bit) at [vdd], each computed only when a model's build asks for
+    it; supply noise of [sigma] volts; the flow's Vdd-delay curve. The
+    models operate at [operating_vdd] (default [vdd]). *)
+
+val model_by_key :
+  ?params:(string * Sfi_obs.Json.t) list ->
+  ?profile:Characterize.operand_profile ->
+  t ->
+  key:string ->
+  vdd:float ->
+  sigma:float ->
+  (Sfi_fi.Model.t, string) result
+(** Builds any model in {!Sfi_fi.Model.entries} by key over
+    {!resources}: only B, B+ and glitch run STA, only C and C-corr
+    characterize, and a bad parameter does neither. [params] override
+    the entry's defaults (e.g. the glitch window). This is the CLI's
+    [--model]/[--model-param] entry point — unknown keys and bad
+    parameters come back as [Error] with the keys listed. *)
+
 val model_a : bit_flip_prob:float -> Sfi_fi.Model.t
 
 val model_b : t -> vdd:float -> Sfi_fi.Model.t
 
 val model_bplus : t -> vdd:float -> sigma:float -> Sfi_fi.Model.t
+(** Model B when [sigma = 0.]. *)
 
 val model_c :
   ?sampling:Sfi_fi.Model.sampling ->
@@ -68,27 +97,10 @@ val model_c :
   sigma:float ->
   unit ->
   Sfi_fi.Model.t
-(** Model C with CDFs characterized at [vdd]. [operating_vdd] (default
-    [vdd]) rescales the CDFs through the Vdd-delay curve when the system
-    operates away from the characterization voltage — the mechanism of
-    the voltage-scaling study (Fig. 7). *)
-
-val model_by_key :
-  ?params:(string * Sfi_obs.Json.t) list ->
-  ?profile:Characterize.operand_profile ->
-  t ->
-  key:string ->
-  vdd:float ->
-  sigma:float ->
-  (Sfi_fi.Model.t, string) result
-(** Builds {e any} registered model by key, provisioning exactly the
-    flow resources its registry entry declares: STA endpoint arrivals
-    at [vdd] for [wants_arrivals] entries (B, B+, glitch), the cached
-    DTA characterization for [wants_db] entries (C, C-corr). [sigma]
-    feeds the supply-noise model where the entry uses one; [params]
-    override the entry's defaults (e.g. the glitch window). This is the
-    CLI's [--model]/[--model-param] entry point — unknown keys and bad
-    parameters come back as [Error] with the registered keys listed. *)
+(** Model C (or C-corr) with CDFs characterized at [vdd]. [operating_vdd]
+    (default [vdd]) rescales the CDFs through the Vdd-delay curve when
+    the system operates away from the characterization voltage — the
+    mechanism of the voltage-scaling study (Fig. 7). *)
 
 val summary : t -> string
 (** Human-readable description of the realized flow: netlist size,

@@ -17,7 +17,7 @@
     When the injector proves that no fault can occur at the operating
     point (the grayed-out "n/a" regions of the paper's figures), a single
     trial on the root stream stands in for all trials. Every trial, that
-    one included, for every registered model, runs through
+    one included, for every model, runs through
     {!Fastforward}, which owns the reference run, its watchdog budget
     and its snapshot trace: a provably fault-free trial is resolved
     without simulation, a faulty one simulates only the suffix from just

@@ -1,5 +1,5 @@
-(** Snapshot fast-forward, the campaign's trial engine for every
-    registered model (DESIGN.md §13).
+(** Snapshot fast-forward, the campaign's trial engine for every model
+    (DESIGN.md §13).
 
     A trial is bit-identical to the fault-free reference run until its
     first injected fault. Recording the reference run's hook-call
@@ -107,7 +107,7 @@ val run_trial :
   Trial.t
 (** One fast-forwarded trial on the trial's pre-split [rng] stream (left
     untouched), equal to the full-replay trial of the same stream, for
-    every registered model. Each trial is either elided (counted on
+    every model. Each trial is either elided (counted on
     [fastforward.trials_elided]) or restored from a snapshot
     ([fastforward.restores]). [budget] is the same absolute cycle
     watchdog a full-replay trial would use ({!budget}); resumed suffixes

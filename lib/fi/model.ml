@@ -42,7 +42,7 @@ let instantiate t ~count_obs ~freq_mhz ~rng = t.instantiate ~count_obs ~freq_mhz
 (* Observability. These measure how a sample was computed, not what it
    was: which fast path short-circuited the per-call math. Fast-forward
    elides fault-free work entirely, so they are ~det:false like the
-   other elided-work families; the names predate the registry (the
+   other elided-work families; the names predate this module (the
    logic lived in {!Injector}) and are kept stable for obs consumers.
    [skip_table_hits]: the quantized noise-table fast path returned a
    provably-empty mask; [class_cannot_hits]: the per-class worst-case
@@ -286,90 +286,27 @@ let fp_keyed ~key ~version ~params fp =
         add_string fp (Json.to_string v))
     params
 
-(* ---------- Table 2 features ---------- *)
+(* ---------- resources ---------- *)
 
-let features_a =
+type resources = {
+  vdd : float;
+  noise : Noise.t;
+  vdd_model : Vdd_model.t;
+  setup_ps : float;
+  endpoint_arrivals : unit -> float array;
+  db : unit -> Characterize.t;
+}
+
+let default_resources =
+  let missing what () = invalid_arg ("Model.default_resources: no " ^ what) in
   {
-    technique = "fixed probability";
-    timing_data = "none";
-    multi_vdd = false;
-    vdd_noise = false;
-    gate_level_aware = "no";
-    instruction_aware = false;
+    vdd = Vdd_model.nominal_voltage;
+    noise = Noise.none;
+    vdd_model = Vdd_model.default;
+    setup_ps = Sta.default_setup_ps;
+    endpoint_arrivals = missing "STA endpoint arrivals";
+    db = missing "DTA characterization database";
   }
-
-let features_b =
-  {
-    technique = "fixed period violation";
-    timing_data = "STA";
-    multi_vdd = true;
-    vdd_noise = false;
-    gate_level_aware = "partially";
-    instruction_aware = false;
-  }
-
-let features_bplus =
-  {
-    technique = "modulated period violation";
-    timing_data = "STA";
-    multi_vdd = true;
-    vdd_noise = true;
-    gate_level_aware = "partially";
-    instruction_aware = false;
-  }
-
-let features_c =
-  {
-    technique = "probabilistic period violation (using CDFs)";
-    timing_data = "DTA";
-    multi_vdd = true;
-    vdd_noise = true;
-    gate_level_aware = "yes";
-    instruction_aware = true;
-  }
-
-let features_glitch =
-  {
-    technique = "voltage glitch in attacker-chosen cycle windows";
-    timing_data = "STA";
-    multi_vdd = true;
-    vdd_noise = false;
-    gate_level_aware = "partially";
-    instruction_aware = false;
-  }
-
-let features_skip =
-  {
-    technique = "instruction skip (EX result latch suppressed)";
-    timing_data = "none";
-    multi_vdd = false;
-    vdd_noise = false;
-    gate_level_aware = "no";
-    instruction_aware = true;
-  }
-
-let features_opcode =
-  {
-    technique = "opcode corruption (ALU class substitution)";
-    timing_data = "none";
-    multi_vdd = false;
-    vdd_noise = false;
-    gate_level_aware = "no";
-    instruction_aware = true;
-  }
-
-let features_state =
-  {
-    technique = "architectural-state bit flips at trial start";
-    timing_data = "none";
-    multi_vdd = false;
-    vdd_noise = false;
-    gate_level_aware = "no";
-    instruction_aware = false;
-  }
-
-let feature_rows () =
-  [ ("A", features_a); ("B", features_b); ("B+", features_bplus); ("C", features_c) ]
 
 (* ---------- model A ---------- *)
 
@@ -399,7 +336,9 @@ let make_a ~bit_flip_prob =
 
 (* ---------- models B / B+ ---------- *)
 
-let make_static_timing ~key ~endpoint_arrivals ~setup_ps ~vdd ~noise ~vdd_model =
+let make_static_timing ~key ~noise r =
+  let { vdd; vdd_model; setup_ps; _ } = r in
+  let endpoint_arrivals = r.endpoint_arrivals () in
   let with_setup = Array.map (fun a -> a +. setup_ps) endpoint_arrivals in
   let max_arrival = Array.fold_left Float.max 0. with_setup in
   let sorted = sort_endpoints with_setup in
@@ -457,7 +396,9 @@ let make_static_timing ~key ~endpoint_arrivals ~setup_ps ~vdd ~noise ~vdd_model 
 
 (* ---------- models C / C-corr ---------- *)
 
-let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
+let make_statistical ~key ~sampling r =
+  let { vdd; noise; vdd_model; _ } = r in
+  let db = r.db () in
   let ref_vdd = db.Characterize.vdd in
   let setup = db.Characterize.setup_ps in
   let denom = Vdd_model.derate vdd_model ref_vdd in
@@ -597,8 +538,8 @@ let make_statistical ~key ~db ~vdd ~noise ~vdd_model ~sampling =
 
 (* ---------- attack family: voltage glitch ---------- *)
 
-let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
-    ~every ~drop_mv =
+let make_glitch ~params ~start ~len ~every ~drop_mv r =
+  let { vdd; vdd_model; setup_ps; _ } = r in
   let drop = drop_mv /. 1000. in
   let denom = Vdd_model.derate vdd_model vdd in
   let glitch_scale = Vdd_model.derate vdd_model (vdd -. drop) /. denom in
@@ -612,6 +553,7 @@ let make_glitch ~params ~endpoint_arrivals ~setup_ps ~vdd ~vdd_model ~start ~len
           Vdd-delay model's validity"
          drop_mv (vdd -. drop))
   else begin
+    let endpoint_arrivals = r.endpoint_arrivals () in
     let with_setup = Array.map (fun a -> a +. setup_ps) endpoint_arrivals in
     let sorted = sort_endpoints with_setup in
     Ok
@@ -765,27 +707,6 @@ let make_state ~params ~flips ~word_lo ~word_hi =
         });
   }
 
-(* ---------- resources ---------- *)
-
-type resources = {
-  vdd : float;
-  noise : Noise.t;
-  vdd_model : Vdd_model.t;
-  setup_ps : float;
-  endpoint_arrivals : float array option;
-  db : Characterize.t option;
-}
-
-let default_resources =
-  {
-    vdd = Vdd_model.nominal_voltage;
-    noise = Noise.none;
-    vdd_model = Vdd_model.default;
-    setup_ps = Sta.default_setup_ps;
-    endpoint_arrivals = None;
-    db = None;
-  }
-
 (* ---------- parameter codec ---------- *)
 
 let json_kind = function
@@ -844,153 +765,115 @@ let pfloat merged name =
 let pint merged name =
   match List.assoc name merged with Json.Int i -> i | _ -> invalid_arg ("pint " ^ name)
 
-(* ---------- the registry ---------- *)
+(* A probability parameter. NaN fails both comparisons. *)
+let probability ~key params =
+  let p = pfloat params "p" in
+  if p >= 0. && p <= 1. then Ok p
+  else Error (Printf.sprintf "model %s: p must be in [0, 1] (got %g)" key p)
 
-module Registry = struct
-  type entry = {
-    key : string;
-    doc : string;
-    features : features;
-    wants_arrivals : bool;
-    wants_db : bool;
-    default_params : (string * Json.t) list;
-    build :
-      resources:resources -> params:(string * Json.t) list -> (t, string) result;
+(* ---------- the model table ---------- *)
+
+type entry = {
+  key : string;
+  doc : string;
+  features : features;
+  default_params : (string * Json.t) list;
+  build : resources:resources -> params:(string * Json.t) list -> (t, string) result;
+}
+
+let features_c =
+  {
+    technique = "probabilistic period violation (using CDFs)";
+    timing_data = "DTA";
+    multi_vdd = true;
+    vdd_noise = true;
+    gate_level_aware = "yes";
+    instruction_aware = true;
   }
 
-  let table : entry list ref = ref []
-
-  let canon k = String.lowercase_ascii k
-
-  let find k =
-    let k = canon k in
-    List.find_opt (fun e -> canon e.key = k) !table
-
-  let register e =
-    if find e.key <> None then
-      invalid_arg (Printf.sprintf "Model.Registry.register: duplicate key %S" e.key);
-    table := !table @ [ e ]
-
-  let keys () = List.map (fun e -> e.key) !table
-
-  let entries () = !table
-
-  let make ?(params = []) e resources =
-    match merge_params ~key:e.key ~defaults:e.default_params ~params with
-    | Error _ as err -> err
-    | Ok merged -> e.build ~resources ~params:merged
-end
-
-let of_key ?(params = []) ~resources k =
-  match Registry.find k with
-  | Some e -> Registry.make ~params e resources
-  | None ->
-    Error
-      (Printf.sprintf "unknown model %S (registered: %s)" k
-         (String.concat ", " (Registry.keys ())))
-
-let of_string ~resources s =
-  match String.index_opt s '{' with
-  | None -> of_key ~resources s
-  | Some i -> (
-    let k = String.sub s 0 i in
-    let body = String.sub s i (String.length s - i) in
-    match Json.parse body with
-    | exception Json.Parse_error msg ->
-      Error (Printf.sprintf "model %s: bad parameter JSON: %s" k msg)
-    | Json.Obj fields -> of_key ~params:fields ~resources k
-    | _ -> Error (Printf.sprintf "model %s: parameters must be a JSON object" k))
-
-(* ---------- built-in registrations ---------- *)
-
-let need_arrivals ~key resources k =
-  match resources.endpoint_arrivals with
-  | Some arr -> k arr
-  | None -> Error (Printf.sprintf "model %s requires STA endpoint arrivals" key)
-
-let need_db ~key resources k =
-  match resources.db with
-  | Some db -> k db
-  | None -> Error (Printf.sprintf "model %s requires a DTA characterization database" key)
-
-let () =
-  Registry.register
+let entries =
+  [
     {
-      Registry.key = "A";
+      key = "A";
       doc = "fixed-probability random bit flips (baseline)";
-      features = features_a;
-      wants_arrivals = false;
-      wants_db = false;
+      features =
+        {
+          technique = "fixed probability";
+          timing_data = "none";
+          multi_vdd = false;
+          vdd_noise = false;
+          gate_level_aware = "no";
+          instruction_aware = false;
+        };
       default_params = [ ("p", Json.Float 1e-6) ];
-      build = (fun ~resources:_ ~params -> Ok (make_a ~bit_flip_prob:(pfloat params "p")));
+      build =
+        (fun ~resources:_ ~params ->
+          Result.map (fun p -> make_a ~bit_flip_prob:p) (probability ~key:"A" params));
     };
-  Registry.register
     {
-      Registry.key = "B";
+      key = "B";
       doc = "static-timing period violation (no supply noise)";
-      features = features_b;
-      wants_arrivals = true;
-      wants_db = false;
+      features =
+        {
+          technique = "fixed period violation";
+          timing_data = "STA";
+          multi_vdd = true;
+          vdd_noise = false;
+          gate_level_aware = "partially";
+          instruction_aware = false;
+        };
       default_params = [];
       build =
-        (fun ~resources:r ~params:_ ->
-          need_arrivals ~key:"B" r (fun arr ->
-              Ok
-                (make_static_timing ~key:"B" ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
-                   ~vdd:r.vdd ~noise:Noise.none ~vdd_model:r.vdd_model)));
+        (fun ~resources ~params:_ ->
+          Ok (make_static_timing ~key:"B" ~noise:Noise.none resources));
     };
-  Registry.register
     {
-      Registry.key = "B+";
+      key = "B+";
       doc = "static timing with per-cycle supply-noise modulation";
-      features = features_bplus;
-      wants_arrivals = true;
-      wants_db = false;
+      features =
+        {
+          technique = "modulated period violation";
+          timing_data = "STA";
+          multi_vdd = true;
+          vdd_noise = true;
+          gate_level_aware = "partially";
+          instruction_aware = false;
+        };
       default_params = [];
       build =
-        (fun ~resources:r ~params:_ ->
-          need_arrivals ~key:"B+" r (fun arr ->
-              Ok
-                (make_static_timing ~key:"B+" ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
-                   ~vdd:r.vdd ~noise:r.noise ~vdd_model:r.vdd_model)));
+        (fun ~resources ~params:_ ->
+          Ok (make_static_timing ~key:"B+" ~noise:resources.noise resources));
     };
-  Registry.register
     {
-      Registry.key = "C";
+      key = "C";
       doc = "instruction-aware statistical injection (independent endpoints)";
       features = features_c;
-      wants_arrivals = false;
-      wants_db = true;
       default_params = [];
       build =
-        (fun ~resources:r ~params:_ ->
-          need_db ~key:"C" r (fun db ->
-              Ok
-                (make_statistical ~key:"C" ~db ~vdd:r.vdd ~noise:r.noise
-                   ~vdd_model:r.vdd_model ~sampling:Independent)));
+        (fun ~resources ~params:_ ->
+          Ok (make_statistical ~key:"C" ~sampling:Independent resources));
     };
-  Registry.register
     {
-      Registry.key = "C-corr";
+      key = "C-corr";
       doc = "statistical injection with vector-correlated endpoint sampling";
       features = features_c;
-      wants_arrivals = false;
-      wants_db = true;
       default_params = [];
       build =
-        (fun ~resources:r ~params:_ ->
-          need_db ~key:"C-corr" r (fun db ->
-              Ok
-                (make_statistical ~key:"C-corr" ~db ~vdd:r.vdd ~noise:r.noise
-                   ~vdd_model:r.vdd_model ~sampling:Vector_correlated)));
+        (fun ~resources ~params:_ ->
+          Ok (make_statistical ~key:"C-corr" ~sampling:Vector_correlated resources));
     };
-  Registry.register
     {
-      Registry.key = "glitch";
+      key = "glitch";
       doc = "voltage glitch in attacker-chosen cycle windows (attack)";
-      features = features_glitch;
-      wants_arrivals = true;
-      wants_db = false;
+      features =
+        {
+          technique = "voltage glitch in attacker-chosen cycle windows";
+          timing_data = "STA";
+          multi_vdd = true;
+          vdd_noise = false;
+          gate_level_aware = "partially";
+          instruction_aware = false;
+        };
       default_params =
         [
           ("start", Json.Int 0);      (* first attacked cycle *)
@@ -999,53 +882,61 @@ let () =
           ("drop_mv", Json.Float 120.); (* supply droop inside the window *)
         ];
       build =
-        (fun ~resources:r ~params ->
-          need_arrivals ~key:"glitch" r (fun arr ->
-              let start = pint params "start"
-              and len = pint params "len"
-              and every = pint params "every"
-              and drop_mv = pfloat params "drop_mv" in
-              if start < 0 || len < 0 || every < 0 || drop_mv < 0. then
-                Error "model glitch: start/len/every/drop_mv must be non-negative"
-              else
-                make_glitch ~params ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
-                  ~vdd:r.vdd ~vdd_model:r.vdd_model ~start ~len ~every ~drop_mv));
+        (fun ~resources ~params ->
+          let start = pint params "start"
+          and len = pint params "len"
+          and every = pint params "every"
+          and drop_mv = pfloat params "drop_mv" in
+          if start < 0 || len < 0 || every < 0 || drop_mv < 0. then
+            Error "model glitch: start/len/every/drop_mv must be non-negative"
+          else make_glitch ~params ~start ~len ~every ~drop_mv resources);
     };
-  Registry.register
     {
-      Registry.key = "skip";
+      key = "skip";
       doc = "InjectV-style instruction skip with probability p (attack)";
-      features = features_skip;
-      wants_arrivals = false;
-      wants_db = false;
+      features =
+        {
+          technique = "instruction skip (EX result latch suppressed)";
+          timing_data = "none";
+          multi_vdd = false;
+          vdd_noise = false;
+          gate_level_aware = "no";
+          instruction_aware = true;
+        };
       default_params = [ ("p", Json.Float 1e-4) ];
       build =
         (fun ~resources:_ ~params ->
-          let p = pfloat params "p" in
-          if p < 0. || p > 1. then Error "model skip: p must be in [0, 1]"
-          else Ok (make_skip ~params ~p));
+          Result.map (fun p -> make_skip ~params ~p) (probability ~key:"skip" params));
     };
-  Registry.register
     {
-      Registry.key = "opcode";
+      key = "opcode";
       doc = "InjectV-style opcode corruption with probability p (attack)";
-      features = features_opcode;
-      wants_arrivals = false;
-      wants_db = false;
+      features =
+        {
+          technique = "opcode corruption (ALU class substitution)";
+          timing_data = "none";
+          multi_vdd = false;
+          vdd_noise = false;
+          gate_level_aware = "no";
+          instruction_aware = true;
+        };
       default_params = [ ("p", Json.Float 1e-4) ];
       build =
         (fun ~resources:_ ~params ->
-          let p = pfloat params "p" in
-          if p < 0. || p > 1. then Error "model opcode: p must be in [0, 1]"
-          else Ok (make_opcode ~params ~p));
+          Result.map (fun p -> make_opcode ~params ~p) (probability ~key:"opcode" params));
     };
-  Registry.register
     {
-      Registry.key = "state";
+      key = "state";
       doc = "random architectural-state bit flips at trial start (attack)";
-      features = features_state;
-      wants_arrivals = false;
-      wants_db = false;
+      features =
+        {
+          technique = "architectural-state bit flips at trial start";
+          timing_data = "none";
+          multi_vdd = false;
+          vdd_noise = false;
+          gate_level_aware = "no";
+          instruction_aware = false;
+        };
       default_params =
         [
           ("flips", Json.Int 1);
@@ -1060,4 +951,23 @@ let () =
           if flips < 0 || word_lo < 0 || word_hi < 0 then
             Error "model state: flips/word_lo/word_hi must be non-negative"
           else Ok (make_state ~params ~flips ~word_lo ~word_hi));
-    }
+    };
+  ]
+
+let find k =
+  let k = String.lowercase_ascii k in
+  List.find_opt (fun e -> String.lowercase_ascii e.key = k) entries
+
+(* Parameters are merged and type-checked before [build] runs, and
+   [build] checks their values before it calls a provider: a bad
+   parameter never pays for STA or characterization. *)
+let of_key ?(params = []) ~resources k =
+  match find k with
+  | None ->
+    Error
+      (Printf.sprintf "unknown model %S (registered: %s)" k
+         (String.concat ", " (List.map (fun e -> e.key) entries)))
+  | Some e -> (
+    match merge_params ~key:e.key ~defaults:e.default_params ~params with
+    | Error _ as err -> err
+    | Ok merged -> e.build ~resources ~params:merged)

@@ -1,9 +1,8 @@
-(** Pluggable fault-model registry.
+(** The fault models: one fixed table of entries looked up by key.
 
-    The paper's four timing-error models (Table 2) used to be a closed
-    variant; they are now {e registered} models looked up by a stable
-    string key, alongside adversarial attack families that inject faults
-    into architectural state rather than datapath timing:
+    The paper's four timing-error models (Table 2) sit in the table
+    beside adversarial attack families that inject faults into
+    architectural state rather than datapath timing:
 
     - ["A"] — fixed-probability random bit flips, the conventional
       baseline: no link to timing, voltage, or the circuit.
@@ -29,16 +28,18 @@
     - ["state"] — architectural-state attack: [flips] random single-bit
       upsets in a memory window, applied once at trial start.
 
+    Adding a model is one edit: one entry in {!entries}.
+
     A model value is immutable and shareable across trials; per-trial
     mutable state (RNG use, the skip model's EX latch, the state
     model's flips) lives in the {!instance} returned by {!instantiate}.
 
     {b Determinism and fingerprints.} Each model contributes its exact
     identity to cache/checkpoint fingerprints ({!add_fingerprint}); the
-    five built-ins reproduce the historic byte sequences, so existing
-    checkpoints, goldens and det signatures remain valid. New models
-    hash their registry key, codec version and canonical parameters, so
-    mixed-model sweeps dedupe and resume correctly.
+    five paper models reproduce the historic byte sequences, so existing
+    checkpoints, goldens and det signatures remain valid. The attack
+    families hash their key, codec version and canonical parameters,
+    so mixed-model sweeps dedupe and resume correctly.
 
     {b Fast-forward contract.} Every model serves {!Fastforward}'s
     probe, which walks the fault-free run's recorded hook calls (cycle
@@ -67,8 +68,8 @@ type features = {
 }
 
 type t
-(** An instantiable fault model. Obtain one from a {!Registry} entry
-    ({!of_key}) or from the {!Flow} helpers. *)
+(** An instantiable fault model. Obtain one from {!of_key} or from the
+    {!Flow} helpers. *)
 
 (** Per-trial instantiation: the inner sampling hook, the fast-forward
     probe's question and the per-trial state hooks the injector drives. *)
@@ -100,16 +101,16 @@ type instance = {
 }
 
 val key : t -> string
-(** The registry key — the single source of truth for CLI parsing, JSON
-    codecs and obs metric labels ("A", "B+", "glitch", ...). *)
+(** The table key — the single source of truth for CLI parsing, JSON
+    meta and obs metric labels ("A", "B+", "glitch", ...). *)
 
 val params : t -> (string * Sfi_obs.Json.t) list
-(** Canonical parameter assoc (defaults merged in registration order).
+(** Canonical parameter assoc (defaults merged in declaration order).
     Empty for models fully determined by their resources. *)
 
 val to_string : t -> string
-(** ["key"] or ["key{...params json...}"] — the printable form
-    {!of_string} parses back. *)
+(** ["key"] or ["key{...params json...}"]: the label the CLI writes
+    into JSON meta. *)
 
 val add_fingerprint : t -> Sfi_cache.Fingerprint.t -> unit
 (** Appends the model's full identity (key, codec version, parameters
@@ -120,67 +121,52 @@ val instantiate : t -> count_obs:bool -> freq_mhz:float -> rng:Rng.t -> instance
 (** [count_obs = false] silences the model's work counters (fast-forward
     probes and timing loops); RNG consumption is identical either way. *)
 
-(** Everything a registered model may need from the design flow. Models
-    declare what they use ({!Registry.entry}); building one with a
-    required resource missing is an [Error]. *)
+(** Everything a model may need from the design flow. The timing data
+    comes from providers: an entry's [build] calls only the one it
+    uses, and only once its parameters have validated, so A, the
+    attacks and any rejected parameter never pay for STA or
+    characterization. *)
 type resources = {
   vdd : float;              (** operating supply voltage *)
-  noise : Noise.t;          (** supply-noise model ([Noise.none] for B) *)
+  noise : Noise.t;          (** supply-noise model (B ignores it) *)
   vdd_model : Vdd_model.t;
   setup_ps : float;
-  endpoint_arrivals : float array option;
+  endpoint_arrivals : unit -> float array;
       (** per-endpoint worst STA arrival at [vdd] (models B/B+/glitch) *)
-  db : Characterize.t option;  (** DTA characterization (models C/C-corr) *)
+  db : unit -> Characterize.t;  (** DTA characterization (models C/C-corr) *)
 }
 
 val default_resources : resources
-(** 0.7 V, no noise, the default Vdd-delay curve, the default setup
-    margin, no STA arrivals, no characterization database. *)
+(** 0.7 V, no noise, the default Vdd-delay curve and setup margin. Both
+    providers raise [Invalid_argument] naming the missing input, so
+    these build only the models that need neither. *)
 
-module Registry : sig
-  type entry = {
-    key : string;          (** stable, unique (case-insensitive) *)
-    doc : string;          (** one-line description for listings *)
-    features : features;   (** the model's Table 2 row, for listings *)
-    wants_arrivals : bool; (** requires [resources.endpoint_arrivals] *)
-    wants_db : bool;       (** requires [resources.db] *)
-    default_params : (string * Sfi_obs.Json.t) list;
-        (** canonical parameter names, defaults and types *)
-    build :
-      resources:resources ->
-      params:(string * Sfi_obs.Json.t) list ->
-      (t, string) result;
-  }
+type entry = {
+  key : string;          (** stable, unique (case-insensitive) *)
+  doc : string;          (** one-line description for listings *)
+  features : features;   (** the model's Table 2 row *)
+  default_params : (string * Sfi_obs.Json.t) list;
+      (** canonical parameter names, defaults and types *)
+  build :
+    resources:resources -> params:(string * Sfi_obs.Json.t) list -> (t, string) result;
+      (** Checks the values of the merged parameters, then calls the
+          providers the model uses. *)
+}
 
-  val register : entry -> unit
-  (** Raises [Invalid_argument] on a duplicate key. The nine shipped
-      models self-register at module initialization. *)
+val entries : entry list
+(** A, B, B+, C, C-corr, glitch, skip, opcode, state. *)
 
-  val find : string -> entry option
-  (** Case-insensitive key lookup. *)
-
-  val keys : unit -> string list
-  (** Registration order: A, B, B+, C, C-corr, glitch, skip, opcode,
-      state, then any externally registered models. *)
-
-  val entries : unit -> entry list
-
-  val make :
-    ?params:(string * Sfi_obs.Json.t) list -> entry -> resources -> (t, string) result
-  (** Builds the model; [params] override the entry's defaults. Unknown
-      or mistyped parameter names are an [Error]. *)
-end
+val find : string -> entry option
+(** Case-insensitive key lookup. *)
 
 val of_key :
   ?params:(string * Sfi_obs.Json.t) list ->
   resources:resources ->
   string ->
   (t, string) result
-(** [Registry.find key |> make params] with an "unknown model" error
-    listing the registered keys. *)
-
-val of_string : resources:resources -> string -> (t, string) result
-(** Parses {!to_string}'s form: a bare key, or [key{json object}]. *)
+(** Merges [params] over the entry's defaults (unknown names and
+    mistyped values are an [Error]) and builds. An unknown key is an
+    [Error] listing the keys. *)
 
 (** Exact CDF ranks for model C's fault path.
 
@@ -206,8 +192,3 @@ module Rank : sig
   val prob_greater : t -> endpoint:int -> float -> float
   (** The fraction of [endpoint]'s samples strictly greater than [x]. *)
 end
-
-val feature_rows : unit -> (string * features) list
-(** The four rows of the paper's Table 2 (static metadata, independent
-    of any instantiation). For the full registry use
-    {!Registry.entries}. *)

@@ -16,7 +16,7 @@ open Sfi_util
 
    Slot 0 of a quad is [u_unfilled] until {!decode_into} runs for that
    word ([Array.make 0] gives a whole-table cold state for free), and
-   becomes [u_illegal] when {!Encode.decode} would return [None]. A
+   becomes [u_illegal] when {!Encode.decode} returns [None]. A
    store into a word resets its slot to [u_unfilled]; the next fetch
    re-decodes, which is exactly the old boxed
    [Insn.t option option array] protocol without the option cells. *)
@@ -97,128 +97,69 @@ let cmp_index = function
   | Insn.Lts -> 8
   | Insn.Les -> 9
 
-(* OR1K l.sf* comparison codes (rD field), as Encode.cmp_of_code. *)
-let cmp_index_of_code = function
-  | 0x0 -> 0 (* eq *)
-  | 0x1 -> 1 (* ne *)
-  | 0x2 -> 2 (* gtu *)
-  | 0x3 -> 3 (* geu *)
-  | 0x4 -> 4 (* ltu *)
-  | 0x5 -> 5 (* leu *)
-  | 0xa -> 6 (* gts *)
-  | 0xb -> 7 (* ges *)
-  | 0xc -> 8 (* lts *)
-  | 0xd -> 9 (* les *)
-  | _ -> -1
-
-let sext26 v = if v land (1 lsl 25) <> 0 then v - (1 lsl 26) else v
-
 let[@inline] set tab base op x y z =
   Array.unsafe_set tab base op;
   Array.unsafe_set tab (base + 1) x;
   Array.unsafe_set tab (base + 2) y;
   Array.unsafe_set tab (base + 3) z
 
-(* Local [@inline always] helpers instead of per-call closures: without
-   flambda, closures binding this much context are heap-allocated on
-   every call, which the decoder's allocation-pin test forbids. *)
-let[@inline always] illegal tab base = set tab base u_illegal 0 0 0
-
-let[@inline always] alu_rr tab base cls d a b =
-  set tab base (u_alu_rr + Op_class.index cls) d a b
-
-let[@inline always] alu_ri tab base cls d a imm32 =
-  set tab base (u_alu_ri + Op_class.index cls) d a imm32
-
-let[@inline always] imm_s w = U32.sext ~bits:16 (w land 0xFFFF)
-
-(* Direct targets are wrapped with the SRAM decoder mask at decode
-   time — the same wrap the fetch stage would apply — so taken
-   branches land directly on a table index. *)
-let[@inline always] target pc addr_mask w =
-  (pc + (sext26 (w land 0x3FF_FFFF) lsl 2)) land addr_mask
-
-(* Mirrors Encode.decode case by case (the differential property test
-   pins the two against each other over random words), but writes int
-   quads instead of allocating constructors, so a cold decode fill is
-   allocation-free (pinned by a Gc.minor_words test). *)
+(* The quad of {!Encode.decode}'s instruction, so the two cannot
+   disagree. Decoding is cold (once per code word per domain and image
+   change), so the variant it allocates costs nothing measurable.
+   Direct targets are wrapped with the SRAM decoder mask at decode
+   time — the same wrap the fetch stage would apply — so taken branches
+   land directly on a table index. *)
 let decode_into tab ~idx ~addr_mask w =
   let base = idx lsl 2 in
   let pc = idx lsl 2 in
-  let op = (w lsr 26) land 0x3F in
-  let d = (w lsr 21) land 0x1F in
-  let a = (w lsr 16) land 0x1F in
-  let b = (w lsr 11) land 0x1F in
-  match op with
-  | 0x00 ->
-    if w land 0x3FF_FFFF = 0 then set tab base u_j_self 0 0 0
-    else set tab base u_j (target pc addr_mask w) 0 0
-  | 0x01 -> set tab base u_jal (target pc addr_mask w) (U32.of_int (pc + 4)) 0
-  | 0x03 -> set tab base u_bnf (target pc addr_mask w) 0 0
-  | 0x04 -> set tab base u_bf (target pc addr_mask w) 0 0
-  | 0x05 ->
-    if (w lsr 24) land 0x3 = 1 then begin
-      let k = w land 0xFFFF in
+  let target off = (pc + (off lsl 2)) land addr_mask in
+  let link = U32.of_int (pc + 4) in
+  let rr cls d a b = set tab base (u_alu_rr + Op_class.index cls) d a b in
+  let ri cls d a imm = set tab base (u_alu_ri + Op_class.index cls) d a (U32.of_int imm) in
+  match Encode.decode w with
+  | None -> set tab base u_illegal 0 0 0
+  | Some insn -> (
+    match insn with
+    | Insn.Add (d, a, b) -> rr Op_class.Add d a b
+    | Insn.Sub (d, a, b) -> rr Op_class.Sub d a b
+    | Insn.And (d, a, b) -> rr Op_class.And_ d a b
+    | Insn.Or (d, a, b) -> rr Op_class.Or_ d a b
+    | Insn.Xor (d, a, b) -> rr Op_class.Xor_ d a b
+    | Insn.Mul (d, a, b) -> rr Op_class.Mul d a b
+    | Insn.Sll (d, a, b) -> rr Op_class.Sll d a b
+    | Insn.Srl (d, a, b) -> rr Op_class.Srl d a b
+    | Insn.Sra (d, a, b) -> rr Op_class.Sra d a b
+    | Insn.Addi (d, a, i) -> ri Op_class.Add d a i
+    | Insn.Andi (d, a, i) -> ri Op_class.And_ d a i
+    | Insn.Ori (d, a, i) -> ri Op_class.Or_ d a i
+    | Insn.Xori (d, a, i) -> ri Op_class.Xor_ d a i
+    | Insn.Muli (d, a, i) -> ri Op_class.Mul d a i
+    | Insn.Slli (d, a, s) -> ri Op_class.Sll d a s
+    | Insn.Srli (d, a, s) -> ri Op_class.Srl d a s
+    | Insn.Srai (d, a, s) -> ri Op_class.Sra d a s
+    (* movhi: Or_ of r0 with the shifted constant, exactly the
+       interpreter's [alu_result Or_ 0 ((k land 0xFFFF) lsl 16)]. *)
+    | Insn.Movhi (d, k) -> ri Op_class.Or_ d 0 (k lsl 16)
+    | Insn.Sf (c, a, b) -> set tab base u_sf (cmp_index c) a b
+    | Insn.Sfi (c, a, i) -> set tab base u_sfi (cmp_index c) a (U32.of_int i)
+    | Insn.J 0 -> set tab base u_j_self 0 0 0
+    | Insn.J off -> set tab base u_j (target off) 0 0
+    | Insn.Jal off -> set tab base u_jal (target off) link 0
+    | Insn.Jr b -> set tab base u_jr b 0 0
+    | Insn.Jalr b -> set tab base u_jalr b link 0
+    | Insn.Bf off -> set tab base u_bf (target off) 0 0
+    | Insn.Bnf off -> set tab base u_bnf (target off) 0 0
+    | Insn.Lwz (d, i, a) -> set tab base u_lwz d (U32.of_int i) a
+    | Insn.Lhz (d, i, a) -> set tab base u_lhz d (U32.of_int i) a
+    | Insn.Lbz (d, i, a) -> set tab base u_lbz d (U32.of_int i) a
+    | Insn.Sw (i, a, b) -> set tab base u_sw (U32.of_int i) a b
+    | Insn.Sh (i, a, b) -> set tab base u_sh (U32.of_int i) a b
+    | Insn.Sb (i, a, b) -> set tab base u_sb (U32.of_int i) a b
+    | Insn.Nop k ->
       let o =
         if k = Insn.nop_exit then u_nop_exit
         else if k = Insn.nop_kernel_begin then u_nop_kernel_begin
         else if k = Insn.nop_kernel_end then u_nop_kernel_end
         else u_nop
       in
-      set tab base o 0 0 0
-    end
-    else illegal tab base
-  | 0x06 ->
-    (* movhi: Or_ of r0 with the shifted constant, exactly the
-       interpreter's [alu_result Or_ 0 ((k land 0xFFFF) lsl 16)]. *)
-    if (w lsr 16) land 0x1 = 0 then
-      set tab base (u_alu_ri + Op_class.index Op_class.Or_) d 0 ((w land 0xFFFF) lsl 16)
-    else illegal tab base
-  | 0x11 -> set tab base u_jr b 0 0
-  | 0x12 -> set tab base u_jalr b (U32.of_int (pc + 4)) 0
-  | 0x21 -> set tab base u_lwz d (imm_s w) a
-  | 0x23 -> set tab base u_lbz d (imm_s w) a
-  | 0x25 -> set tab base u_lhz d (imm_s w) a
-  | 0x27 -> alu_ri tab base Op_class.Add d a (imm_s w)
-  | 0x29 -> alu_ri tab base Op_class.And_ d a (w land 0xFFFF)
-  | 0x2a -> alu_ri tab base Op_class.Or_ d a (w land 0xFFFF)
-  | 0x2b -> alu_ri tab base Op_class.Xor_ d a (imm_s w)
-  | 0x2c -> alu_ri tab base Op_class.Mul d a (imm_s w)
-  | 0x2e ->
-    let s = w land 0x3F in
-    if s > 31 then illegal tab base
-    else begin
-      match (w lsr 6) land 0x3 with
-      | 0b00 -> alu_ri tab base Op_class.Sll d a s
-      | 0b01 -> alu_ri tab base Op_class.Srl d a s
-      | 0b10 -> alu_ri tab base Op_class.Sra d a s
-      | _ -> illegal tab base
-    end
-  | 0x2f ->
-    let c = cmp_index_of_code d in
-    if c < 0 then illegal tab base else set tab base u_sfi c a (imm_s w)
-  | 0x35 | 0x36 | 0x37 ->
-    let imm32 = U32.sext ~bits:16 ((d lsl 11) lor (w land 0x7FF)) in
-    let o = if op = 0x35 then u_sw else if op = 0x36 then u_sb else u_sh in
-    set tab base o imm32 a b
-  | 0x38 -> begin
-    match w land 0xF with
-    | 0x0 when (w lsr 6) land 0xF = 0 -> alu_rr tab base Op_class.Add d a b
-    | 0x2 when (w lsr 6) land 0xF = 0 -> alu_rr tab base Op_class.Sub d a b
-    | 0x3 when (w lsr 6) land 0xF = 0 -> alu_rr tab base Op_class.And_ d a b
-    | 0x4 when (w lsr 6) land 0xF = 0 -> alu_rr tab base Op_class.Or_ d a b
-    | 0x5 when (w lsr 6) land 0xF = 0 -> alu_rr tab base Op_class.Xor_ d a b
-    | 0x6 when (w lsr 8) land 0x3 = 0b11 -> alu_rr tab base Op_class.Mul d a b
-    | 0x8 -> begin
-      match (w lsr 6) land 0x3 with
-      | 0b00 -> alu_rr tab base Op_class.Sll d a b
-      | 0b01 -> alu_rr tab base Op_class.Srl d a b
-      | 0b10 -> alu_rr tab base Op_class.Sra d a b
-      | _ -> illegal tab base
-    end
-    | _ -> illegal tab base
-  end
-  | 0x39 ->
-    let c = cmp_index_of_code d in
-    if c < 0 then illegal tab base else set tab base u_sf c a b
-  | _ -> illegal tab base
+      set tab base o 0 0 0)

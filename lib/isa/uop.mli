@@ -13,10 +13,9 @@
     [u_unfilled]; a store resets the written word's slot 0 back to
     [u_unfilled]) and the compiled basic-block engine copies runs of
     quads out of it, so both engines execute the identical pre-resolved
-    operands. [decode_into] is allocation-free (pinned by a
-    [Gc.minor_words] test) and mirrors {!Encode.decode} exactly,
-    including every reject case (pinned by a differential property
-    test). *)
+    operands. [decode_into] writes the quad of {!Encode.decode}'s
+    instruction, so the ISA has one decoder; a property test pins the
+    quads to the documented layout. *)
 
 open Sfi_util
 
@@ -106,5 +105,5 @@ val decode_into : int array -> idx:int -> addr_mask:int -> int -> unit
     fetched from word index [idx] (wrapped pc [idx lsl 2]) into
     [tab.(idx*4 .. idx*4+3)]. [addr_mask] is the SRAM decoder mask
     (memory size - 1); direct jump/branch targets are wrapped with it
-    at decode time, exactly as the fetch stage would. Allocation-free.
+    at decode time, exactly as the fetch stage would.
     [tab] must have at least [4 * (idx + 1)] elements. *)

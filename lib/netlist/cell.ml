@@ -46,10 +46,6 @@ let name = function
   | Aoi21 -> "AOI21"
   | Oai21 -> "OAI21"
 
-let of_name s =
-  let s = String.uppercase_ascii s in
-  List.find_opt (fun k -> name k = s) all
-
 let eval kind ins =
   assert (Array.length ins = arity kind);
   match kind with

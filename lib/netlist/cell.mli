@@ -34,9 +34,6 @@ val arity : kind -> int
 val name : kind -> string
 (** Canonical upper-case cell name, e.g. ["NAND2"]. *)
 
-val of_name : string -> kind option
-(** Inverse of {!name} (case-insensitive). *)
-
 val eval : kind -> bool array -> bool
 (** Boolean function of the cell. The array length must equal
     [arity kind]; this is checked with an assertion. *)

@@ -59,56 +59,3 @@ let to_text t =
            (Cell.name e.kind) e.area e.intrinsic e.load_slope e.vdd_alpha_skew))
     t;
   Buffer.contents buf
-
-let of_text text =
-  let lines = String.split_on_char '\n' text in
-  let parse_line lineno line =
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    let words =
-      String.split_on_char ' ' line
-      |> List.concat_map (String.split_on_char '\t')
-      |> List.filter (fun w -> w <> "")
-    in
-    match words with
-    | [] -> Ok None
-    | [ "cell"; cname; "area"; a; "intrinsic"; i; "load"; l; "alpha_skew"; s ] -> begin
-      match Cell.of_name cname with
-      | None -> Error (Printf.sprintf "line %d: unknown cell %S" lineno cname)
-      | Some kind -> begin
-        match
-          (float_of_string_opt a, float_of_string_opt i, float_of_string_opt l,
-           float_of_string_opt s)
-        with
-        | Some a, Some i, Some l, Some s -> Ok (Some (make_entry kind a i l s))
-        | _ -> Error (Printf.sprintf "line %d: malformed number" lineno)
-      end
-    end
-    | _ -> Error (Printf.sprintf "line %d: malformed cell line" lineno)
-  in
-  let rec collect lineno acc = function
-    | [] -> Ok acc
-    | line :: rest -> begin
-      match parse_line lineno line with
-      | Error _ as e -> e
-      | Ok None -> collect (lineno + 1) acc rest
-      | Ok (Some e) -> collect (lineno + 1) (e :: acc) rest
-    end
-  in
-  match collect 1 [] lines with
-  | Error _ as e -> e
-  | Ok entries ->
-    let find kind = List.filter (fun e -> e.kind = kind) entries in
-    let rec build acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | kind :: rest -> begin
-        match find kind with
-        | [ e ] -> build (e :: acc) rest
-        | [] -> Error (Printf.sprintf "missing cell %s" (Cell.name kind))
-        | _ -> Error (Printf.sprintf "duplicate cell %s" (Cell.name kind))
-      end
-    in
-    build [] Cell.all

@@ -3,10 +3,9 @@
     Each cell kind carries an intrinsic propagation delay and a linear
     load-dependence coefficient; the delay of a gate instance is
     [intrinsic +. load_slope *. fanout]. Delays are in picoseconds at the
-    nominal operating point (0.7 V, typical process, 25 C). The library can
-    be serialized to and parsed from a small text format so alternative
-    characterizations (process corners, different technologies) can be
-    supplied without recompiling. *)
+    nominal operating point (0.7 V, typical process, 25 C). {!to_text}
+    prints the library as text; the characterization cache key hashes
+    that text. *)
 
 type entry = {
   kind : Cell.kind;
@@ -32,10 +31,5 @@ val gate_delay : t -> Cell.kind -> fanout:int -> float
     loads (at least one load is assumed). *)
 
 val to_text : t -> string
-(** Serialize to the text format. *)
-
-val of_text : string -> (t, string) result
-(** Parse the text format produced by {!to_text}. The format is
-    line-oriented: blank lines and [#] comments are ignored; each cell is
-    [cell NAME area A intrinsic I load L alpha_skew S]. All cell kinds must
-    be present exactly once. *)
+(** One line per cell, [cell NAME area A intrinsic I load L alpha_skew S],
+    after a [#] comment line. *)

@@ -321,8 +321,8 @@ let class_first_failure_mhz t cls ~scale =
   let period = (db.max_settle +. t.setup_ps) *. scale in
   1e6 /. period
 
-(* Campaign per-cycle hot path: a plain for loop (the closure an
-   Array.iteri would allocate is per call here, not per element). *)
+(* Model C-corr inlines this loop in its hook; the tests check the
+   hook's masks against this one. *)
 let violation_mask t cls ~cycle ~period_ps ~scale =
   let db = class_db t cls in
   let row = db.cycle_arrivals.(cycle) in

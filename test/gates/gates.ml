@@ -7,7 +7,7 @@
    and fails when the production engine's speedup is below its floor:
 
    - packed characterization >= 1.0x the scalar [Ref_characterize];
-   - compiled [Cpu.run] >= 1.0x [Cpu.run_reference];
+   - compiled [Cpu.run] >= 1.0x [Cpu.run_reference], both hooked;
    - fast-forward [Campaign.run] >= 2.0x [Ref_campaign]'s full replay.
 
    Each compare prints its walls, its ratio and its identity check; the
@@ -68,9 +68,10 @@ let kernel_compare ~cycles () =
 
 (* ---------- ISS engines: interpreter vs compiled basic blocks ---------- *)
 
-(* The same fault-free kernel run on the reference interpreter
-   ([Cpu.run_reference], a cold private state per run) and the
-   production engine ([Bench.run_fault_free] on [Cpu.run]), timed. The
+(* The same kernel run on the reference interpreter ([Cpu.run_reference],
+   a cold private state per run) and the production engine ([Cpu.run]),
+   timed. Both sides run the way campaign trials do, with a fault hook:
+   one that never injects, so the run stays the fault-free one. The
    full stats records and outputs must be equal: the compiled engine is
    cycle-for-cycle bit-identical by contract, so any divergence here is
    a hard failure, not a measurement artifact. Wall times are
@@ -81,12 +82,15 @@ let iss_compare () =
   let module B = Sfi_kernels.Bench in
   Gc.compact ();
   let bench = Sfi_kernels.Median.create ~n:129 () in
-  let reference () =
+  let never ~cycle:_ ~cls:_ ~a:_ ~b:_ ~result:_ = 0 in
+  let config = { C.default_config with C.fault_hook = Some never } in
+  let hooked run () =
     let mem = B.fresh_memory bench in
-    let stats = C.run_reference mem ~entry:bench.B.program.Sfi_isa.Program.entry in
+    let stats = run ~config mem ~entry:bench.B.program.Sfi_isa.Program.entry in
     (stats, B.read_output bench mem)
   in
-  let compiled () = B.run_fault_free bench in
+  let reference = hooked (fun ~config mem ~entry -> C.run_reference ~config mem ~entry) in
+  let compiled = hooked (fun ~config mem ~entry -> C.run ~config mem ~entry) in
   let istats, iout = reference () in
   let cstats, cout = compiled () in
   if istats <> cstats || iout <> cout then
@@ -110,7 +114,7 @@ let iss_compare () =
   let per_sec wall = float_of_int insns /. Float.max 1e-9 wall in
   let speedup = interp_wall_s /. Float.max 1e-9 compiled_wall_s in
   Printf.printf
-    "iss compare: %d insns/run x %d reps, interp %.2f Minsns/s, compiled %.2f \
+    "iss compare: %d insns/run x %d hooked reps, interp %.2f Minsns/s, compiled %.2f \
      Minsns/s (%.2fx), stats bit-identical\n%!"
     insns reps
     (per_sec interp_wall_s /. 1e6)

@@ -352,31 +352,6 @@ loop:   l.add   r2, r2, r1
           (engine_name engine) per_insn)
     [ Interp; Compiled ]
 
-let test_decode_into_allocation_free () =
-  (* A cold decode fill allocates nothing (the point of the unboxed
-     sentinel-coded table): decode a mix of legal and illegal words
-     repeatedly and pin the minor-heap growth to zero. *)
-  let words =
-    Array.init 64 (fun i ->
-        if i land 3 = 0 then 0xFFFF_FFFF (* illegal *)
-        else Encode.encode (Insn.Addi (1, 2, i)))
-  in
-  let tab = Array.make (Array.length words * 4) Sfi_isa.Uop.u_unfilled in
-  (* A plain for loop: Array.iteri would allocate its closure on every
-     call and charge it to the decoder. *)
-  let fill () =
-    for idx = 0 to Array.length words - 1 do
-      Sfi_isa.Uop.decode_into tab ~idx ~addr_mask:4095 (Array.unsafe_get words idx)
-    done
-  in
-  fill () (* warm *);
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 100 do fill () done;
-  let dw = Gc.minor_words () -. w0 in
-  (* The first Gc.minor_words call boxes its float result; everything
-     after must be flat. *)
-  if dw > 16. then Alcotest.failf "decode_into allocated %.0f minor words" dw
-
 (* Repeated runs of one 64 KiB image reuse the domain's cached ISS
    state: the second run allocates no decode or block tables and
    compiles no block. Counted in minor words plus words allocated
@@ -736,8 +711,9 @@ let test_cache_class_counts_unshared () =
 (* ---------- uop decode vs Encode.decode ---------- *)
 
 (* Reference quad for a decoded instruction, written against the
-   documented uop layout. Together with the random-word legality check
-   below this pins [Uop.decode_into] to [Encode.decode] case by case. *)
+   documented uop layout. The properties below pin [Uop.decode_into]'s
+   quad for every word [Encode.decode] accepts, and [u_illegal] for
+   every word it rejects. *)
 let expected_quad ~pc ~addr_mask insn =
   let module U = Sfi_isa.Uop in
   let open Insn in
@@ -902,7 +878,6 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "steady state" `Quick test_steady_state_allocation;
-          Alcotest.test_case "decode_into" `Quick test_decode_into_allocation_free;
           Alcotest.test_case "repeated run" `Quick test_repeated_run_allocation;
           Alcotest.test_case "trial memory reused" `Quick test_trial_memory_reused;
         ] );

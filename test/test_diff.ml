@@ -33,7 +33,7 @@ let sta_with_setup =
 
 let sta_arrivals = lazy (Array.map snd (Sta.analyze (Lazy.force flow_alu).Alu.circuit).Sta.endpoints)
 
-(* Registry models over the fixture's own STA arrivals and database, at
+(* Models built by key over the fixture's own STA arrivals and database, at
    0.7 V with the default Vdd curve and setup margin; sigma = 0 means no
    supply noise (model B rather than B+). *)
 let model key resources =
@@ -46,14 +46,14 @@ let model_b ?(sigma = 0.) () =
     (if sigma = 0. then "B" else "B+")
     { Model.default_resources with
       Model.noise = noise sigma;
-      endpoint_arrivals = Some (Lazy.force sta_arrivals) }
+      endpoint_arrivals = (fun () -> Lazy.force sta_arrivals) }
 
 let model_c ?(sampling = Model.Independent) ?(sigma = 0.) () =
   model
     (match sampling with Model.Independent -> "C" | Model.Vector_correlated -> "C-corr")
     { Model.default_resources with
       Model.noise = noise sigma;
-      db = Some (Lazy.force char_db) }
+      db = (fun () -> Lazy.force char_db) }
 
 (* B's fault onset: period = slowest STA arrival incl. setup. *)
 let onset_b_mhz () =

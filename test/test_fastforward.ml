@@ -3,7 +3,7 @@
    every trial simulated from cycle 0) and pin the sfi-snap/1 cache
    codec.
 
-   - every registered model on every registry kernel produces the
+   - every model on every registry kernel produces the
      reference's trial array, and every trial is elided or restored;
    - a skip point whose first trigger follows a snapshot keeps the EX
      latch the previous call wrote (the suffix restarts before that
@@ -76,8 +76,8 @@ let test_parity_models_kernels () =
   let flow = Lazy.force flow_400 in
   let freq_mhz = Sfi_core.Flow.sta_limit_mhz flow ~vdd:0.7 *. 1.02 in
   List.iter
-    (fun (e : Model.Registry.entry) ->
-      let key = e.Model.Registry.key in
+    (fun (e : Model.entry) ->
+      let key = e.Model.key in
       let model =
         match Sfi_core.Flow.model_by_key flow ~key ~vdd:0.7 ~sigma:0.010 with
         | Ok m -> m
@@ -99,7 +99,7 @@ let test_parity_models_kernels () =
             (trials_equal trials expect);
           Alcotest.(check int) (what ^ ": every trial elided or restored") 4 fast_forwarded)
         Registry.names)
-    (Model.Registry.entries ())
+    Model.entries
 
 (* [Campaign] never validates its benchmark, so programs whose
    reference run does not exit reach it: one traps on a misaligned load

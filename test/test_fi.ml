@@ -19,7 +19,7 @@ let sta_arrivals =
     (let alu = Lazy.force flow_alu in
      Array.map snd (Sta.analyze alu.Alu.circuit).Sta.endpoints)
 
-(* Registry models over the fixture's own STA arrivals and database, at
+(* Models built by key over the fixture's own STA arrivals and database, at
    0.7 V with the default Vdd curve and setup margin. *)
 let model key resources =
   match Model.of_key ~resources key with Ok m -> m | Error e -> failwith e
@@ -29,7 +29,7 @@ let model_a p = Sfi_core.Flow.model_a ~bit_flip_prob:p
 let static_resources noise =
   { Model.default_resources with
     Model.noise;
-    endpoint_arrivals = Some (Lazy.force sta_arrivals) }
+    endpoint_arrivals = (fun () -> Lazy.force sta_arrivals) }
 
 let model_b () = model "B" (static_resources Noise.none)
 
@@ -41,7 +41,7 @@ let model_c ?(sampling = Model.Independent) ?(vdd = 0.7) sigma =
     { Model.default_resources with
       Model.vdd;
       noise = Noise.create ~sigma ();
-      db = Some (Lazy.force char_db) }
+      db = (fun () -> Lazy.force char_db) }
 
 (* ---------- Model ---------- *)
 
@@ -54,12 +54,12 @@ let test_model_names () =
     (Model.key (model_c ~sampling:Model.Vector_correlated 0.01))
 
 let test_model_feature_rows () =
-  let rows = Model.feature_rows () in
-  Alcotest.(check int) "four rows" 4 (List.length rows);
-  let c = List.assoc "C" rows in
+  let features key = (Option.get (Model.find key)).Model.features in
+  let c = features "C" in
   Alcotest.(check bool) "C instruction-aware" true c.Model.instruction_aware;
   Alcotest.(check string) "C uses DTA" "DTA" c.Model.timing_data;
-  let a = List.assoc "A" rows in
+  Alcotest.(check string) "B+ uses STA" "STA" (features "B+").Model.timing_data;
+  let a = features "A" in
   Alcotest.(check bool) "A not instruction-aware" false a.Model.instruction_aware
 
 (* The production C/C-corr hook against the binary-search sampler it

@@ -31,48 +31,7 @@ let test_cell_truth_tables () =
   Alcotest.(check bool) "oai21" true (Cell.eval Cell.Oai21 [| t; f; f |]);
   Alcotest.(check bool) "oai21 both" false (Cell.eval Cell.Oai21 [| t; f; t |])
 
-let test_cell_names_roundtrip () =
-  List.iter
-    (fun k ->
-      match Cell.of_name (Cell.name k) with
-      | Some k' when k = k' -> ()
-      | _ -> Alcotest.failf "roundtrip failed for %s" (Cell.name k))
-    Cell.all;
-  Alcotest.(check bool) "case-insensitive" true (Cell.of_name "nand2" = Some Cell.Nand2);
-  Alcotest.(check bool) "unknown" true (Cell.of_name "FOO" = None)
-
 (* ---------- Cell_lib ---------- *)
-
-let test_cell_lib_roundtrip () =
-  let text = Cell_lib.to_text Cell_lib.default in
-  match Cell_lib.of_text text with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok lib ->
-    List.iter
-      (fun k ->
-        let a = Cell_lib.entry Cell_lib.default k and b = Cell_lib.entry lib k in
-        Alcotest.(check (float 1e-9)) "intrinsic" a.Cell_lib.intrinsic b.Cell_lib.intrinsic;
-        Alcotest.(check (float 1e-9)) "load" a.Cell_lib.load_slope b.Cell_lib.load_slope)
-      Cell.all
-
-let test_cell_lib_rejects_missing () =
-  match Cell_lib.of_text "cell INV area 1 intrinsic 8 load 1.5 alpha_skew 0\n" with
-  | Ok _ -> Alcotest.fail "accepted incomplete library"
-  | Error e -> Alcotest.(check bool) "mentions missing" true (String.length e > 0)
-
-let test_cell_lib_rejects_garbage () =
-  (match Cell_lib.of_text "cell WAT area 1 intrinsic 8 load 1 alpha_skew 0" with
-  | Ok _ -> Alcotest.fail "accepted unknown cell"
-  | Error _ -> ());
-  match Cell_lib.of_text "cell INV area X intrinsic 8 load 1 alpha_skew 0" with
-  | Ok _ -> Alcotest.fail "accepted bad number"
-  | Error _ -> ()
-
-let test_cell_lib_comments_ignored () =
-  let text = "# a comment\n\n" ^ Cell_lib.to_text Cell_lib.default ^ "# trailing\n" in
-  match Cell_lib.of_text text with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "parse error: %s" e
 
 let test_gate_delay_monotone_in_fanout () =
   let d1 = Cell_lib.gate_delay Cell_lib.default Cell.Nand2 ~fanout:1 in
@@ -457,14 +416,9 @@ let () =
         [
           Alcotest.test_case "arity/eval total" `Quick test_cell_arity_matches_eval;
           Alcotest.test_case "truth tables" `Quick test_cell_truth_tables;
-          Alcotest.test_case "names roundtrip" `Quick test_cell_names_roundtrip;
         ] );
       ( "cell_lib",
         [
-          Alcotest.test_case "text roundtrip" `Quick test_cell_lib_roundtrip;
-          Alcotest.test_case "rejects missing" `Quick test_cell_lib_rejects_missing;
-          Alcotest.test_case "rejects garbage" `Quick test_cell_lib_rejects_garbage;
-          Alcotest.test_case "comments ignored" `Quick test_cell_lib_comments_ignored;
           Alcotest.test_case "delay monotone in fanout" `Quick test_gate_delay_monotone_in_fanout;
         ] );
       ( "circuit",

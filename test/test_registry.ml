@@ -1,18 +1,20 @@
-(* The pluggable fault-model registry:
+(* The fault-model table:
 
    - every shipped model is listed, case-insensitively findable, and
-     round-trips through the [to_string]/[of_string] codec with its
-     key, canonical parameters and cache fingerprint intact;
-   - the parameter codec rejects unknown names, type mismatches and
-     physically invalid values (a glitch below threshold voltage);
+     rebuilds from its key and canonical parameters with the same
+     label and cache fingerprint;
+   - the parameter codec rejects unknown names, type mismatches,
+     probabilities outside [0, 1] (NaN included) and physically invalid
+     values (a glitch below threshold voltage);
+   - each model calls only the resource provider it uses, and none
+     when its parameters are invalid;
    - the declared draw-count contract holds: wherever an instance
      declares [skippable_gaussians = Some k], the hook really is a
      no-op consuming exactly [k] standard-normal draws (checked against
      [Rng.skip_gaussians] over hundreds of seeds);
    - [may_inject], the fast-forward probe's question, answers for
-     [sample] on every registered model: until its first [true],
-     [sample] on random operands returns 0 and draws exactly the same
-     randomness;
+     [sample] on every model: until its first [true], [sample] on
+     random operands returns 0 and draws exactly the same randomness;
    - [skip], whose mask reads operands and its EX latch, fast-forwards
      every trial and equals the full-replay reference point;
    - a mixed built-in + attack campaign killed mid-run resumes from its
@@ -40,7 +42,7 @@ let c_resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials"
 let value = Sfi_obs.Counter.value
 
 (* Shared fixture: a sized ALU, its STA arrivals and a small DTA
-   database — enough resources to build every registered model. *)
+   database — enough resources to build every model. *)
 let flow_alu =
   lazy
     (let alu = Alu.build () in
@@ -59,8 +61,8 @@ let resources () =
     noise = Noise.create ~sigma:0.010 ();
     vdd_model = Vdd_model.default;
     setup_ps = Sta.default_setup_ps;
-    endpoint_arrivals = Some (Lazy.force sta_arrivals);
-    db = Some (Lazy.force char_db);
+    endpoint_arrivals = (fun () -> Lazy.force sta_arrivals);
+    db = (fun () -> Lazy.force char_db);
   }
 
 let ok what = function
@@ -77,19 +79,21 @@ let fingerprint_hex m =
 (* ---------- listing and lookup ---------- *)
 
 let test_registry_keys () =
-  let keys = Model.Registry.keys () in
-  List.iter
-    (fun k -> Alcotest.(check bool) (k ^ " registered") true (List.mem k keys))
-    [ "A"; "B"; "B+"; "C"; "C-corr"; "glitch"; "skip"; "opcode"; "state" ];
-  Alcotest.(check bool) "case-insensitive find" true (Model.Registry.find "GLITCH" <> None);
-  Alcotest.(check bool) "unknown key absent" true (Model.Registry.find "nope" = None)
+  Alcotest.(check (list string))
+    "keys in table order"
+    [ "A"; "B"; "B+"; "C"; "C-corr"; "glitch"; "skip"; "opcode"; "state" ]
+    (List.map (fun (e : Model.entry) -> e.Model.key) Model.entries);
+  Alcotest.(check bool) "case-insensitive find" true (Model.find "GLITCH" <> None);
+  Alcotest.(check bool) "unknown key absent" true (Model.find "nope" = None)
 
-(* ---------- codec round trip ---------- *)
+(* ---------- key + parameters round trip ---------- *)
 
+(* A model's key and canonical parameters rebuild it: same label (the
+   CLI's JSON meta), same parameters, same fingerprint. *)
 let check_round_trip m =
   let s = Model.to_string m in
-  let m' = ok (s ^ " reparse") (Model.of_string ~resources:(resources ()) s) in
-  Alcotest.(check string) (s ^ ": key survives") (Model.key m) (Model.key m');
+  let m' = model ~params:(Model.params m) (Model.key m) in
+  Alcotest.(check string) (s ^ ": label survives") s (Model.to_string m');
   Alcotest.(check string)
     (s ^ ": params survive")
     (Json.to_string (Json.Obj (Model.params m)))
@@ -99,11 +103,7 @@ let check_round_trip m =
     (fingerprint_hex m) (fingerprint_hex m')
 
 let test_round_trip_every_model () =
-  List.iter
-    (fun (e : Model.Registry.entry) ->
-      check_round_trip
-        (ok e.Model.Registry.key (Model.Registry.make e (resources ()))))
-    (Model.Registry.entries ())
+  List.iter (fun (e : Model.entry) -> check_round_trip (model e.Model.key)) Model.entries
 
 let test_round_trip_overridden_params () =
   check_round_trip
@@ -128,8 +128,15 @@ let test_param_codec_errors () =
     (Model.of_key "A" ~params:[ ("q", Json.Float 0.1) ] ~resources:r);
   expect_error "mistyped param"
     (Model.of_key "skip" ~params:[ ("p", Json.String "x") ] ~resources:r);
-  expect_error "probability out of range"
-    (Model.of_key "skip" ~params:[ ("p", Json.Float 1.5) ] ~resources:r);
+  List.iter
+    (fun (key, p) ->
+      expect_error
+        (Printf.sprintf "%s: probability %g" key p)
+        (Model.of_key key ~params:[ ("p", Json.Float p) ] ~resources:r))
+    [
+      ("skip", 1.5); ("A", 2.); ("A", -1.); ("A", nan); ("A", infinity);
+      ("skip", nan); ("opcode", nan); ("opcode", neg_infinity);
+    ];
   expect_error "negative window"
     (Model.of_key "glitch" ~params:[ ("len", Json.Int (-1)) ] ~resources:r);
   expect_error "glitch below threshold voltage"
@@ -148,6 +155,71 @@ let test_param_codec_errors () =
   (* Int literals coerce into Float-typed parameters (CLI convenience). *)
   ignore (ok "int coercion" (Model.of_key "A" ~params:[ ("p", Json.Int 0) ] ~resources:r))
 
+(* ---------- resource providers ---------- *)
+
+(* Each model calls only the provider it uses, once, and no model calls
+   one when its parameters are invalid: a bad --model-param never pays
+   for STA or characterization. *)
+let test_providers_on_demand () =
+  let calls = ref (0, 0) in
+  let counting =
+    {
+      (resources ()) with
+      Model.endpoint_arrivals =
+        (fun () ->
+          calls := (fst !calls + 1, snd !calls);
+          Lazy.force sta_arrivals);
+      db =
+        (fun () ->
+          calls := (fst !calls, snd !calls + 1);
+          Lazy.force char_db);
+    }
+  in
+  let build ?params key =
+    calls := (0, 0);
+    let r = Model.of_key ?params ~resources:counting key in
+    (r, !calls)
+  in
+  let pair = Alcotest.(pair int int) in
+  List.iter
+    (fun (key, expected) ->
+      let r, used = build key in
+      ignore (ok key r);
+      Alcotest.check pair (key ^ ": (arrivals, db) calls") expected used)
+    [
+      ("A", (0, 0)); ("B", (1, 0)); ("B+", (1, 0)); ("C", (0, 1)); ("C-corr", (0, 1));
+      ("glitch", (1, 0)); ("skip", (0, 0)); ("opcode", (0, 0)); ("state", (0, 0));
+    ];
+  let rejected what (r, used) =
+    (match r with Ok _ -> Alcotest.failf "%s: accepted" what | Error _ -> ());
+    Alcotest.check pair (what ^ ": no provider called") (0, 0) used
+  in
+  List.iter
+    (fun (e : Model.entry) ->
+      let key = e.Model.key in
+      rejected (key ^ " bogus=1") (build ~params:[ ("bogus", Json.Int 1) ] key))
+    Model.entries;
+  List.iter
+    (fun (key, params) ->
+      rejected (key ^ " " ^ Json.to_string (Json.Obj params)) (build ~params key))
+    [
+      ("A", [ ("p", Json.Float 2.) ]);
+      ("glitch", [ ("len", Json.Int (-1)) ]);
+      ("glitch", [ ("drop_mv", Json.Float 400.) ]);
+      ("glitch", [ ("start", Json.String "x") ]);
+      ("skip", [ ("p", Json.Float nan) ]);
+      ("state", [ ("flips", Json.Int (-1)) ]);
+    ];
+  rejected "unknown key" (build "nope");
+  (* The default resources carry no timing data: a model that needs it
+     fails loudly, naming the input. *)
+  match Model.of_key ~resources:Model.default_resources "C" with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string)
+      "default db provider" "Model.default_resources: no DTA characterization database"
+      msg
+  | _ -> Alcotest.fail "model C built from the default resources"
+
 (* ---------- the declared draw-count contract ---------- *)
 
 (* Wherever an instance declares [skippable_gaussians cls = Some k],
@@ -158,9 +230,9 @@ let test_param_codec_errors () =
 let test_draw_count_contract () =
   let checked = ref 0 in
   List.iter
-    (fun (e : Model.Registry.entry) ->
-      let key = e.Model.Registry.key in
-      let m = ok key (Model.Registry.make e (resources ())) in
+    (fun (e : Model.entry) ->
+      let key = e.Model.key in
+      let m = model key in
       for seed = 1 to 500 do
         let r1 = Rng.of_int seed and r2 = Rng.of_int seed in
         let i1 = Model.instantiate m ~count_obs:false ~freq_mhz:750. ~rng:r1 in
@@ -185,7 +257,7 @@ let test_draw_count_contract () =
                   (Op_class.name cls) seed k)
           Op_class.all
       done)
-    (Model.Registry.entries ());
+    Model.entries;
   Alcotest.(check bool)
     (Printf.sprintf "contract exercised (%d skippable hook calls)" !checked)
     true (!checked > 0)
@@ -208,8 +280,8 @@ let contract_params = function
 let test_may_inject_contract () =
   let classes = Array.of_list Op_class.all in
   List.iter
-    (fun (e : Model.Registry.entry) ->
-      let key = e.Model.Registry.key in
+    (fun (e : Model.entry) ->
+      let key = e.Model.key in
       let m = model ~params:(contract_params key) key in
       let answered_false = ref 0 and answered_true = ref 0 in
       List.iter
@@ -251,7 +323,7 @@ let test_may_inject_contract () =
         Alcotest.(check int) "state: never true (its effect is the trial-start edit)" 0
           !answered_true
       else Alcotest.(check bool) (key ^ ": answered true") true (!answered_true > 0))
-    (Model.Registry.entries ())
+    Model.entries
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))
@@ -370,6 +442,7 @@ let () =
           Alcotest.test_case "round trip, overridden params" `Quick
             test_round_trip_overridden_params;
           Alcotest.test_case "param codec errors" `Quick test_param_codec_errors;
+          Alcotest.test_case "providers on demand" `Quick test_providers_on_demand;
         ] );
       ( "contract",
         [
